@@ -151,10 +151,11 @@ let run_micro () =
 
 (* ---- Ablations (DESIGN.md section 6) --------------------------------- *)
 
+module Toolchain = Cgra_exp.Toolchain
+
 let ablation_beam () =
   print_endline "Ablation: beam width of the full flow (FFT @ HET2)";
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fft") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
   let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET2 in
   List.iter
     (fun beam ->
@@ -162,55 +163,53 @@ let ablation_beam () =
         { Cgra_core.Flow_config.context_aware with beam_width = beam }
       in
       let t0 = Cgra_util.Clock.now () in
-      (match Cgra_core.Flow.run ~config cgra cdfg with
-       | Ok (m, _) ->
-         let prog = Cgra_asm.Assemble.assemble m in
-         let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-         let r = Cgra_sim.Simulator.run prog ~mem in
-         Printf.printf "  beam %3d: mapped, %d cycles, %d moves, %.2fs\n%!"
-           beam r.Cgra_sim.Simulator.cycles (Cgra_core.Mapping.total_moves m)
-           (Cgra_util.Clock.elapsed_s t0)
-       | Error f ->
-         Printf.printf "  beam %3d: FAILED (%s), %.2fs\n%!" beam
-           f.Cgra_core.Flow.reason
-           (Cgra_util.Clock.elapsed_s t0)))
+      match Toolchain.run_kernel ~config cgra k with
+      | Ok (m, x) ->
+        Printf.printf "  beam %3d: mapped, %d cycles, %d moves, %.2fs\n%!"
+          beam x.Toolchain.sim.Cgra_sim.Simulator.cycles
+          (Cgra_core.Mapping.total_moves m.Toolchain.mapping)
+          (Cgra_util.Clock.elapsed_s t0)
+      | Error e ->
+        Printf.printf "  beam %3d: FAILED (%s), %.2fs\n%!" beam
+          (Toolchain.error_to_string e)
+          (Cgra_util.Clock.elapsed_s t0))
     [ 4; 8; 16; 32; 48 ]
 
 let ablation_seeds () =
   print_endline "Ablation: stochastic-pruning seed (MatM @ HET1, full flow)";
   let k = Option.get (Cgra_kernels.Kernels.by_slug "matm") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
   let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET1 in
   List.iter
     (fun seed ->
       let config = { Cgra_core.Flow_config.context_aware with seed } in
-      match Cgra_core.Flow.run ~config cgra cdfg with
-      | Ok (m, _) ->
-        let prog = Cgra_asm.Assemble.assemble m in
-        let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-        let r = Cgra_sim.Simulator.run prog ~mem in
+      match Toolchain.run_kernel ~config cgra k with
+      | Ok (m, x) ->
         Printf.printf "  seed %4d: mapped, %d cycles, %d context words max\n%!"
-          seed r.Cgra_sim.Simulator.cycles
+          seed x.Toolchain.sim.Cgra_sim.Simulator.cycles
           (Array.fold_left
              (fun acc u -> max acc (Cgra_core.Mapping.usage_total u))
              0
-             (Cgra_core.Mapping.tile_usage m))
-      | Error f -> Printf.printf "  seed %4d: FAILED (%s)\n%!" seed f.Cgra_core.Flow.reason)
+             (Cgra_core.Mapping.tile_usage m.Toolchain.mapping))
+      | Error e ->
+        Printf.printf "  seed %4d: FAILED (%s)\n%!" seed (Toolchain.error_to_string e))
     [ 42; 7; 1234 ]
 
+(* Re-simulates one program at several port counts, so it takes the
+   pipeline's validated program and drives the simulator itself. *)
 let ablation_ports () =
   print_endline "Ablation: data-memory ports (Convolution @ HOM64, basic flow)";
   let k = Option.get (Cgra_kernels.Kernels.by_slug "convolution") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
   let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HOM64 in
-  match Cgra_core.Flow.run cgra cdfg with
-  | Error f -> Printf.printf "  mapping failed: %s\n" f.Cgra_core.Flow.reason
-  | Ok (m, _) ->
-    let prog = Cgra_asm.Assemble.assemble m in
+  match
+    Toolchain.map ~config:Cgra_core.Flow_config.default cgra
+      (Cgra_kernels.Kernel_def.cdfg k)
+  with
+  | Error e -> Printf.printf "  mapping failed: %s\n" (Toolchain.error_to_string e)
+  | Ok { Toolchain.program; _ } ->
     List.iter
       (fun ports ->
         let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-        let r = Cgra_sim.Simulator.run ~mem_ports:ports prog ~mem in
+        let r = Cgra_sim.Simulator.run ~mem_ports:ports program ~mem in
         Printf.printf "  %2d ports: %d cycles (%d stalls)\n%!" ports
           r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles)
       [ 1; 2; 4; 8 ]
@@ -224,14 +223,13 @@ let ablation_cfg_simplification () =
       let simple = Cgra_ir.Opt.simplify_cfg plain in
       let run cdfg =
         match
-          Cgra_core.Flow.run ~config:Cgra_core.Flow_config.basic
+          Toolchain.run ~golden:(Cgra_kernels.Kernel_def.run_golden k)
+            ~config:Cgra_core.Flow_config.basic
+            ~mem:(Cgra_kernels.Kernel_def.fresh_mem k)
             (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64) cdfg
         with
         | Error _ -> None
-        | Ok (m, _) ->
-          let prog = Cgra_asm.Assemble.assemble m in
-          let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-          Some (Cgra_sim.Simulator.run prog ~mem).Cgra_sim.Simulator.cycles
+        | Ok (_, x) -> Some x.Toolchain.sim.Cgra_sim.Simulator.cycles
       in
       match run plain, run simple with
       | Some a, Some b ->
@@ -259,23 +257,21 @@ let ablation_if_conversion () =
   let cdfg = Cgra_lang.Compile.compile_exn src in
   let conv = Cgra_ir.Opt.simplify_cfg (Cgra_ir.Opt.if_convert cdfg) in
   let run label c =
+    let mem = Array.make 64 0 in
+    for k = 0 to 23 do
+      mem.(k) <- (k * 7) mod 17
+    done;
+    let golden = Array.copy mem in
+    ignore (Cgra_ir.Interp.run c ~mem:golden);
     match
-      Cgra_core.Flow.run ~config:Cgra_core.Flow_config.basic
+      Toolchain.run ~golden ~config:Cgra_core.Flow_config.basic ~mem
         (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64) c
     with
-    | Error f -> Printf.printf "  %-14s mapping failed: %s\n%!" label f.Cgra_core.Flow.reason
-    | Ok (m, _) ->
-      let prog = Cgra_asm.Assemble.assemble m in
-      let mem = Array.make 64 0 in
-      for k = 0 to 23 do
-        mem.(k) <- (k * 7) mod 17
-      done;
-      let golden = Array.copy mem in
-      ignore (Cgra_ir.Interp.run c ~mem:golden);
-      let r = Cgra_sim.Simulator.run prog ~mem in
-      assert (mem = golden);
+    | Error e ->
+      Printf.printf "  %-14s mapping failed: %s\n%!" label (Toolchain.error_to_string e)
+    | Ok (_, x) ->
       Printf.printf "  %-14s %5d cycles over %2d blocks\n%!" label
-        r.Cgra_sim.Simulator.cycles (Cgra_ir.Cdfg.block_count c)
+        x.Toolchain.sim.Cgra_sim.Simulator.cycles (Cgra_ir.Cdfg.block_count c)
   in
   run "branchy" cdfg;
   run "if-converted" conv
@@ -360,7 +356,6 @@ let run_serve_report () =
     ~finally:(fun () ->
       Serve.Server.request_stop server;
       Serve.Server.wait server;
-      Cgra_exp.Runner.set_artifact_backend None;
       ignore (Serve.Store.clear (Serve.Server.store server)))
     (fun () ->
       let ep = Serve.Client.Unix_socket socket_path in
@@ -503,8 +498,7 @@ let run_resilience_report ~quick () =
     Fun.protect
       ~finally:(fun () ->
         Serve.Server.request_stop server;
-        Serve.Server.wait server;
-        Cgra_exp.Runner.set_artifact_backend None)
+        Serve.Server.wait server)
       (fun () -> f server (Serve.Client.Unix_socket socket_path))
   in
   let outcome_of = function
@@ -606,8 +600,7 @@ let run_resilience_report ~quick () =
     Fun.protect
       ~finally:(fun () ->
         Serve.Server.request_stop first;
-        Serve.Server.wait first;
-        Cgra_exp.Runner.set_artifact_backend None)
+        Serve.Server.wait first)
       (fun () ->
         let r, s =
           time (fun () ->
@@ -631,7 +624,6 @@ let run_resilience_report ~quick () =
     ~finally:(fun () ->
       Serve.Server.request_stop second;
       Serve.Server.wait second;
-      Cgra_exp.Runner.set_artifact_backend None;
       ignore (Serve.Store.clear (Serve.Server.store second)))
     (fun () ->
       let r, s =
@@ -765,7 +757,7 @@ let () =
   let jobs, opt, trials, faults, mode, quick, protect, rest =
     parse_flags (List.tl (Array.to_list Sys.argv))
   in
-  if opt then Cgra_exp.Runner.set_opt_mode Cgra_exp.Runner.Optimized;
+  if opt then Cgra_exp.Runner.set_opt_mode Cgra_exp.Toolchain.Optimized;
   Option.iter Cgra_exp.Figures.set_fault_trials trials;
   Option.iter Cgra_exp.Figures.set_repair_trials trials;
   Option.iter Cgra_exp.Figures.set_repair_faults faults;

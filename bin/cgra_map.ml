@@ -3,7 +3,7 @@
    cgra_map list
    cgra_map map -k <kernel> [-c <config>] [-f <flow>] [--opt] [--jobs N]
                 [--trace FILE] [--dump-dfg before|after] [--asm] [--simulate]
-                [--validate] [--degrade] [--max-attempts N] [--faults FILE]
+                [--degrade] [--max-attempts N] [--faults FILE]
                 [--protect none|parity|secded]
    cgra_map fault -k <kernel> [-c <config>] [-f <flow>] [--seed N]
                   [--trials K] [--show M] [--protect none|parity|secded]
@@ -11,6 +11,12 @@
    cgra_map artifacts <name|all>  regenerate paper tables/figures *)
 
 open Cmdliner
+module FC = Cgra_core.Flow_config
+module Toolchain = Cgra_exp.Toolchain
+
+(* Usage errors are one-line messages on stderr and exit 1. *)
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+let or_die = function Ok v -> v | Error e -> die "%s" e
 
 (* FILE arguments fail as one-line typed errors (exit 1), never as raw
    Sys_error backtraces. *)
@@ -20,9 +26,7 @@ let read_file_or_die ~what file =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error e ->
-    Printf.eprintf "%s %s: %s\n" what file e;
-    exit 1
+  with Sys_error e -> die "%s %s: %s" what file e
 
 let write_file_or_die ~what file contents =
   try
@@ -30,64 +34,95 @@ let write_file_or_die ~what file contents =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () -> output_string oc contents)
-  with Sys_error e ->
-    Printf.eprintf "%s %s: %s\n" what file e;
-    exit 1
+  with Sys_error e -> die "%s %s: %s" what file e
 
-let config_names () =
-  String.concat "|" (List.map Cgra_arch.Config.to_string Cgra_arch.Config.all)
+(* ---- the arguments map, fault and remote share ------------------------ *)
 
-let config_conv =
+let kernel_arg =
+  Arg.(opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel slug.")
+
+let kernel_of_slug slug =
+  match Cgra_kernels.Kernels.by_slug slug with
+  | Some k -> k
+  | None -> die "unknown kernel %s (try: cgra_map list)" slug
+
+let config_arg =
+  let module Config = Cgra_arch.Config in
   let parse s =
-    match Cgra_arch.Config.of_string s with
+    match Config.of_string s with
     | Some c -> Ok c
     | None ->
       Error
         (`Msg
-          (Printf.sprintf "unknown configuration %s (valid: %s, case-insensitive)"
-             s (config_names ())))
+          (Printf.sprintf "unknown configuration %s (valid: %s, case-insensitive)" s
+             (String.concat "|" (List.map Config.to_string Config.all))))
   in
-  Arg.conv (parse, fun fmt c -> Format.fprintf fmt "%s" (Cgra_arch.Config.to_string c))
+  let config_conv =
+    Arg.conv (parse, fun fmt c -> Format.pp_print_string fmt (Config.to_string c))
+  in
+  Arg.(value & opt config_conv Cgra_arch.Config.HET2
+       & info [ "c"; "config" ] ~doc:"CM configuration.")
 
-let flow_of_string = function
-  | "basic" -> Some Cgra_core.Flow_config.basic
-  | "acmap" -> Some Cgra_core.Flow_config.with_acmap
-  | "ecmap" -> Some Cgra_core.Flow_config.with_acmap_ecmap
-  | "full" | "cab" -> Some Cgra_core.Flow_config.context_aware
-  | _ -> None
-
-let flow_conv =
+let flow_arg =
+  let names = String.concat "|" FC.preset_names in
   let parse s =
-    match flow_of_string s with
-    | Some f -> Ok f
-    | None -> Error (`Msg ("unknown flow " ^ s ^ " (basic|acmap|ecmap|full)"))
+    match FC.preset_of_string s with
+    | Some p -> Ok (FC.of_preset p)
+    | None -> Error (`Msg (Printf.sprintf "unknown flow %s (%s)" s names))
   in
-  Arg.conv (parse, fun fmt f -> Format.fprintf fmt "%s" (Cgra_core.Flow_config.steps_of f))
+  let flow_conv =
+    Arg.conv (parse, fun fmt f -> Format.pp_print_string fmt (FC.steps_of f))
+  in
+  Arg.(value & opt flow_conv FC.context_aware
+       & info [ "f"; "flow" ] ~doc:("Mapping flow: " ^ names ^ "."))
+
+let backend_arg =
+  let spellings = List.map (fun b -> (FC.backend_to_string b, b)) FC.backends in
+  Arg.(value & opt (enum spellings) FC.Beam
+       & info [ "backend" ]
+           ~doc:"Mapping backend: $(b,beam) (the stochastic beam search), \
+                 $(b,exact) (the CDCL SAT backend — provably minimal \
+                 schedule length per block, or a proof the block is \
+                 unmappable under the encoding), or $(b,portfolio) (race \
+                 both and keep the better-by-cost result; ties favour the \
+                 beam).  Part of the artifact key."
+           ~docv:"NAME")
 
 (* Bad --protect values fail as one-line typed errors (exit 1) naming the
    valid forms, matching the daemon's knob diagnostics. *)
-let protect_of_flag s =
-  match Cgra_arch.Protection.profile_of_string s with
-  | Some p -> p
-  | None ->
-    Printf.eprintf "--protect: unknown value %S (valid: %s)\n" s
-      Cgra_arch.Protection.valid_values;
-    exit 1
+let protect_arg =
+  let protect_of_flag s =
+    match Cgra_arch.Protection.profile_of_string s with
+    | Some p -> p
+    | None ->
+      die "--protect: unknown value %S (valid: %s)" s Cgra_arch.Protection.valid_values
+  in
+  Term.(const protect_of_flag
+        $ Arg.(value & opt string "none"
+               & info [ "protect" ] ~docv:"LEVEL"
+                   ~doc:"Context-memory protection profile: $(b,none), \
+                         $(b,parity), $(b,secded), or a per-size-class csv \
+                         (cm64=secded,cm32=parity,cm16=none).  Part of the \
+                         artifact key; simulation runs through the ECC fetch \
+                         path and accounts its energy."))
 
-let protect_arg ~doc =
-  Arg.(value & opt string "none" & info [ "protect" ] ~doc ~docv:"LEVEL")
+let faults_arg =
+  Arg.(value & opt (some string) None
+       & info [ "faults" ]
+           ~doc:"Map around the permanent faults listed in $(docv) (one \
+                 s-expression per line: (dead_tile T), (cm_rows_stuck T \
+                 ROWS), (dead_link T north|south|west|east), (no_lsu T); \
+                 ';' starts a comment).  Home selection, the capacity \
+                 checks and the route table all see the degraded array, \
+                 and energy is priced on it."
+           ~docv:"FILE")
 
-(* The simulator-facing form of a protection profile: [None] when the
-   profile is all-Unprotected so the unprotected code path runs. *)
-let sim_protect_of profile =
-  if Cgra_arch.Protection.is_none profile then None
-  else
-    Some
-      {
-        Cgra_sim.Simulator.profile;
-        upsets = [];
-        scrub_interval = Cgra_arch.Protection.default_scrub_interval;
-      }
+let load_faults = function
+  | None -> []
+  | Some file -> (
+    match Cgra_arch.Fault_map.load file with
+    | Ok fs -> fs
+    | Error e -> die "--faults %s: %s" file e)
 
 let list_cmd =
   let doc = "List the bundled kernels and CGRA configurations." in
@@ -110,16 +145,6 @@ let list_cmd =
 
 let map_cmd =
   let doc = "Map a kernel onto a CGRA configuration and report the result." in
-  let kernel =
-    Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel slug.")
-  in
-  let config =
-    Arg.(value & opt config_conv Cgra_arch.Config.HET2 & info [ "c"; "config" ] ~doc:"CM configuration.")
-  in
-  let flow =
-    Arg.(value & opt flow_conv Cgra_core.Flow_config.context_aware
-         & info [ "f"; "flow" ] ~doc:"Mapping flow: basic, acmap, ecmap or full.")
-  in
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ]
@@ -139,14 +164,6 @@ let map_cmd =
                    deterministic; only wall_seconds varies across runs."
              ~docv:"FILE")
   in
-  let validate =
-    Arg.(value & flag
-         & info [ "validate" ]
-             ~doc:"Re-check the produced mapping with the independent \
-                   cgra_verify validator (context-memory capacity, \
-                   neighbour distances, operand readiness, encoding \
-                   round-trip, ...) before reporting it.")
-  in
   let degrade =
     Arg.(value & flag
          & info [ "degrade" ]
@@ -159,16 +176,6 @@ let map_cmd =
          & info [ "max-attempts" ]
              ~doc:"Attempt budget of the --degrade ladder." ~docv:"N")
   in
-  let faults_file =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ]
-             ~doc:"Map around the permanent faults listed in $(docv) (one \
-                   s-expression per line: (dead_tile T), (cm_rows_stuck T \
-                   ROWS), (dead_link T north|south|west|east), (no_lsu T); \
-                   ';' starts a comment).  Home selection, the capacity \
-                   checks and the route table all see the degraded array."
-             ~docv:"FILE")
-  in
   let emit =
     Arg.(value & opt (some string) None
          & info [ "emit" ]
@@ -178,26 +185,15 @@ let map_cmd =
                    key."
              ~docv:"FILE")
   in
-  let backend =
-    let backend_conv =
-      Arg.enum
-        [ ("beam", Cgra_core.Flow_config.Beam);
-          ("exact", Cgra_core.Flow_config.Exact);
-          ("portfolio", Cgra_core.Flow_config.Portfolio) ]
-    in
-    Arg.(value & opt backend_conv Cgra_core.Flow_config.Beam
-         & info [ "backend" ]
-             ~doc:"Mapping backend: $(b,beam) (the stochastic beam search), \
-                   $(b,exact) (the CDCL SAT backend — provably minimal \
-                   schedule length per block, or a proof the block is \
-                   unmappable under the encoding), or $(b,portfolio) (race \
-                   both and keep the better-by-cost result; ties favour the \
-                   beam)."
-             ~docv:"NAME")
-  in
   let dump_asm = Arg.(value & flag & info [ "asm" ] ~doc:"Print the per-tile assembly.") in
   let schedule = Arg.(value & flag & info [ "schedule" ] ~doc:"Print per-block schedule grids.") in
-  let simulate = Arg.(value & flag & info [ "simulate" ] ~doc:"Run the cycle-level simulator and verify.") in
+  let simulate =
+    Arg.(value & flag
+         & info [ "simulate" ]
+             ~doc:"Print the cycle-level simulation (every mapping is \
+                   validated, simulated and checked against the golden \
+                   model before it is reported).")
+  in
   let opt =
     Arg.(value & flag
          & info [ "opt" ]
@@ -253,181 +249,104 @@ let map_cmd =
       stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
     write_file_or_die ~what:"--trace" file (Buffer.contents buf)
   in
-  let protect =
-    protect_arg
-      ~doc:
-        "Context-memory protection profile: $(b,none), $(b,parity), \
-         $(b,secded), or a per-size-class csv (cm64=secded,cm32=parity,\
-         cm16=none).  Part of the artifact key; --simulate and --emit run \
-         through the ECC fetch path and account its energy."
-  in
-  let run slug config flow opt jobs validate degrade max_attempts faults_file
-      trace dump_dfg emit dump_asm schedule simulate backend protect =
-    let protection = protect_of_flag protect in
-    match Cgra_kernels.Kernels.by_slug slug with
-    | None ->
-      Printf.eprintf "unknown kernel %s (try: cgra_map list)\n" slug;
-      exit 1
-    | Some k -> (
-      let cdfg =
-        if opt then Cgra_kernels.Kernel_def.cdfg_raw k
-        else Cgra_kernels.Kernel_def.cdfg k
-      in
-      if validate then Cgra_verify.Validator.install ();
-      let faults =
-        match faults_file with
-        | None -> []
-        | Some file -> (
-          match Cgra_arch.Fault_map.load file with
-          | Ok fs -> fs
-          | Error e ->
-            Printf.eprintf "--faults %s: %s\n" file e;
-            exit 1)
-      in
-      let flow =
-        { flow with
-          Cgra_core.Flow_config.optimize = opt; expand_jobs = max 1 jobs;
-          validate; degrade; max_attempts = max 1 max_attempts; faults;
-          backend; protection }
-      in
-      let sim_protect = sim_protect_of protection in
-      let opt_verify =
-        if opt then
-          Some
-            (Cgra_opt.Pipeline.verifier_of_mems
-               [ Cgra_kernels.Kernel_def.fresh_mem k ])
-        else None
-      in
-      let cgra = Cgra_arch.Config.cgra config in
-      (if faults <> [] then
-         (* Surface bad tile ids before mapping, and show what remains. *)
-         match Cgra_arch.Cgra.degrade cgra faults with
-         | exception Invalid_argument e ->
-           Printf.eprintf "--faults %s: %s\n" (Option.get faults_file) e;
-           exit 1
-         | degraded ->
-           Printf.printf "fault map: %s\n"
-             (String.concat " "
-                (List.map Cgra_arch.Cgra.fault_to_string
-                   (Cgra_arch.Cgra.faults degraded)));
-           Format.printf "%a@." Cgra_arch.Cgra.pp_grid degraded);
-      if dump_dfg = Some `Before then dump_dfg_of cdfg;
-      let print_escalations = function
-        | [] -> ()
-        | es ->
-          List.iter
-            (fun e ->
-              Printf.printf "  escalation: %s\n"
-                (Cgra_core.Flow.escalation_to_string e))
-            es
-      in
-      match Cgra_core.Flow.run ~config:flow ?opt_verify cgra cdfg with
-      | Error f ->
-        Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
-        print_escalations f.Cgra_core.Flow.gave_up;
-        exit 2
-      | Ok (m, stats) ->
-        print_escalations stats.Cgra_core.Flow.escalations;
-        (match trace with
-         | Some file ->
-           write_trace file slug config stats;
-           Printf.printf "search trace written to %s\n" file
-         | None -> ());
-        (match stats.Cgra_core.Flow.opt with
-         | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
-         | None -> ());
-        if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
-        Format.printf "%a@." Cgra_core.Mapping.pp_summary m;
-        Format.printf "recomputes: %d, population peak: %d@."
-          stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
-        if schedule then
-          Array.iteri
-            (fun bi _ -> Format.printf "%a@." Cgra_core.Mapping.pp_schedule (m, bi))
-            m.Cgra_core.Mapping.bbs;
-        let prog = Cgra_asm.Assemble.assemble m in
-        (match emit with
-         | None -> ()
-         | Some file ->
-           let module Serve = Cgra_serve in
-           let spec =
-             match
-               Serve.Key.spec_of_bundled ~slug ~config ~flow
-                 ~opt:(if opt then Serve.Key.Optimized else Serve.Key.Default)
-                 ~faults
-             with
-             | Ok s -> s
-             | Error e ->
-               Printf.eprintf "--emit: %s\n" e;
-               exit 1
-           in
-           let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-           let r = Cgra_sim.Simulator.run ?protect:sim_protect prog ~mem in
-           let e =
-             match sim_protect with
-             | None -> Cgra_power.Energy.cgra m.Cgra_core.Mapping.cgra r
-             | Some _ ->
-               Cgra_power.Energy.cgra ~protect:protection
-                 m.Cgra_core.Mapping.cgra r
-           in
-           let bytes =
-             Serve.Artifact.render ~key_digest:(Serve.Key.digest spec) ~spec
-               prog r e
-           in
-           write_file_or_die ~what:"--emit" file bytes;
-           Printf.printf "artifact %s written to %s (%d bytes)\n"
-             (Serve.Artifact.digest bytes) file (String.length bytes));
-        if dump_asm then
-          Array.iteri
-            (fun t tp -> Format.printf "%a@." Cgra_asm.Assemble.pp_tile (t, tp))
-            prog.Cgra_asm.Assemble.tiles;
-        if simulate then begin
-          let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-          let r = Cgra_sim.Simulator.run ?protect:sim_protect prog ~mem in
-          let ok = mem = Cgra_kernels.Kernel_def.run_golden k in
-          let e =
-            match sim_protect with
-            | None -> Cgra_power.Energy.cgra m.Cgra_core.Mapping.cgra r
-            | Some _ ->
-              Cgra_power.Energy.cgra ~protect:protection
-                m.Cgra_core.Mapping.cgra r
-          in
+  let run slug config flow opt jobs degrade max_attempts faults_file trace
+      dump_dfg emit dump_asm schedule simulate backend protection =
+    let k = kernel_of_slug slug in
+    let opt = if opt then Toolchain.Optimized else Toolchain.Default in
+    let faults = load_faults faults_file in
+    let flow =
+      { flow with
+        FC.expand_jobs = max 1 jobs; degrade; max_attempts = max 1 max_attempts;
+        faults; backend; protection }
+    in
+    let cgra = Cgra_arch.Config.cgra config in
+    (if faults <> [] then
+       (* Surface bad tile ids before mapping, and show what remains. *)
+       match Cgra_arch.Cgra.degrade cgra faults with
+       | exception Invalid_argument e ->
+         die "--faults %s: %s" (Option.get faults_file) e
+       | degraded ->
+         Printf.printf "fault map: %s\n"
+           (String.concat " "
+              (List.map Cgra_arch.Cgra.fault_to_string
+                 (Cgra_arch.Cgra.faults degraded)));
+         Format.printf "%a@." Cgra_arch.Cgra.pp_grid degraded);
+    if dump_dfg = Some `Before then dump_dfg_of (Toolchain.cdfg_of opt k);
+    let print_escalations =
+      List.iter (fun e ->
+          Printf.printf "  escalation: %s\n" (Cgra_core.Flow.escalation_to_string e))
+    in
+    match Toolchain.run_kernel ~opt ~config:flow cgra k with
+    | Error (Toolchain.Unmapped f) ->
+      Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
+      print_escalations f.Cgra_core.Flow.gave_up;
+      exit 2
+    | Error (Toolchain.Unassemblable _ as e) ->
+      Printf.printf "no mapping: %s\n" (Toolchain.error_to_string e);
+      exit 2
+    | Error e ->
+      Printf.eprintf "map: %s\n" (Toolchain.error_to_string e);
+      exit 3
+    | Ok ( { Toolchain.mapping = m; stats; program = prog },
+           { Toolchain.sim = r; energy = e } ) ->
+      print_escalations stats.Cgra_core.Flow.escalations;
+      (match trace with
+       | Some file ->
+         write_trace file slug config stats;
+         Printf.printf "search trace written to %s\n" file
+       | None -> ());
+      (match stats.Cgra_core.Flow.opt with
+       | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
+       | None -> ());
+      if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
+      Format.printf "%a@." Cgra_core.Mapping.pp_summary m;
+      Format.printf "recomputes: %d, population peak: %d@."
+        stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
+      if schedule then
+        Array.iteri
+          (fun bi _ -> Format.printf "%a@." Cgra_core.Mapping.pp_schedule (m, bi))
+          m.Cgra_core.Mapping.bbs;
+      (match emit with
+       | None -> ()
+       | Some file ->
+         let module Serve = Cgra_serve in
+         let spec =
+           or_die (Serve.Key.spec_of_bundled ~slug ~config ~flow ~opt ~faults)
+         in
+         let bytes =
+           Serve.Artifact.render ~key_digest:(Serve.Key.digest spec) ~spec prog r e
+         in
+         write_file_or_die ~what:"--emit" file bytes;
+         Printf.printf "artifact %s written to %s (%d bytes)\n"
+           (Serve.Artifact.digest bytes) file (String.length bytes));
+      if dump_asm then
+        Array.iteri
+          (fun t tp -> Format.printf "%a@." Cgra_asm.Assemble.pp_tile (t, tp))
+          prog.Cgra_asm.Assemble.tiles;
+      if simulate then begin
+        Format.printf
+          "simulated: %d cycles (%d stalls), functional check PASSED, %.3f uJ@."
+          r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles
+          (Cgra_power.Energy.to_uj e.Cgra_power.Energy.total_pj);
+        match r.Cgra_sim.Simulator.ecc with
+        | Some ecc ->
           Format.printf
-            "simulated: %d cycles (%d stalls), functional check %s, %.3f uJ@."
-            r.Cgra_sim.Simulator.cycles r.Cgra_sim.Simulator.stall_cycles
-            (if ok then "PASSED" else "FAILED")
-            (Cgra_power.Energy.to_uj e.Cgra_power.Energy.total_pj);
-          (match (r.Cgra_sim.Simulator.ecc, sim_protect) with
-           | Some ecc, Some _ ->
-             Format.printf
-               "protection %s: %d detected, %d corrected, %d scrub cycles, \
-                %.1f pJ ECC@."
-               (Cgra_arch.Protection.profile_to_string protection)
-               ecc.Cgra_sim.Simulator.detected ecc.Cgra_sim.Simulator.corrected
-               ecc.Cgra_sim.Simulator.scrub_cycles
-               e.Cgra_power.Energy.protect_pj
-           | _ -> ());
-          if not ok then exit 3
-        end)
+            "protection %s: %d detected, %d corrected, %d scrub cycles, %.1f pJ ECC@."
+            (Cgra_arch.Protection.profile_to_string protection)
+            ecc.Cgra_sim.Simulator.detected ecc.Cgra_sim.Simulator.corrected
+            ecc.Cgra_sim.Simulator.scrub_cycles e.Cgra_power.Energy.protect_pj
+        | None -> ()
+      end
   in
   Cmd.v (Cmd.info "map" ~doc)
-    Term.(const run $ kernel $ config $ flow $ opt $ jobs $ validate $ degrade
-          $ max_attempts $ faults_file $ trace $ dump_dfg $ emit $ dump_asm
-          $ schedule $ simulate $ backend $ protect)
+    Term.(const run $ Arg.required kernel_arg $ config_arg $ flow_arg $ opt $ jobs
+          $ degrade $ max_attempts $ faults_arg $ trace $ dump_dfg $ emit $ dump_asm
+          $ schedule $ simulate $ backend_arg $ protect_arg)
 
 let fault_cmd =
   let doc =
     "Run a deterministic single-bit fault-injection campaign on a mapped \
      kernel."
-  in
-  let kernel =
-    Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel slug.")
-  in
-  let config =
-    Arg.(value & opt config_conv Cgra_arch.Config.HET2 & info [ "c"; "config" ] ~doc:"CM configuration.")
-  in
-  let flow =
-    Arg.(value & opt flow_conv Cgra_core.Flow_config.context_aware
-         & info [ "f"; "flow" ] ~doc:"Mapping flow: basic, acmap, ecmap or full.")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Campaign RNG seed." ~docv:"N")
@@ -450,69 +369,53 @@ let fault_cmd =
              ~doc:"Print the first $(docv) non-masked trials in full."
              ~docv:"M")
   in
-  let protect =
-    protect_arg
-      ~doc:
-        "Run the campaign through the context-memory ECC fetch path at this \
-         protection profile ($(b,none), $(b,parity), $(b,secded), or a \
-         per-size-class csv).  Injection sites are identical at every \
-         level; the summary gains detected/corrected counts."
-  in
-  let run slug config flow seed trials jobs show protect =
-    let protection = protect_of_flag protect in
-    if trials <= 0 then begin
-      Printf.eprintf "--trials must be positive (got %d)\n" trials;
-      exit 1
-    end;
-    match Cgra_kernels.Kernels.by_slug slug with
-    | None ->
-      Printf.eprintf "unknown kernel %s (try: cgra_map list)\n" slug;
-      exit 1
-    | Some k -> (
-      let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-      let cgra = Cgra_arch.Config.cgra config in
-      match Cgra_core.Flow.run ~config:flow cgra cdfg with
-      | Error f ->
-        Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
-        exit 2
-      | Ok (m, _) ->
-        let module F = Cgra_verify.Fault in
-        let program = Cgra_asm.Assemble.assemble m in
-        let key =
-          Printf.sprintf "%s/%s/%s/fault" slug
-            (Cgra_arch.Config.to_string config)
-            (Cgra_core.Flow_config.steps_of flow)
-        in
-        let c =
-          F.run_campaign ?jobs ~protect:protection ~seed ~trials ~key
-            ~fresh_mem:(fun () -> Cgra_kernels.Kernel_def.fresh_mem k)
-            program
-        in
-        let s = c.F.summary in
-        Printf.printf
-          "campaign %s: %d trials, seed %d, fault-free %d cycles\n\
-           masked %d, wrong-output %d, crash %d, hang %d  (%.1f%% masked)\n"
-          key s.F.trials seed c.F.golden_cycles s.F.masked s.F.wrong_output
-          s.F.crash s.F.hang
-          (100.0 *. float_of_int s.F.masked /. float_of_int s.F.trials);
-        if not (Cgra_arch.Protection.is_none protection) then
-          Printf.printf "protection %s: detected %d, corrected %d\n"
-            (Cgra_arch.Protection.profile_to_string protection)
-            s.F.detected s.F.corrected;
-        let interesting =
-          List.filter (fun (t : F.trial) -> t.F.outcome <> F.Masked) c.F.runs
-        in
-        List.iteri
-          (fun i (t : F.trial) ->
-            if i < show then
-              Printf.printf "  trial %3d: %s -> %s\n" t.F.index
-                (F.injection_to_string t.F.injection)
-                (F.outcome_to_string t.F.outcome))
-          interesting)
+  let run slug config flow seed trials jobs show protection =
+    if trials <= 0 then die "--trials must be positive (got %d)" trials;
+    let k = kernel_of_slug slug in
+    match
+      Toolchain.map ~config:flow (Cgra_arch.Config.cgra config)
+        (Cgra_kernels.Kernel_def.cdfg k)
+    with
+    | Error e ->
+      Printf.printf "no mapping: %s\n" (Toolchain.error_to_string e);
+      exit 2
+    | Ok { Toolchain.program; _ } ->
+      let module F = Cgra_verify.Fault in
+      let key =
+        Printf.sprintf "%s/%s/%s/fault" slug
+          (Cgra_arch.Config.to_string config)
+          (FC.steps_of flow)
+      in
+      let c =
+        F.run_campaign ?jobs ~protect:protection ~seed ~trials ~key
+          ~fresh_mem:(fun () -> Cgra_kernels.Kernel_def.fresh_mem k)
+          program
+      in
+      let s = c.F.summary in
+      Printf.printf
+        "campaign %s: %d trials, seed %d, fault-free %d cycles\n\
+         masked %d, wrong-output %d, crash %d, hang %d  (%.1f%% masked)\n"
+        key s.F.trials seed c.F.golden_cycles s.F.masked s.F.wrong_output
+        s.F.crash s.F.hang
+        (100.0 *. float_of_int s.F.masked /. float_of_int s.F.trials);
+      if not (Cgra_arch.Protection.is_none protection) then
+        Printf.printf "protection %s: detected %d, corrected %d\n"
+          (Cgra_arch.Protection.profile_to_string protection)
+          s.F.detected s.F.corrected;
+      let interesting =
+        List.filter (fun (t : F.trial) -> t.F.outcome <> F.Masked) c.F.runs
+      in
+      List.iteri
+        (fun i (t : F.trial) ->
+          if i < show then
+            Printf.printf "  trial %3d: %s -> %s\n" t.F.index
+              (F.injection_to_string t.F.injection)
+              (F.outcome_to_string t.F.outcome))
+        interesting
   in
   Cmd.v (Cmd.info "fault" ~doc)
-    Term.(const run $ kernel $ config $ flow $ seed $ trials $ jobs $ show
-          $ protect)
+    Term.(const run $ Arg.required kernel_arg $ config_arg $ flow_arg $ seed $ trials
+          $ jobs $ show $ protect_arg)
 
 let compile_cmd =
   let doc = "Compile a kernel-language source file and print its CDFG." in
@@ -529,35 +432,28 @@ let compile_cmd =
 
 let stats_cmd =
   let doc = "Print static and dynamic statistics of a kernel's CDFG." in
-  let kernel =
-    Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc:"Kernel slug.")
-  in
   let run slug =
-    match Cgra_kernels.Kernels.by_slug slug with
-    | None ->
-      Printf.eprintf "unknown kernel %s\n" slug;
-      exit 1
-    | Some k ->
-      let cdfg = Cgra_kernels.Kernel_def.cdfg k in
-      let mem = Cgra_kernels.Kernel_def.fresh_mem k in
-      let trace = Cgra_ir.Interp.run cdfg ~mem in
-      Format.printf "kernel %s: %d blocks, %d operations, %d symbol variables@."
-        cdfg.Cgra_ir.Cdfg.kernel_name
-        (Cgra_ir.Cdfg.block_count cdfg)
-        (Cgra_ir.Cdfg.node_count cdfg)
-        cdfg.Cgra_ir.Cdfg.sym_count;
-      Format.printf "%-12s %6s %6s %9s %9s@." "block" "ops" "Wbb" "executions"
-        "dyn-ops";
-      Array.iteri
-        (fun bi b ->
-          let n = Array.length b.Cgra_ir.Cdfg.nodes in
-          let execs = trace.Cgra_ir.Interp.block_counts.(bi) in
-          Format.printf "%-12s %6d %6d %9d %9d@." b.Cgra_ir.Cdfg.name n
-            (Cgra_ir.Cdfg.block_weight cdfg bi)
-            execs (n * execs))
-        cdfg.Cgra_ir.Cdfg.blocks
+    let k = kernel_of_slug slug in
+    let cdfg = Cgra_kernels.Kernel_def.cdfg k in
+    let mem = Cgra_kernels.Kernel_def.fresh_mem k in
+    let trace = Cgra_ir.Interp.run cdfg ~mem in
+    Format.printf "kernel %s: %d blocks, %d operations, %d symbol variables@."
+      cdfg.Cgra_ir.Cdfg.kernel_name
+      (Cgra_ir.Cdfg.block_count cdfg)
+      (Cgra_ir.Cdfg.node_count cdfg)
+      cdfg.Cgra_ir.Cdfg.sym_count;
+    Format.printf "%-12s %6s %6s %9s %9s@." "block" "ops" "Wbb" "executions"
+      "dyn-ops";
+    Array.iteri
+      (fun bi b ->
+        let n = Array.length b.Cgra_ir.Cdfg.nodes in
+        let execs = trace.Cgra_ir.Interp.block_counts.(bi) in
+        Format.printf "%-12s %6d %6d %9d %9d@." b.Cgra_ir.Cdfg.name n
+          (Cgra_ir.Cdfg.block_weight cdfg bi)
+          execs (n * execs))
+      cdfg.Cgra_ir.Cdfg.blocks
   in
-  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ kernel)
+  Cmd.v (Cmd.info "stats" ~doc) Term.(const run $ Arg.required kernel_arg)
 
 let remote_cmd =
   let module Serve = Cgra_serve in
@@ -565,27 +461,10 @@ let remote_cmd =
     "Request a mapping from a running cgra_mapd daemon; compute locally \
      (identical bytes) when none is reachable."
   in
-  let kernel =
-    Arg.(value & opt (some string) None
-         & info [ "k"; "kernel" ] ~doc:"Kernel slug.")
-  in
-  let config =
-    Arg.(value & opt config_conv Cgra_arch.Config.HET2
-         & info [ "c"; "config" ] ~doc:"CM configuration.")
-  in
-  let flow =
-    Arg.(value & opt flow_conv Cgra_core.Flow_config.context_aware
-         & info [ "f"; "flow" ] ~doc:"Mapping flow: basic, acmap, ecmap or full.")
-  in
   let opt =
     Arg.(value & flag
          & info [ "opt" ]
              ~doc:"Map the naive lowering through the cgra_opt pipeline.")
-  in
-  let faults_file =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~doc:"Map around the fault map in $(docv)."
-             ~docv:"FILE")
   in
   let socket =
     Arg.(value & opt (some string) None
@@ -621,21 +500,6 @@ let remote_cmd =
              ~doc:"Fail (exit 4) instead of computing locally when the \
                    daemon is unreachable.")
   in
-  let backend =
-    let backend_conv =
-      Arg.enum
-        [ ("beam", Cgra_core.Flow_config.Beam);
-          ("exact", Cgra_core.Flow_config.Exact);
-          ("portfolio", Cgra_core.Flow_config.Portfolio) ]
-    in
-    Arg.(value & opt backend_conv Cgra_core.Flow_config.Beam
-         & info [ "backend" ]
-             ~doc:"Mapping backend: $(b,beam), $(b,exact) or \
-                   $(b,portfolio) — the same semantic knob the $(b,map) \
-                   command takes; part of the request key, so each \
-                   backend has its own store entry."
-             ~docv:"NAME")
-  in
   let deadline =
     Arg.(value & opt (some int) None
          & info [ "deadline" ]
@@ -653,16 +517,8 @@ let remote_cmd =
                    before giving up (or falling back locally)."
              ~docv:"N")
   in
-  let protect =
-    protect_arg
-      ~doc:
-        "Context-memory protection profile of the request ($(b,none), \
-         $(b,parity), $(b,secded), or a per-size-class csv).  A serve-key \
-         knob: each profile has its own content address and store entry."
-  in
   let run kernel config flow opt faults_file socket tcp emit stats clear
-      shutdown ping no_fallback deadline_ms retries backend protect =
-    let protection = protect_of_flag protect in
+      shutdown ping no_fallback deadline_ms retries backend protection =
     let endpoint =
       match tcp with
       | Some port -> Serve.Client.Tcp ("127.0.0.1", port)
@@ -725,37 +581,17 @@ let remote_cmd =
     else begin
       let slug =
         match kernel with
-        | Some s -> s
+        | Some s -> (kernel_of_slug s).Cgra_kernels.Kernel_def.slug
         | None ->
-          Printf.eprintf
-            "remote: -k KERNEL required (or one of --ping --stats --clear \
-             --shutdown)\n";
-          exit 1
+          die "remote: -k KERNEL required (or one of --ping --stats --clear --shutdown)"
       in
-      let faults =
-        match faults_file with
-        | None -> []
-        | Some file -> (
-          match Cgra_arch.Fault_map.load file with
-          | Ok fs -> fs
-          | Error e ->
-            Printf.eprintf "--faults %s: %s\n" file e;
-            exit 1)
-      in
-      let flow =
-        { flow with
-          Cgra_core.Flow_config.optimize = opt; faults; backend; protection }
-      in
+      let faults = load_faults faults_file in
+      let flow = { flow with FC.faults; backend; protection } in
       let spec =
-        match
-          Serve.Key.spec_of_bundled ~slug ~config ~flow
-            ~opt:(if opt then Serve.Key.Optimized else Serve.Key.Default)
-            ~faults
-        with
-        | Ok s -> s
-        | Error e ->
-          Printf.eprintf "%s (try: cgra_map list)\n" e;
-          exit 1
+        or_die
+          (Serve.Key.spec_of_bundled ~slug ~config ~flow
+             ~opt:(if opt then Serve.Key.Optimized else Serve.Key.Default)
+             ~faults)
       in
       match
         Serve.Client.map ~fallback:(not no_fallback) ?deadline_ms ~retries
@@ -799,9 +635,9 @@ let remote_cmd =
     end
   in
   Cmd.v (Cmd.info "remote" ~doc)
-    Term.(const run $ kernel $ config $ flow $ opt $ faults_file $ socket $ tcp
-          $ emit $ stats $ clear $ shutdown $ ping $ no_fallback $ deadline
-          $ retries $ backend $ protect)
+    Term.(const run $ Arg.value kernel_arg $ config_arg $ flow_arg $ opt $ faults_arg
+          $ socket $ tcp $ emit $ stats $ clear $ shutdown $ ping $ no_fallback
+          $ deadline $ retries $ backend_arg $ protect_arg)
 
 let artifacts_cmd =
   let doc = "Regenerate the paper's tables and figures." in

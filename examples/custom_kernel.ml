@@ -57,19 +57,15 @@ let () =
   Format.printf "interpreter matches the OCaml golden model@.";
 
   (* CGRA side *)
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET1 in
-  let mapping =
+  let cgra_run, cgra_energy =
     match
-      Cgra_core.Flow.run ~config:Cgra_core.Flow_config.context_aware cgra cdfg
+      Cgra_exp.Toolchain.run ~golden:(golden (init_mem ()))
+        ~config:Cgra_core.Flow_config.context_aware ~mem:(init_mem ())
+        (Cgra_arch.Config.cgra Cgra_arch.Config.HET1) cdfg
     with
-    | Ok (m, _) -> m
-    | Error f -> failwith f.Cgra_core.Flow.reason
+    | Ok (_, { Cgra_exp.Toolchain.sim; energy }) -> (sim, energy)
+    | Error e -> failwith (Cgra_exp.Toolchain.error_to_string e)
   in
-  let program = Cgra_asm.Assemble.assemble mapping in
-  let mem = init_mem () in
-  let cgra_run = Cgra_sim.Simulator.run program ~mem in
-  assert (mem = golden (init_mem ()));
-  let cgra_energy = Cgra_power.Energy.cgra cgra cgra_run in
 
   (* CPU side *)
   let cpu_prog = Cgra_cpu.Codegen.compile cdfg in

@@ -11,6 +11,7 @@
 
 module Config = Cgra_arch.Config
 module K = Cgra_kernels.Kernel_def
+module Toolchain = Cgra_exp.Toolchain
 
 let tiny_cgra =
   (* an aggressive design point: 32-word CMs on the load-store rows,
@@ -31,18 +32,13 @@ let () =
       List.iter
         (fun (_, cgra) ->
           match
-            Cgra_core.Flow.run ~config:Cgra_core.Flow_config.context_aware
-              cgra (K.cdfg k)
+            Toolchain.run_kernel ~config:Cgra_core.Flow_config.context_aware cgra k
           with
-          | Error _ -> Format.printf " %12s" "-"
-          | Ok (m, _) ->
-            let prog = Cgra_asm.Assemble.assemble m in
-            let mem = K.fresh_mem k in
-            let r = Cgra_sim.Simulator.run prog ~mem in
-            assert (mem = K.run_golden k);
-            let e = Cgra_power.Energy.cgra cgra r in
-            Format.printf " %6dc/%3.0fnJ" r.Cgra_sim.Simulator.cycles
-              (e.Cgra_power.Energy.total_pj /. 1000.0))
+          | Error (Toolchain.Unmapped _) -> Format.printf " %12s" "-"
+          | Error e -> failwith (Toolchain.error_to_string e)
+          | Ok (_, { Toolchain.sim; energy }) ->
+            Format.printf " %6dc/%3.0fnJ" sim.Cgra_sim.Simulator.cycles
+              (energy.Cgra_power.Energy.total_pj /. 1000.0))
         targets;
       Format.printf "@.")
     Cgra_kernels.Kernels.all;

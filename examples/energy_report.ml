@@ -11,17 +11,14 @@
 module Config = Cgra_arch.Config
 module E = Cgra_power.Energy
 module K = Cgra_kernels.Kernel_def
+module Toolchain = Cgra_exp.Toolchain
 
 let report k config flow label =
-  let cgra = Config.cgra config in
-  match Cgra_core.Flow.run ~config:flow cgra (K.cdfg k) with
-  | Error f -> Format.printf "%-22s no mapping (%s)@." label f.Cgra_core.Flow.reason
-  | Ok (m, _) ->
-    let prog = Cgra_asm.Assemble.assemble m in
-    let mem = K.fresh_mem k in
-    let r = Cgra_sim.Simulator.run prog ~mem in
-    assert (mem = K.run_golden k);
-    let e = E.cgra cgra r in
+  match Toolchain.run_kernel ~config:flow (Config.cgra config) k with
+  | Error (Toolchain.Unmapped f) ->
+    Format.printf "%-22s no mapping (%s)@." label f.Cgra_core.Flow.reason
+  | Error e -> failwith (Toolchain.error_to_string e)
+  | Ok (_, { Toolchain.sim = r; energy = e }) ->
     Format.printf
       "%-22s %6d cycles | fetch %6.0f  compute %6.0f  moves %5.0f  dmem %6.0f  leak %6.0f | total %7.0f pJ@."
       label r.Cgra_sim.Simulator.cycles e.E.fetch_pj e.E.compute_pj e.E.moves_pj

@@ -48,13 +48,13 @@ let escalation_to_string e =
      | None -> ""
      | Some b -> Printf.sprintf " (at block %d)" b)
 
-(* The independent mapping validator lives in [cgra_verify], which depends
-   on this library (it re-checks assembled programs too), so [Flow] reaches
-   it through an installed hook rather than a direct call.
-   [Cgra_verify.Validator.install] registers it; [Flow_config.validate]
-   turns it on per run. *)
-let validator : (Mapping.t -> string list) option ref = ref None
-let set_validator f = validator := Some f
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let proved_unsat reason = contains reason "proved UNSAT"
+let budget_exhausted reason = contains reason "conflict budget"
 
 (* Commit the symbol homes a block's mapping pinned.  A conflicting pin —
    the block wants a symbol on a different tile than an earlier block
@@ -264,17 +264,12 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
       in
       let committed0 = Array.copy committed in
       let homes0 = Array.copy homes in
-      let has_sub s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        go 0
-      in
       let mapped =
         match map_blocks ~spread:false [] order with
         | Ok _ as ok -> ok
         | Error f
           when config.Flow_config.backend = Flow_config.Exact
-               && not (has_sub f.reason "proved UNSAT") -> (
+               && not (proved_unsat f.reason) -> (
           (* Greedy pass dead-ended on the committed context (not a
              kernel-level UNSAT proof, which no retry can beat): one
              deterministic second pass with spread budgets. *)
@@ -357,110 +352,71 @@ let escalation_of ~attempt (c : Flow_config.t) (f : failure) =
     e_at_block = f.at_block;
   }
 
-(* Independent re-validation of a successful mapping (the tentpole's
-   third eye): a violation is a mapper bug, not a stochastic dead-end,
-   so it is never retried. *)
-let validated ~config ~work = function
-  | Error _ as e -> e
-  | Ok (mapping, _stats) as ok ->
-    if not config.Flow_config.validate then ok
-    else (
-      match !validator with
-      | None ->
-        Error
-          (fail ~work:!work
-             "validate requested but no validator is installed \
-              (call Cgra_verify.Validator.install ())")
-      | Some check -> (
-        match check mapping with
-        | [] -> ok
-        | violations ->
-          Error
-            (fail ~work:!work
-               (Printf.sprintf "validation failed: %s"
-                  (String.concat "; " violations)))))
-
-(* Shared retry / graceful-degradation driver over [run_once].  The route
-   table depends only on the (already degraded) array, so it is interned
-   here once and reused by every attempt and every block. *)
+(* The one retry ladder over [run_once].  Rung k is an attempt with
+   [retries_used = k]: without [degrade] the rungs reseed the stochastic
+   pruning (seed + 1000k, k <= [retries]); with it they escalate (see
+   [escalate]).  Every failed rung is recorded as an escalation.  The
+   route table depends only on the (already degraded) array, so it is
+   interned here once and reused by every rung and every block. *)
 let drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
   let routes = Search.build_routes cgra in
-  let result =
-    (* A fired deadline unwinds as [Search.Timed_out] from whatever
-       boundary observed it; converting it here — outside the retry and
-       escalation ladders — guarantees a timed-out attempt is never
-       retried: the ladders only ever see ordinary [Error] values. *)
-    match
-    if not config.Flow_config.degrade then
-      (* The stochastic pruning can dead-end; the context-aware flows
-         re-seed and retry a couple of times before declaring the
-         configuration unmappable.  [compile_seconds] and [work] cover all
-         attempts. *)
-      let rec attempt k =
-        let seeded =
-          { config with Flow_config.seed = config.Flow_config.seed + (1000 * k) }
-        in
-        match
-          run_once ~t0 ~work ~retries_used:k ~config:seeded ~opt_report
-            ~routes ~deadline ?base cgra cdfg
-        with
-        | Ok _ as ok -> ok
-        | Error _ as e ->
-          if k >= config.Flow_config.retries then e else attempt (k + 1)
-      in
-      attempt 0
-    else begin
-      (* Graceful degradation: a bounded escalation ladder.  Attempt 0 is
-         the configuration as given; each further attempt reseeds the
-         stochastic pruning from a split of the base RNG and relaxes the
-         search — wider beam, more children per state, higher keep
-         probability, more threshold slack — so near-miss configurations
-         degrade into "mapped after N attempts" instead of "unmappable".
-         Every failed attempt is recorded as a typed escalation step. *)
-      let esc_rng = Rng.create (Rng.seed_of ~base:config.Flow_config.seed "degrade") in
-      let escalate k =
-        if k = 0 then config
-        else
-          let seed = Rng.int (Rng.split esc_rng) 0x3FFFFFFF in
-          let widen v = min 128 (v * (1 lsl min k 3)) in
-          {
-            config with
-            Flow_config.seed;
-            beam_width = widen config.Flow_config.beam_width;
-            expand_per_state = min 8 (config.Flow_config.expand_per_state + k);
-            keep_prob = min 0.9 (config.Flow_config.keep_prob *. (1.5 ** float_of_int k));
-            prune_slack =
-              config.Flow_config.prune_slack *. (1.0 +. (0.5 *. float_of_int k));
-          }
-      in
-      let budget = max 1 config.Flow_config.max_attempts in
-      let rec attempt k trace =
-        let cfg_k = escalate k in
-        match
-          run_once ~t0 ~work ~retries_used:k ~config:cfg_k ~opt_report ~routes
-            ~deadline ?base cgra cdfg
-        with
-        | Ok (m, s) -> Ok (m, { s with escalations = List.rev trace })
-        | Error f ->
-          let trace = escalation_of ~attempt:k cfg_k f :: trace in
-          if k + 1 >= budget then Error { f with gave_up = List.rev trace }
-          else attempt (k + 1) trace
-      in
-      attempt 0 []
-    end
-    with
-    | exception Search.Timed_out { at_block; where } ->
-      Error
-        {
-          reason = Printf.sprintf "timed out (%s)" where;
-          at_block = Some at_block;
-          work = !work;
-          gave_up = [];
-          timed_out = Some where;
-        }
-    | r -> r
+  (* Graceful degradation: rung 0 is the configuration as given; each
+     further rung reseeds the stochastic pruning from a split of the base
+     RNG and relaxes the search — wider beam, more children per state,
+     higher keep probability, more threshold slack — so near-miss
+     configurations degrade into "mapped after N attempts" instead of
+     "unmappable". *)
+  let esc_rng = Rng.create (Rng.seed_of ~base:config.Flow_config.seed "degrade") in
+  let escalate k =
+    if k = 0 then config
+    else
+      let seed = Rng.int (Rng.split esc_rng) 0x3FFFFFFF in
+      let widen v = min 128 (v * (1 lsl min k 3)) in
+      {
+        config with
+        Flow_config.seed;
+        beam_width = widen config.Flow_config.beam_width;
+        expand_per_state = min 8 (config.Flow_config.expand_per_state + k);
+        keep_prob = min 0.9 (config.Flow_config.keep_prob *. (1.5 ** float_of_int k));
+        prune_slack =
+          config.Flow_config.prune_slack *. (1.0 +. (0.5 *. float_of_int k));
+      }
   in
-  validated ~config ~work result
+  let rung k =
+    if config.Flow_config.degrade then escalate k
+    else { config with Flow_config.seed = config.Flow_config.seed + (1000 * k) }
+  in
+  let rungs =
+    if config.Flow_config.degrade then max 1 config.Flow_config.max_attempts
+    else config.Flow_config.retries + 1
+  in
+  let rec attempt k trace =
+    let cfg_k = rung k in
+    match
+      run_once ~t0 ~work ~retries_used:k ~config:cfg_k ~opt_report ~routes
+        ~deadline ?base cgra cdfg
+    with
+    | Ok (m, s) -> Ok (m, { s with escalations = List.rev trace })
+    | Error f ->
+      let trace = escalation_of ~attempt:k cfg_k f :: trace in
+      if k + 1 >= rungs then Error { f with gave_up = List.rev trace }
+      else attempt (k + 1) trace
+  in
+  (* A fired deadline unwinds as [Search.Timed_out] from whatever boundary
+     observed it; converting it here — outside the ladder — guarantees a
+     timed-out attempt is never retried: the ladder only ever sees
+     ordinary [Error] values. *)
+  match attempt 0 [] with
+  | exception Search.Timed_out { at_block; where } ->
+    Error
+      {
+        reason = Printf.sprintf "timed out (%s)" where;
+        at_block = Some at_block;
+        work = !work;
+        gave_up = [];
+        timed_out = Some where;
+      }
+  | r -> r
 
 (* The portfolio race: run the beam flow (ladder and all) and the
    exact flow over the same inputs on the domain pool and keep the

@@ -19,9 +19,9 @@ type escalation = {
   e_reason : string;         (** why this attempt failed *)
   e_at_block : int option;
 }
-(** One failed attempt of the graceful-degradation ladder
-    ([Flow_config.degrade]): the search knobs it ran with and the failure
-    it hit. *)
+(** One failed rung of the retry ladder — a reseeded retry, or with
+    [Flow_config.degrade] an escalation: the search knobs it ran with and
+    the failure it hit. *)
 
 val escalation_to_string : escalation -> string
 
@@ -30,8 +30,8 @@ type failure = {
   at_block : int option;  (** block where the search died, if any *)
   work : int;  (** binding attempts spent before giving up (all retries) *)
   gave_up : escalation list;
-      (** with [Flow_config.degrade]: the full escalation trace, one entry
-          per exhausted attempt ([Gave_up] diagnostics); [[]] otherwise *)
+      (** the full ladder trace, one entry per exhausted rung; [[]] when
+          the deadline cut the run short *)
   timed_out : string option;
       (** [Some where] iff the run was cut short by an expired
           {!Cgra_util.Deadline.t}: [where] names the boundary that
@@ -62,9 +62,8 @@ type stats = {
       (** per-pass statistics of the pre-mapping optimization, when
           [config.optimize] was set *)
   escalations : escalation list;
-      (** with [Flow_config.degrade]: the failed attempts that preceded
-          this success, in order; [[]] when the first attempt mapped or
-          degradation was off *)
+      (** the failed rungs that preceded this success, in order; [[]]
+          when the first attempt mapped *)
 }
 
 type result = (Mapping.t * stats, failure) Stdlib.result
@@ -88,13 +87,13 @@ val traversal_order : Flow_config.traversal -> Cgra_ir.Cdfg.t -> int list
 (** Forward: weak topological order of the CFG from the entry.  Weighted:
     descending block weight Wbb, forward order breaking ties. *)
 
-val set_validator : (Mapping.t -> string list) -> unit
-(** Installs the independent mapping validator consulted when
-    [Flow_config.validate] is set.  The validator returns human-readable
-    violation descriptions ([[]] = clean); a non-empty list turns the run
-    into a typed {!failure}.  [Cgra_core] cannot depend on the checker
-    (it lives above the assembler), hence this hook —
-    [Cgra_verify.Validator.install] is the canonical caller. *)
+val proved_unsat : string -> bool
+(** Whether a failure [reason] is the exact backend's proof that no
+    mapping exists under its encoding — a verdict no retry can beat. *)
+
+val budget_exhausted : string -> bool
+(** Whether a failure [reason] is the exact backend giving up on its
+    conflict budget. *)
 
 val run :
   ?config:Flow_config.t ->
@@ -117,12 +116,12 @@ val run :
     byte-identical to an un-deadlined run — the token is an observer,
     never an input.
 
-    With [config.degrade] set, a failed attempt escalates through a
-    bounded retry ladder (reseeded pruning, wider beam, relaxed
-    thresholds; at most [config.max_attempts] attempts), recording each
-    step — see {!stats.escalations} and {!failure.gave_up}.  With
-    [config.validate] set, a successful mapping is additionally re-checked
-    by the installed {!set_validator} hook before being reported.
+    A failed attempt climbs one retry ladder, recording each rung — see
+    {!stats.escalations} and {!failure.gave_up}.  Without
+    [config.degrade] the rungs reseed the stochastic pruning (seed +
+    1000k for k <= [config.retries]); with it they escalate (reseeded
+    pruning, wider beam, relaxed thresholds; at most
+    [config.max_attempts] rungs).
 
     When [config.optimize] is set, the CDFG first goes through the
     [cgra_opt] pipeline, differentially verified against [opt_verify]
@@ -154,8 +153,7 @@ val run_partial :
     and [homes] must not keep a symbol on a faulted tile
     ([Cgra_verify.Repair] computes both from the diagnosis).  Reused
     placements are {e not} re-validated here beyond the final context-fit
-    check — run with [config.validate] (as the repair loop does) to
-    re-check the merged mapping independently.
+    check — the repair loop re-checks the merged mapping independently.
 
-    Retries, the graceful-degradation ladder, and validation behave as in
-    {!run}; determinism for a fixed [config.seed] is preserved. *)
+    The retry ladder behaves as in {!run}; determinism for a fixed
+    [config.seed] is preserved. *)

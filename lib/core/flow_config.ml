@@ -18,7 +18,6 @@ type t = {
   seed : int;
   optimize : bool;
   expand_jobs : int;
-  validate : bool;
   degrade : bool;
   max_attempts : int;
   faults : Cgra_arch.Cgra.fault list;
@@ -44,7 +43,6 @@ let default =
     seed = 42;
     optimize = false;
     expand_jobs = 1;
-    validate = false;
     degrade = false;
     max_attempts = 6;
     faults = [];
@@ -87,13 +85,135 @@ let steps_of t =
   |> add (t.backend = Exact) "SAT"
   |> add (t.backend = Portfolio) "PORT"
 
+(* ---- presets ---------------------------------------------------------- *)
+
+type preset = Basic | With_acmap | With_ecmap | Full
+
+(* (preset, command-line name, report label, configuration).  The labels
+   key the harness's per-cell RNG splits, so they must never change. *)
+let preset_table =
+  [ (Basic, "basic", "basic", basic);
+    (With_acmap, "acmap", "basic+ACMAP", with_acmap);
+    (With_ecmap, "ecmap", "basic+ACMAP+ECMAP", with_acmap_ecmap);
+    (Full, "full", "basic+ACMAP+ECMAP+CAB", context_aware) ]
+
+let presets = List.map (fun (p, _, _, _) -> p) preset_table
+let preset_names = List.map (fun (_, n, _, _) -> n) preset_table
+let row p = List.find (fun (q, _, _, _) -> q = p) preset_table
+let preset_label p = let _, _, label, _ = row p in label
+let of_preset p = let _, _, _, config = row p in config
+
+let preset_of_string = function
+  | "cab" -> Some Full
+  | s ->
+    List.find_map (fun (p, n, _, _) -> if n = s then Some p else None) preset_table
+
+(* ---- spellings ---------------------------------------------------------- *)
+
+let backends = [ Beam; Exact; Portfolio ]
+
 let backend_to_string = function
   | Beam -> "beam"
   | Exact -> "exact"
   | Portfolio -> "portfolio"
 
-let backend_of_string = function
-  | "beam" -> Some Beam
-  | "exact" -> Some Exact
-  | "portfolio" -> Some Portfolio
-  | _ -> None
+let backend_of_string s =
+  List.find_opt (fun b -> backend_to_string b = s) backends
+
+(* ---- the knob table ------------------------------------------------------ *)
+
+type knob = {
+  name : string;
+  print : t -> string;
+  parse : t -> string -> (t, string) result;
+}
+
+(* How one knob's value is written, read back, and described in errors. *)
+type 'a spelling = {
+  write : 'a -> string;
+  read : string -> 'a option;
+  expected : string;
+}
+
+let int_s =
+  { write = string_of_int; read = int_of_string_opt; expected = "an integer" }
+
+(* Round-trip-exact, so a float knob survives the wire unchanged. *)
+let float_s =
+  { write = Printf.sprintf "%.17g"; read = float_of_string_opt; expected = "a float" }
+
+let bool_s =
+  { write = string_of_bool; read = bool_of_string_opt; expected = "true|false" }
+
+let traversal_s =
+  { write = (function Forward -> "forward" | Weighted -> "weighted");
+    read =
+      (function
+        | "forward" -> Some Forward | "weighted" -> Some Weighted | _ -> None);
+    expected = "forward|weighted" }
+
+let backend_s =
+  { write = backend_to_string; read = backend_of_string;
+    expected = String.concat "|" (List.map backend_to_string backends) }
+
+let protection_s =
+  { write = Cgra_arch.Protection.profile_to_string;
+    read = Cgra_arch.Protection.profile_of_string;
+    expected = Cgra_arch.Protection.valid_values }
+
+let knob name s get set =
+  { name;
+    print = (fun t -> s.write (get t));
+    parse =
+      (fun t v ->
+        match s.read v with
+        | Some x -> Ok (set t x)
+        | None ->
+          Error (Printf.sprintf "knob %s: %S (expected %s)" name v s.expected)) }
+
+(* Every semantic field, i.e. every field that can change an artifact's
+   bytes.  The bytes-neutral ones stay out: [expand_jobs] (RNG-free
+   expansion), [optimize] (carried by the opt mode) and [faults] (keyed
+   on their own). *)
+let knobs =
+  [ knob "acmap" bool_s (fun t -> t.acmap) (fun t v -> { t with acmap = v });
+    knob "backend" backend_s (fun t -> t.backend)
+      (fun t v -> { t with backend = v });
+    knob "beam_width" int_s (fun t -> t.beam_width)
+      (fun t v -> { t with beam_width = v });
+    knob "cab" bool_s (fun t -> t.cab) (fun t v -> { t with cab = v });
+    knob "degrade" bool_s (fun t -> t.degrade) (fun t v -> { t with degrade = v });
+    knob "ecmap" bool_s (fun t -> t.ecmap) (fun t v -> { t with ecmap = v });
+    knob "energy_bias_nodes" int_s (fun t -> t.energy_bias_nodes)
+      (fun t v -> { t with energy_bias_nodes = v });
+    knob "expand_per_state" int_s (fun t -> t.expand_per_state)
+      (fun t v -> { t with expand_per_state = v });
+    knob "home_reserve" int_s (fun t -> t.home_reserve)
+      (fun t v -> { t with home_reserve = v });
+    knob "keep_prob" float_s (fun t -> t.keep_prob)
+      (fun t v -> { t with keep_prob = v });
+    knob "max_attempts" int_s (fun t -> t.max_attempts)
+      (fun t v -> { t with max_attempts = v });
+    knob "move_weight" int_s (fun t -> t.move_weight)
+      (fun t v -> { t with move_weight = v });
+    knob "protection" protection_s (fun t -> t.protection)
+      (fun t v -> { t with protection = v });
+    knob "prune_slack" float_s (fun t -> t.prune_slack)
+      (fun t v -> { t with prune_slack = v });
+    knob "recompute_budget" int_s (fun t -> t.recompute_budget)
+      (fun t v -> { t with recompute_budget = v });
+    knob "retries" int_s (fun t -> t.retries) (fun t v -> { t with retries = v });
+    knob "seed" int_s (fun t -> t.seed) (fun t v -> { t with seed = v });
+    knob "traversal" traversal_s (fun t -> t.traversal)
+      (fun t v -> { t with traversal = v }) ]
+
+let to_knobs t = List.map (fun k -> (k.name, k.print t)) knobs
+
+let of_knobs pairs =
+  List.fold_left
+    (fun acc (name, v) ->
+      Result.bind acc (fun t ->
+          match List.find_opt (fun k -> k.name = name) knobs with
+          | Some k -> k.parse t v
+          | None -> Error (Printf.sprintf "unknown flow knob %S" name)))
+    (Ok default) pairs

@@ -68,19 +68,12 @@ type t = {
           mapping, the search telemetry and the deterministic [work]
           counter are byte-identical at any value; only wall-clock time
           changes. *)
-  validate : bool;
-      (** independently re-check every architectural invariant of a
-          successful mapping with the [cgra_verify] validator before
-          reporting it (default false, so the seed artifacts stay
-          byte-identical).  Requires a validator to be installed — see
-          {!Flow.set_validator} / [Cgra_verify.Validator.install]; a
-          violation turns the result into a typed {!Flow.failure}. *)
   degrade : bool;
-      (** graceful degradation: when an attempt fails, escalate through a
-          bounded retry ladder — wider beam, reseeded stochastic pruning,
-          relaxed pruning thresholds — instead of giving up after the
-          fixed [retries] (default false).  Every escalation step is
-          recorded in {!Flow.stats.escalations} (on success) or
+      (** graceful degradation: the rungs of the flow's retry ladder
+          escalate — wider beam, reseeded stochastic pruning, relaxed
+          pruning thresholds — instead of only reseeding [retries] times
+          (default false).  Every failed rung is recorded in
+          {!Flow.stats.escalations} (on success) or
           {!Flow.failure.gave_up} (on exhaustion). *)
   max_attempts : int;
       (** total mapping attempts (the base attempt included) the
@@ -122,8 +115,57 @@ val steps_of : t -> string
 (** Short label such as ["basic+ACMAP+ECMAP"] used in reports; the
     non-default backends append ["+SAT"] / ["+PORT"]. *)
 
+(** {1 Presets}
+
+    The four flows of the paper's evaluation (Figs 6-9), in one table
+    that the harness, the CLIs and the serve key all read. *)
+
+type preset = Basic | With_acmap | With_ecmap | Full
+
+val presets : preset list
+(** In increasing order of memory awareness. *)
+
+val of_preset : preset -> t
+(** {!basic}, {!with_acmap}, {!with_acmap_ecmap}, {!context_aware}. *)
+
+val preset_label : preset -> string
+(** ["basic"], ["basic+ACMAP"], ["basic+ACMAP+ECMAP"],
+    ["basic+ACMAP+ECMAP+CAB"] — the report label, which also keys the
+    harness's per-cell RNG splits. *)
+
+val preset_names : string list
+(** The command-line spellings: ["basic"; "acmap"; "ecmap"; "full"]. *)
+
+val preset_of_string : string -> preset option
+(** Parses {!preset_names}, plus ["cab"] as an alias of ["full"]. *)
+
+(** {1 Spellings and the knob table} *)
+
+val backends : backend list
+
 val backend_to_string : backend -> string
 (** ["beam"] / ["exact"] / ["portfolio"] — the spelling used by the
     [--backend] CLI flag and the serve-key knob. *)
 
 val backend_of_string : string -> backend option
+
+type knob = {
+  name : string;
+  print : t -> string;  (** the knob's value in [t], round-trip exact *)
+  parse : t -> string -> (t, string) result;
+      (** [t] with the knob set from its printed form; [Error] names the
+          knob, the bad value and the valid spellings *)
+}
+
+val knobs : knob list
+(** One entry per semantic field — every field that can change an
+    artifact's bytes — in name order.  The bytes-neutral fields are not
+    knobs: [expand_jobs], [optimize] (carried by the serve key's opt
+    mode) and [faults] (keyed on their own). *)
+
+val to_knobs : t -> (string * string) list
+(** Every knob of [t] as a name/value pair, in name order. *)
+
+val of_knobs : (string * string) list -> (t, string) result
+(** Apply name/value pairs over {!default}.  Omitted knobs keep their
+    defaults; an unknown name or a bad value is an [Error] naming it. *)

@@ -1,6 +1,7 @@
 module K = Cgra_kernels.Kernel_def
 module Config = Cgra_arch.Config
 module M = Cgra_core.Mapping
+module FC = Cgra_core.Flow_config
 module T = Cgra_util.Text_table
 
 let configs = Config.all
@@ -30,7 +31,7 @@ let table1 () =
 
 let fig2 () =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "matm") in
-  match Runner.run_of k Config.HOM64 Runner.Basic with
+  match Runner.run_of k Config.HOM64 FC.Basic with
   | Runner.Unmappable u -> artifact_error "fig2" "basic matm must map: %s" u.reason
   | Runner.Mapped r ->
     let usage = M.tile_usage r.Runner.mapping in
@@ -107,7 +108,7 @@ let fig5 () =
 (* ---- Figs 6-8: latency sweeps --------------------------------------- *)
 
 let baseline_cycles k =
-  match Runner.run_of k Config.HOM64 Runner.Basic with
+  match Runner.run_of k Config.HOM64 FC.Basic with
   | Runner.Mapped r -> r.Runner.cycles
   | Runner.Unmappable u ->
     artifact_error "fig6-8" "basic mapping must fit HOM64 for %s: %s" k.K.name
@@ -130,13 +131,13 @@ let latency_figure ~title ~flow () =
       Runner.kernels
   in
   title ^ " (latency normalised to basic@HOM64; 0 = no mapping found)\n"
-  ^ T.grouped_chart ~title:(Runner.flow_label flow)
+  ^ T.grouped_chart ~title:(FC.preset_label flow)
       ~group_labels:(List.map Config.to_string configs)
       rows
 
-let fig6 = latency_figure ~title:"Fig 6" ~flow:Runner.With_acmap
-let fig7 = latency_figure ~title:"Fig 7" ~flow:Runner.With_ecmap
-let fig8 = latency_figure ~title:"Fig 8" ~flow:Runner.Full
+let fig6 = latency_figure ~title:"Fig 6" ~flow:FC.With_acmap
+let fig7 = latency_figure ~title:"Fig 7" ~flow:FC.With_ecmap
+let fig8 = latency_figure ~title:"Fig 8" ~flow:FC.Full
 
 (* ---- Fig 9: compilation time ---------------------------------------- *)
 
@@ -158,11 +159,11 @@ let fig9 () =
     in
     List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples)
   in
-  let base = mean_work Runner.Basic in
+  let base = mean_work FC.Basic in
   let series =
     List.map
-      (fun flow -> (Runner.flow_label flow, mean_work flow /. base))
-      Runner.flow_kinds
+      (fun flow -> (FC.preset_label flow, mean_work flow /. base))
+      FC.presets
   in
   Printf.sprintf
     "Fig 9: average compilation effort normalised to the basic flow\n%s(basic flow mean: %.0f binding attempts per kernel-configuration;\n effort is deterministic, so this figure reproduces byte-for-byte)\n"
@@ -185,13 +186,13 @@ let fig10 () =
           match Runner.run_of k config flow with
           | Runner.Mapped r ->
             let norm = float_of_int r.Runner.cycles /. float_of_int cpu in
-            if flow = Runner.Full then speedups := (1.0 /. norm) :: !speedups;
+            if flow = FC.Full then speedups := (1.0 /. norm) :: !speedups;
             (string_of_int r.Runner.cycles, T.float_cell norm)
           | Runner.Unmappable _ -> ("-", "-")
         in
-        let b, bn = cell Config.HOM64 Runner.Basic in
-        let h1, h1n = cell Config.HET1 Runner.Full in
-        let h2, h2n = cell Config.HET2 Runner.Full in
+        let b, bn = cell Config.HOM64 FC.Basic in
+        let h1, h1n = cell Config.HET1 FC.Full in
+        let h2, h2n = cell Config.HET2 FC.Full in
         [ k.K.name; string_of_int cpu; b; bn; h1; h1n; h2; h2n ])
       Runner.kernels
   in
@@ -250,9 +251,9 @@ let table2 () =
           | Runner.Mapped r -> Some (E.to_uj r.Runner.energy.E.total_pj)
           | Runner.Unmappable _ -> None
         in
-        let basic = cgra Config.HOM64 Runner.Basic in
-        let het1 = cgra Config.HET1 Runner.Full in
-        let het2 = cgra Config.HET2 Runner.Full in
+        let basic = cgra Config.HOM64 FC.Basic in
+        let het1 = cgra Config.HET1 FC.Full in
+        let het2 = cgra Config.HET2 FC.Full in
         let cell v =
           match v with
           | None -> [ "-"; "-" ]
@@ -336,7 +337,7 @@ let opt_report () =
       static
   in
   (* end-to-end: map the raw and the optimized CDFG with the basic flow *)
-  let flow = Runner.Basic in
+  let flow = FC.Basic in
   let usage_of r =
     let usage = M.tile_usage r.Runner.mapping in
     let total = Array.fold_left (fun a u -> a + M.usage_total u) 0 usage in
@@ -355,8 +356,8 @@ let opt_report () =
         let rows =
           List.map
             (fun config ->
-              let raw = Runner.run_of ~opt:Runner.Raw k config flow in
-              let opt = Runner.run_of ~opt:Runner.Optimized k config flow in
+              let raw = Runner.run_of ~opt:Toolchain.Raw k config flow in
+              let opt = Runner.run_of ~opt:Toolchain.Optimized k config flow in
               let pair f =
                 match raw, opt with
                 | Runner.Mapped r, Runner.Mapped o ->
@@ -415,7 +416,7 @@ let opt_report () =
    [cgra_map map] dumps them as JSONL for profiling). *)
 let search_report () =
   let module S = Cgra_core.Search in
-  let config = Config.HET2 and flow = Runner.Full in
+  let config = Config.HET2 and flow = FC.Full in
   let num = string_of_int in
   let block_rows = ref [] and summary_rows = ref [] in
   List.iter
@@ -444,7 +445,7 @@ let search_report () =
     Runner.kernels;
   let align = [ `L; `L; `R; `R; `R; `R; `R; `R; `R; `R; `R; `R ] in
   "Search report: beam-search telemetry, "
-  ^ Runner.flow_label flow ^ " on " ^ Config.to_string config ^ "\n"
+  ^ FC.preset_label flow ^ " on " ^ Config.to_string config ^ "\n"
   ^ "per block (deterministic effort counts; reproduces byte-for-byte):\n"
   ^ T.render_aligned ~align
       ~header:
@@ -488,7 +489,7 @@ let set_protection p = Atomic.set protection p
 
 let fault_report () =
   let module F = Cgra_verify.Fault in
-  let config = Config.HET2 and flow = Runner.Full in
+  let config = Config.HET2 and flow = FC.Full in
   let trials = Atomic.get fault_trials in
   let prot = Atomic.get protection in
   (* The detected/corrected columns exist only on protected campaigns, so
@@ -505,15 +506,14 @@ let fault_report () =
           @ (if protected_ then [ "-"; "-" ] else [])
           @ [ "-"; "unmappable: " ^ u.reason ]
         | Runner.Mapped r ->
-          let program = Cgra_asm.Assemble.assemble r.Runner.mapping in
           let key =
             k.K.slug ^ "/" ^ Config.to_string config ^ "/"
-            ^ Runner.flow_label flow ^ "/fault"
+            ^ FC.preset_label flow ^ "/fault"
           in
           let c =
             F.run_campaign ~protect:prot ~seed:fault_seed ~trials ~key
               ~fresh_mem:(fun () -> K.fresh_mem k)
-              program
+              r.Runner.program
           in
           let by_class p =
             List.length
@@ -542,7 +542,7 @@ let fault_report () =
      different image; crash = undecodable word or typed Sim_error; hang = \
      past 4x\n\
      the fault-free block count.  Deterministic at any --jobs value.\n"
-    (Runner.flow_label flow) (Config.to_string config) trials fault_seed
+    (FC.preset_label flow) (Config.to_string config) trials fault_seed
   ^ (if protected_ then
        Printf.sprintf
          "Context-memory protection: %s (scrub every %d cycles).  detected \
@@ -580,7 +580,7 @@ let protection_report () =
   let module F = Cgra_verify.Fault in
   let module E = Cgra_power.Energy in
   let module P = Cgra_arch.Protection in
-  let flow = Runner.Full in
+  let flow = FC.Full in
   let trials = Atomic.get fault_trials in
   let num = string_of_int in
   let esc_totals = ref [] (* (level label, escaped, trials) *) in
@@ -596,10 +596,10 @@ let protection_report () =
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
                 "-"; "-"; "-" ]
             | Runner.Mapped r ->
-              let program = Cgra_asm.Assemble.assemble r.Runner.mapping in
+              let program = r.Runner.program in
               let key =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
-                ^ Runner.flow_label flow ^ "/protect"
+                ^ FC.preset_label flow ^ "/protect"
               in
               let campaign level =
                 F.run_campaign ~protect:level ~cm_only:true
@@ -611,19 +611,16 @@ let protection_report () =
                 s.F.wrong_output + s.F.crash + s.F.hang
               in
               let overhead level lbl =
-                let protect =
-                  {
-                    Cgra_sim.Simulator.profile = level;
-                    upsets = [];
-                    scrub_interval = P.default_scrub_interval;
-                  }
-                in
-                let mem = K.fresh_mem k in
-                let sim =
-                  Cgra_sim.Simulator.run ~protect program ~mem
-                in
                 let e =
-                  E.cgra ~protect:level (Config.cgra config) sim
+                  match
+                    Toolchain.execute ~protection:level ~golden:(K.run_golden k)
+                      ~mem:(K.fresh_mem k) program
+                  with
+                  | Ok x -> x.Toolchain.energy
+                  | Error e ->
+                    artifact_error "protection_report" "%s on %s at %s: %s"
+                      k.K.name (Config.to_string config) lbl
+                      (Toolchain.error_to_string e)
                 in
                 let pct =
                   100.0
@@ -674,7 +671,7 @@ let protection_report () =
      encode-on-\n\
      write, scrub traffic every %d cycles, check-bit leakage).\n\
      Deterministic at any --jobs value.\n"
-    (Runner.flow_label flow) trials protection_seed P.default_scrub_interval
+    (FC.preset_label flow) trials protection_seed P.default_scrub_interval
   ^ T.render_aligned
       ~align:[ `L; `L; `R; `R; `R; `R; `R; `R; `R; `R ]
       ~header:
@@ -711,7 +708,7 @@ let set_repair_mode m = Atomic.set repair_mode m
 
 let repair_report () =
   let module R = Cgra_verify.Repair in
-  let flow = Runner.Full in
+  let flow = FC.Full in
   let trials = Atomic.get repair_trials in
   let faults = Atomic.get repair_faults in
   let mode = Atomic.get repair_mode in
@@ -737,7 +734,7 @@ let repair_report () =
             | Runner.Mapped r ->
               let key =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
-                ^ Runner.flow_label flow ^ "/repair"
+                ^ FC.preset_label flow ^ "/repair"
               in
               let config_flow =
                 { (Runner.cell_flow_config k.K.slug config flow) with
@@ -813,7 +810,7 @@ let repair_report () =
      blocks (always 0 in full mode).\n\
      Overheads are means over repaired trials vs the pristine mapping.\n\
      Deterministic at any --jobs value.\n"
-    (Runner.flow_label flow) mode_label trials faults repair_seed
+    (FC.preset_label flow) mode_label trials faults repair_seed
   ^ T.render_aligned
       ~align:[ `L; `L; `R; `R; `R; `R; `R; `R; `R; `R ]
       ~header:
@@ -840,7 +837,6 @@ let set_optimality_quick b = Atomic.set optimality_quick b
 
 let optimality_report () =
   let module E = Cgra_power.Energy in
-  let module FC = Cgra_core.Flow_config in
   let quick = Atomic.get optimality_quick in
   let kernels =
     if quick then
@@ -855,41 +851,19 @@ let optimality_report () =
       (fun acc u -> acc + M.usage_total u)
       0 (M.tile_usage mapping)
   in
-  let has_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let exact_cell k config =
-    let cdfg = K.cdfg k in
-    let cgra = Config.cgra config in
     let fc =
-      { (Runner.cell_flow_config k.K.slug config Runner.Full) with
+      { (Runner.cell_flow_config k.K.slug config FC.Full) with
         FC.backend = FC.Exact;
         retries = 0 }
     in
-    match Cgra_core.Flow.run ~config:fc cgra cdfg with
-    | Error f -> `Unmapped f.Cgra_core.Flow.reason
-    | Ok (mapping, _) -> (
-      match Cgra_asm.Assemble.assemble mapping with
-      | exception Cgra_asm.Assemble.Assembly_error e ->
-        `Unmapped ("assembly: " ^ e)
-      | program ->
-        (match Cgra_verify.Validator.check program with
-         | [] -> ()
-         | vs ->
-           artifact_error "optimality_report"
-             "exact mapping of %s on %s fails validation: %s" k.K.name
-             (Config.to_string config)
-             (String.concat "; "
-                (List.map Cgra_verify.Validator.to_string vs)));
-        let mem = K.fresh_mem k in
-        let sim = Cgra_sim.Simulator.run program ~mem in
-        if mem <> K.run_golden k then
-          artifact_error "optimality_report"
-            "exact mapping of %s on %s disagrees with the golden model"
-            k.K.name (Config.to_string config);
-        `Mapped (mapping, sim, E.cgra cgra sim))
+    match Toolchain.run_kernel ~config:fc (Config.cgra config) k with
+    | Ok (m, x) -> `Mapped (m.Toolchain.mapping, x.Toolchain.sim, x.Toolchain.energy)
+    | Error ((Toolchain.Unmapped _ | Toolchain.Unassemblable _) as e) ->
+      `Unmapped (Toolchain.error_to_string e)
+    | Error e ->
+      artifact_error "optimality_report" "exact mapping of %s on %s: %s" k.K.name
+        (Config.to_string config) (Toolchain.error_to_string e)
   in
   let rows =
     List.concat_map
@@ -897,7 +871,7 @@ let optimality_report () =
         List.map
           (fun config ->
             let beam =
-              match Runner.run_of k config Runner.Full with
+              match Runner.run_of k config FC.Full with
               | Runner.Mapped r ->
                 [ string_of_int (words_of r.Runner.mapping);
                   string_of_int r.Runner.cycles;
@@ -913,9 +887,9 @@ let optimality_report () =
                   "" )
               | `Unmapped reason ->
                 ( [ "-"; "-"; "-" ],
-                  if has_sub reason "proved UNSAT" then
+                  if Cgra_core.Flow.proved_unsat reason then
                     "UNSAT under encoding"
-                  else if has_sub reason "conflict budget" then
+                  else if Cgra_core.Flow.budget_exhausted reason then
                     "budget exhausted"
                   else "no mapping" )
             in
@@ -936,7 +910,7 @@ let optimality_report () =
      may still map that cell with move chains.  Deterministic at any \
      --jobs value.\n"
     (if quick then " (quick grid)" else "")
-    (Runner.flow_label Runner.Full)
+    (FC.preset_label FC.Full)
   ^ T.render_aligned
       ~align:[ `L; `L; `R; `R; `R; `R; `R; `R; `L ]
       ~header:

@@ -1,62 +1,24 @@
 module FC = Cgra_core.Flow_config
 module K = Cgra_kernels.Kernel_def
-module Clock = Cgra_util.Clock
 module Pool = Cgra_util.Pool
 module Rng = Cgra_util.Rng
 
-(* A mapped program whose simulation disagrees with the kernel's golden
-   model, or whose artifact fails the independent validator — both are
-   tool bugs, and the harness refuses to report numbers from them. *)
-exception Golden_mismatch of { kernel : string; target : string }
-
-exception
-  Invalid_artifact of { kernel : string; target : string; violations : string list }
+(* A stage the harness cannot report numbers from — an invalid artifact,
+   a simulator crash, a golden-model mismatch: all tool bugs. *)
+exception Failed of { kernel : string; target : string; error : Toolchain.error }
 
 let () =
   Printexc.register_printer (function
-    | Golden_mismatch { kernel; target } ->
+    | Failed { kernel; target; error } ->
       Some
-        (Printf.sprintf
-           "Runner.Golden_mismatch (%s on %s: simulated memory image disagrees \
-            with the golden model)"
-           kernel target)
-    | Invalid_artifact { kernel; target; violations } ->
-      Some
-        (Printf.sprintf "Runner.Invalid_artifact (%s on %s: %s)" kernel target
-           (String.concat "; " violations))
+        (Printf.sprintf "Runner.Failed (%s on %s: %s)" kernel target
+           (Toolchain.error_to_string error))
     | _ -> None)
-
-(* Make [Flow_config.validate] usable everywhere the harness is linked. *)
-let () = Cgra_verify.Validator.install ()
-
-type flow_kind = Basic | With_acmap | With_ecmap | Full
-
-let flow_kinds = [ Basic; With_acmap; With_ecmap; Full ]
-
-let flow_label = function
-  | Basic -> "basic"
-  | With_acmap -> "basic+ACMAP"
-  | With_ecmap -> "basic+ACMAP+ECMAP"
-  | Full -> "basic+ACMAP+ECMAP+CAB"
-
-let flow_config = function
-  | Basic -> FC.basic
-  | With_acmap -> FC.with_acmap
-  | With_ecmap -> FC.with_acmap_ecmap
-  | Full -> FC.context_aware
-
-(* Which CDFG a cell maps: the seed default (inline-optimized lowering),
-   the naive lowering, or the naive lowering put through the [cgra_opt]
-   pipeline inside [Flow.run]. *)
-type opt_mode = Default | Raw | Optimized
-
-let opt_mode_label = function Default -> "" | Raw -> "+RAW" | Optimized -> "+OPT"
 
 (* Global mode driven by the bench [--opt] flag; [Default] keeps every
    seed artifact byte-identical. *)
-let global_opt_mode = Atomic.make Default
+let global_opt_mode = Atomic.make Toolchain.Default
 let set_opt_mode m = Atomic.set global_opt_mode m
-let opt_mode () = Atomic.get global_opt_mode
 
 (* Every grid cell runs on its own split of the SplitMix64 stream, keyed by
    the cell's identity.  The cell's results therefore do not depend on how
@@ -64,26 +26,22 @@ let opt_mode () = Atomic.get global_opt_mode
    which is what makes every artifact byte-identical at any [--jobs].
    [Default] mode contributes an empty suffix, so its keys (and seeds) are
    exactly the seed harness's. *)
-let cell_key ?(opt = Default) slug config flow =
-  slug ^ "/" ^ Cgra_arch.Config.to_string config ^ "/" ^ flow_label flow
-  ^ opt_mode_label opt
-
-let cell_flow_config ?(opt = Default) slug config flow =
-  let fc = flow_config flow in
-  let fc =
-    match opt with
-    | Default | Raw -> fc
-    | Optimized -> { fc with FC.optimize = true }
+let cell_flow_config ?(opt = Toolchain.Default) slug config preset =
+  let fc = FC.of_preset preset in
+  let key =
+    slug ^ "/" ^ Cgra_arch.Config.to_string config ^ "/" ^ FC.preset_label preset
+    ^ Toolchain.opt_label opt
   in
   { fc with
-    FC.seed = Rng.seed_of ~base:fc.FC.seed (cell_key ~opt slug config flow) }
+    FC.optimize = opt = Toolchain.Optimized;
+    seed = Rng.seed_of ~base:fc.FC.seed key }
 
 type run = {
   mapping : Cgra_core.Mapping.t;
+  program : Cgra_asm.Assemble.program;
   sim : Cgra_sim.Simulator.result;
   cycles : int;
   energy : Cgra_power.Energy.breakdown;
-  compile_seconds : float;
   compile_work : int;
   retries_used : int;
   search : Cgra_core.Search.block_stats list;
@@ -92,11 +50,7 @@ type run = {
 
 type cell =
   | Mapped of run
-  | Unmappable of {
-      reason : string;
-      compile_seconds : float;
-      compile_work : int;
-    }
+  | Unmappable of { reason : string; compile_work : int }
 
 (* ---- thread-safe memoisation ---------------------------------------- *)
 
@@ -216,94 +170,36 @@ module Memo = struct
 end
 
 let cache :
-    (string * Cgra_arch.Config.name * flow_kind * opt_mode, cell) Memo.t =
+    (string * Cgra_arch.Config.name * FC.preset * Toolchain.opt, cell) Memo.t =
   Memo.create 64
 
-(* ---- pluggable artifact-store backend -------------------------------- *)
-
-(* The serve subsystem (lib/serve) installs a hook here so every cell the
-   harness computes is also published — as deterministic artifact bytes
-   under its content-addressed key — into the same on-disk store the
-   [cgra_mapd] daemon serves from.  The hook runs once per *computed*
-   (not cache-served) Mapped cell; a failing backend must never fail the
-   harness, so errors are reported to stderr and swallowed. *)
-type artifact_backend =
-  opt_mode -> K.t -> Cgra_arch.Config.name -> flow_kind -> run -> unit
-
-let artifact_backend : artifact_backend option Atomic.t = Atomic.make None
-let set_artifact_backend b = Atomic.set artifact_backend b
-
-let publish_artifact opt k config flow r =
-  match Atomic.get artifact_backend with
-  | None -> ()
-  | Some f -> (
-    try f opt k config flow r
-    with e ->
-      Printf.eprintf "Runner: artifact backend failed on %s: %s\n%!"
-        (cell_key ~opt k.K.slug config flow)
-        (Printexc.to_string e))
-
-let run_of ?opt k config flow =
+let run_of ?opt k config preset =
   let opt = match opt with Some m -> m | None -> Atomic.get global_opt_mode in
-  Memo.get cache (k.K.slug, config, flow, opt) (fun () ->
-      let cdfg =
-        match opt with Default -> K.cdfg k | Raw | Optimized -> K.cdfg_raw k
-      in
+  Memo.get cache (k.K.slug, config, preset, opt) (fun () ->
+      let fc = cell_flow_config ~opt k.K.slug config preset in
       let cgra = Cgra_arch.Config.cgra config in
-      let fc = cell_flow_config ~opt k.K.slug config flow in
-      (* Verify the pipeline on the kernel's own input image (plus the
-         pipeline's deterministic defaults would add nothing here: the
-         kernel image is the one the golden check below uses). *)
-      let opt_verify =
-        match opt with
-        | Optimized ->
-          Some (Cgra_opt.Pipeline.verifier_of_mems [ K.fresh_mem k ])
-        | Default | Raw -> None
-      in
-      let t0 = Clock.now () in
-      match Cgra_core.Flow.run ~config:fc ?opt_verify cgra cdfg with
-      | Error f ->
+      match Toolchain.run_kernel ~opt ~config:fc cgra k with
+      | Ok ({ mapping; stats; program }, { sim; energy }) ->
+        Mapped
+          { mapping; program; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
+            compile_work = stats.Cgra_core.Flow.work;
+            retries_used = stats.Cgra_core.Flow.retries_used;
+            search = stats.Cgra_core.Flow.search;
+            opt_stats = stats.Cgra_core.Flow.opt }
+      | Error (Toolchain.Unmapped f as e) ->
         Unmappable
-          { reason = f.Cgra_core.Flow.reason;
-            compile_seconds = Clock.elapsed_s t0;
+          { reason = Toolchain.error_to_string e;
             compile_work = f.Cgra_core.Flow.work }
-      | Ok (mapping, stats) -> (
-        let compile_seconds = Clock.elapsed_s t0 in
-        let compile_work = stats.Cgra_core.Flow.work in
-        match Cgra_asm.Assemble.assemble mapping with
-        | exception Cgra_asm.Assemble.Assembly_error e ->
-          (* register-file pressure the search does not model; report as
-             unmappable rather than crash the harness *)
-          Unmappable
-            { reason = "assembly: " ^ e; compile_seconds; compile_work }
-        | program ->
-          let target =
-            Cgra_arch.Config.to_string config ^ "/" ^ flow_label flow
-          in
-          (* Every memoised artifact goes through the independent validator
-             exactly once; a violation is a mapper/assembler bug. *)
-          (match Cgra_verify.Validator.check program with
-           | [] -> ()
-           | vs ->
-             raise
-               (Invalid_artifact
-                  { kernel = k.K.name;
-                    target;
-                    violations = List.map Cgra_verify.Validator.to_string vs }));
-          let mem = K.fresh_mem k in
-          let sim = Cgra_sim.Simulator.run program ~mem in
-          if mem <> K.run_golden k then
-            raise (Golden_mismatch { kernel = k.K.name; target });
-          let energy = Cgra_power.Energy.cgra cgra sim in
-          let r =
-            { mapping; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
-              compile_seconds; compile_work;
-              retries_used = stats.Cgra_core.Flow.retries_used;
-              search = stats.Cgra_core.Flow.search;
-              opt_stats = stats.Cgra_core.Flow.opt }
-          in
-          publish_artifact opt k config flow r;
-          Mapped r))
+      | Error (Toolchain.Unassemblable { work; _ } as e) ->
+        (* register-file pressure the search does not model *)
+        Unmappable { reason = Toolchain.error_to_string e; compile_work = work }
+      | Error error ->
+        raise
+          (Failed
+             { kernel = k.K.name;
+               target =
+                 Cgra_arch.Config.to_string config ^ "/" ^ FC.preset_label preset;
+               error }))
 
 type cpu_run = {
   cpu_sim : Cgra_cpu.Cpu_sim.result;
@@ -318,12 +214,9 @@ let cpu_of k =
       let mem = K.fresh_mem k in
       let cpu_sim = Cgra_cpu.Cpu_sim.run prog ~mem in
       if mem <> K.run_golden k then
-        raise (Golden_mismatch { kernel = k.K.name; target = "cpu" });
+        raise
+          (Failed { kernel = k.K.name; target = "cpu"; error = Toolchain.Wrong_output });
       { cpu_sim; cpu_energy = Cgra_power.Energy.cpu cpu_sim })
-
-let compile_seconds_of = function
-  | Mapped r -> r.compile_seconds
-  | Unmappable u -> u.compile_seconds
 
 let compile_work_of = function
   | Mapped r -> r.compile_work
@@ -337,7 +230,7 @@ let grid () =
   List.concat_map
     (fun k ->
       List.concat_map
-        (fun config -> List.map (fun flow -> `Cell (k, config, flow)) flow_kinds)
+        (fun config -> List.map (fun flow -> `Cell (k, config, flow)) FC.presets)
         Cgra_arch.Config.all
       @ [ `Cpu k ])
     kernels

@@ -1,7 +1,8 @@
 (** Shared machinery of the experiment harness: runs (kernel x
-    configuration x flow) cells through the full tool-chain — mapping,
-    assembly, cycle-level simulation with functional check against the
-    golden model — and memoizes the results so every figure reuses them.
+    configuration x flow) cells through {!Toolchain.run_kernel} — mapping,
+    assembly, validation, cycle-level simulation with functional check
+    against the golden model, energy — and memoizes the results so every
+    figure reuses them.
 
     The memo cache is thread-safe: {!run_of} and {!cpu_of} may be called
     from any number of domains concurrently (e.g. via {!warm}), and each
@@ -13,17 +14,13 @@
     results are independent of evaluation order and of the number of
     domains — all artifacts are byte-identical at any [--jobs] value. *)
 
-exception Golden_mismatch of { kernel : string; target : string }
-(** A produced mapping simulated to a memory image different from the
-    golden model ([target] is ["<config>/<flow>"] or ["cpu"]) — a tool
-    bug; the harness refuses to report numbers from it.  Registered with
-    [Printexc.register_printer]. *)
-
 exception
-  Invalid_artifact of { kernel : string; target : string; violations : string list }
-(** The independent [Cgra_verify] validator found violations in a
-    memoised artifact — likewise a tool bug, likewise cached and
-    re-raised to every consumer. *)
+  Failed of { kernel : string; target : string; error : Toolchain.error }
+(** A cell stopped at a stage the harness cannot report numbers from —
+    validation, simulation or the golden check ([target] is
+    ["<config>/<flow>"] or ["cpu"]).  Each is a tool bug: the failure is
+    cached and re-raised to every consumer.  Registered with
+    [Printexc.register_printer]. *)
 
 (** Thread-safe single-flight memoisation, the machinery under {!run_of}
     and {!cpu_of}.  Exposed so the exception-safety contract is testable
@@ -67,51 +64,34 @@ module Memo : sig
       re-claim their keys fresh. *)
 end
 
-type flow_kind = Basic | With_acmap | With_ecmap | Full
-
-val flow_kinds : flow_kind list
-val flow_label : flow_kind -> string
-val flow_config : flow_kind -> Cgra_core.Flow_config.t
-
-type opt_mode =
-  | Default    (** the seed behaviour: inline-optimized lowering *)
-  | Raw        (** naive lowering, no optimization at all *)
-  | Optimized  (** naive lowering + the [cgra_opt] pipeline *)
-(** Which CDFG a cell maps.  [Raw] and [Optimized] cells carry their mode
-    in the cache key and in the RNG cell key, so they coexist with
-    (and never perturb) the byte-identical [Default] artifacts. *)
-
-val opt_mode_label : opt_mode -> string
-(** [""], ["+RAW"], ["+OPT"]. *)
-
-val set_opt_mode : opt_mode -> unit
+val set_opt_mode : Toolchain.opt -> unit
 (** Set the process-wide default mode used when {!run_of} is called
     without [?opt] — how the bench [--opt] flag switches whole artifacts
-    to optimized kernels.  Call before any cells are computed. *)
-
-val opt_mode : unit -> opt_mode
+    to optimized kernels.  Call before any cells are computed.  [Raw]
+    and [Optimized] cells carry their mode in the cache key and in the
+    RNG cell key, so they coexist with (and never perturb) the
+    byte-identical [Default] artifacts. *)
 
 val cell_flow_config :
-  ?opt:opt_mode ->
+  ?opt:Toolchain.opt ->
   string ->
   Cgra_arch.Config.name ->
-  flow_kind ->
+  Cgra_core.Flow_config.preset ->
   Cgra_core.Flow_config.t
-(** [cell_flow_config slug config flow] is {!flow_config} with the seed
-    replaced by the cell-keyed split described above (and, for
-    [~opt:Optimized], the [optimize] knob set).  Exposed so tests can
+(** [cell_flow_config slug config preset] is the preset's configuration
+    with the seed replaced by the cell-keyed split described above (and,
+    for [~opt:Optimized], the [optimize] knob set).  Exposed so tests can
     reproduce a single cell outside the cache. *)
 
 type run = {
   mapping : Cgra_core.Mapping.t;
+  program : Cgra_asm.Assemble.program;  (** validated *)
   sim : Cgra_sim.Simulator.result;
   cycles : int;
   energy : Cgra_power.Energy.breakdown;
-  compile_seconds : float;
-      (** wall-clock mapping time, monotonic clock; host-dependent *)
   compile_work : int;
-      (** deterministic search effort (binding attempts) — use this, not
-          [compile_seconds], for anything that must reproduce exactly *)
+      (** deterministic search effort (binding attempts), identical on
+          every host *)
   retries_used : int;
       (** re-seeded flow retries consumed before the mapping succeeded *)
   search : Cgra_core.Search.block_stats list;
@@ -123,26 +103,19 @@ type run = {
 
 type cell =
   | Mapped of run
-  | Unmappable of {
-      reason : string;
-      compile_seconds : float;
-      compile_work : int;
-    }
+  | Unmappable of { reason : string; compile_work : int }
 
 val run_of :
-  ?opt:opt_mode ->
+  ?opt:Toolchain.opt ->
   Cgra_kernels.Kernel_def.t ->
   Cgra_arch.Config.name ->
-  flow_kind ->
+  Cgra_core.Flow_config.preset ->
   cell
 (** Memoized; safe to call concurrently.  [opt] defaults to the
-    process-wide mode ({!set_opt_mode}).  Every computed artifact is
-    re-checked by the independent [Cgra_verify] validator (raising
-    {!Invalid_artifact} on a violation) and simulated against the golden
-    model (raising {!Golden_mismatch} on disagreement) — either failure
-    is cached and re-raised to every consumer.  [Optimized] cells are
-    verified three ways: differentially inside the pipeline, by the
-    validator, and end-to-end here. *)
+    process-wide mode ({!set_opt_mode}).  Every cell goes through
+    {!Toolchain.run_kernel}: mapped, validated, simulated against the
+    golden model and priced.  No mapping (or an unassemblable one) is
+    [Unmappable]; any later stage failing raises {!Failed}. *)
 
 type cpu_run = {
   cpu_sim : Cgra_cpu.Cpu_sim.result;
@@ -152,7 +125,6 @@ type cpu_run = {
 val cpu_of : Cgra_kernels.Kernel_def.t -> cpu_run
 (** Memoized; also checked against the golden model. *)
 
-val compile_seconds_of : cell -> float
 val compile_work_of : cell -> int
 val kernels : Cgra_kernels.Kernel_def.t list
 
@@ -175,22 +147,3 @@ val clear_caches : unit -> unit
     computes: in-flight cells publish into the {e old} generation and are
     discarded (see {!Memo.reset}), so a cleared cache never revives a
     poisoned computation. *)
-
-type artifact_backend =
-  opt_mode ->
-  Cgra_kernels.Kernel_def.t ->
-  Cgra_arch.Config.name ->
-  flow_kind ->
-  run ->
-  unit
-(** A pluggable artifact store: called once per {e computed} (never
-    cache-served) [Mapped] cell, after validation and the golden check.
-    [Cgra_serve] installs a backend that serializes the cell to
-    deterministic artifact bytes and writes them into the daemon's
-    content-addressed on-disk store, so the bench harness and [cgra_mapd]
-    share one cache.  Backend exceptions are reported to stderr and
-    swallowed — publishing is best-effort and must never fail the
-    harness. *)
-
-val set_artifact_backend : artifact_backend option -> unit
-(** Install (or with [None] remove) the backend.  Thread-safe. *)

@@ -20,7 +20,7 @@ let render ~key_digest ~(spec : Key.spec) (prog : A.program) (sim : S.result)
     line "kernel inline mem_words=%d" mem_words;
     line "source-md5 %s" (Digest.to_hex (Digest.string source)));
   line "config %s" (Cgra_arch.Config.to_string spec.Key.config);
-  line "opt %s" (Key.opt_to_string spec.Key.opt);
+  line "opt %s" (Cgra_exp.Toolchain.opt_to_string spec.Key.opt);
   line "cycles %d" sim.S.cycles;
   line "stalls %d" sim.S.stall_cycles;
   line "blocks_executed %d" sim.S.blocks_executed;

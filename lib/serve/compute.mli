@@ -1,12 +1,12 @@
 (** The one compute path behind every cache miss.
 
-    [cgra_mapd] workers, the [cgra_map remote] local fallback and the
-    [cgra_map map --emit] artifact writer all call {!run} on the same
-    {!Key.spec}, so a warm daemon, a cold daemon and a local build
-    produce byte-identical artifacts by construction: compile → optional
-    [cgra_opt] pipeline → map ([Cgra_core.Flow.run], degraded by the
-    spec's fault map) → assemble → cycle-level simulation (with golden
-    check for bundled kernels) → energy model → {!Artifact.render}. *)
+    [cgra_mapd] workers and the [cgra_map remote] local fallback call
+    {!run} on a {!Key.spec}; it compiles the kernel and hands it to
+    {!Cgra_exp.Toolchain} — the same pipeline [cgra_map map --emit] and
+    the experiment harness run — then renders the result with
+    {!Artifact.render}.  A warm daemon, a cold daemon and a local build
+    therefore produce byte-identical artifacts by construction, fault
+    maps and protection included. *)
 
 type outcome =
   | Artifact of { bytes : string; digest : string }
@@ -23,7 +23,7 @@ type outcome =
 val run : ?deadline:Cgra_util.Deadline.t -> Key.spec -> (outcome, string) result
 (** [Error] is a request problem (source does not compile, bad knob,
     invalid fault map for the array) or a tool bug surfaced as a typed
-    message (golden-model mismatch, simulator error) — never an escaped
-    exception.  [deadline] bounds the mapping flow (compile, assembly
+    message (validation, simulation or golden-model failure) — never an
+    escaped exception.  [deadline] bounds the mapping flow (compile, assembly
     and simulation are not under it — they are orders of magnitude
     cheaper than a hard map); expiry yields [Ok (Timed_out _)]. *)

@@ -1,17 +1,6 @@
 module FC = Cgra_core.Flow_config
 
-type opt = Default | Raw | Optimized
-
-let opt_to_string = function
-  | Default -> "default"
-  | Raw -> "raw"
-  | Optimized -> "optimized"
-
-let opt_of_string = function
-  | "default" -> Some Default
-  | "raw" -> Some Raw
-  | "optimized" -> Some Optimized
-  | _ -> None
+type opt = Cgra_exp.Toolchain.opt = Default | Raw | Optimized
 
 type kernel =
   | Bundled of { slug : string; source : string }
@@ -28,109 +17,7 @@ type spec = {
 (* Bump on any change that can alter artifact bytes for an unchanged
    request: search algorithm, assembler encoding, simulator timing,
    energy constants, artifact layout. *)
-let code_version = "cgra_mapd-3"
-
-(* ---- flow knobs ------------------------------------------------------- *)
-
-let float_knob f = Printf.sprintf "%.17g" f
-let bool_knob b = if b then "true" else "false"
-
-let traversal_to_string = function
-  | FC.Forward -> "forward"
-  | FC.Weighted -> "weighted"
-
-let knobs_of_config (fc : FC.t) =
-  [
-    ("traversal", traversal_to_string fc.traversal);
-    ("acmap", bool_knob fc.acmap);
-    ("ecmap", bool_knob fc.ecmap);
-    ("cab", bool_knob fc.cab);
-    ("beam_width", string_of_int fc.beam_width);
-    ("expand_per_state", string_of_int fc.expand_per_state);
-    ("prune_slack", float_knob fc.prune_slack);
-    ("keep_prob", float_knob fc.keep_prob);
-    ("recompute_budget", string_of_int fc.recompute_budget);
-    ("home_reserve", string_of_int fc.home_reserve);
-    ("move_weight", string_of_int fc.move_weight);
-    ("energy_bias_nodes", string_of_int fc.energy_bias_nodes);
-    ("retries", string_of_int fc.retries);
-    ("seed", string_of_int fc.seed);
-    ("degrade", bool_knob fc.degrade);
-    ("max_attempts", string_of_int fc.max_attempts);
-    ("backend", FC.backend_to_string fc.backend);
-    ("protection", Cgra_arch.Protection.profile_to_string fc.protection);
-  ]
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let config_of_knobs knobs =
-  let parse_int name v k =
-    match int_of_string_opt v with
-    | Some i -> Ok (k i)
-    | None -> Error (Printf.sprintf "knob %s: not an integer: %S" name v)
-  in
-  let parse_float name v k =
-    match float_of_string_opt v with
-    | Some f -> Ok (k f)
-    | None -> Error (Printf.sprintf "knob %s: not a float: %S" name v)
-  in
-  let parse_bool name v k =
-    match v with
-    | "true" -> Ok (k true)
-    | "false" -> Ok (k false)
-    | _ -> Error (Printf.sprintf "knob %s: not a boolean: %S" name v)
-  in
-  List.fold_left
-    (fun acc (name, v) ->
-      Result.bind acc (fun (fc : FC.t) ->
-          match name with
-          | "traversal" -> (
-            match v with
-            | "forward" -> Ok { fc with traversal = FC.Forward }
-            | "weighted" -> Ok { fc with traversal = FC.Weighted }
-            | _ ->
-              Error
-                (Printf.sprintf
-                   "knob traversal: %S (expected forward|weighted)" v))
-          | "acmap" -> parse_bool name v (fun b -> { fc with acmap = b })
-          | "ecmap" -> parse_bool name v (fun b -> { fc with ecmap = b })
-          | "cab" -> parse_bool name v (fun b -> { fc with cab = b })
-          | "beam_width" ->
-            parse_int name v (fun i -> { fc with beam_width = i })
-          | "expand_per_state" ->
-            parse_int name v (fun i -> { fc with expand_per_state = i })
-          | "prune_slack" ->
-            parse_float name v (fun f -> { fc with prune_slack = f })
-          | "keep_prob" ->
-            parse_float name v (fun f -> { fc with keep_prob = f })
-          | "recompute_budget" ->
-            parse_int name v (fun i -> { fc with recompute_budget = i })
-          | "home_reserve" ->
-            parse_int name v (fun i -> { fc with home_reserve = i })
-          | "move_weight" ->
-            parse_int name v (fun i -> { fc with move_weight = i })
-          | "energy_bias_nodes" ->
-            parse_int name v (fun i -> { fc with energy_bias_nodes = i })
-          | "retries" -> parse_int name v (fun i -> { fc with retries = i })
-          | "seed" -> parse_int name v (fun i -> { fc with seed = i })
-          | "degrade" -> parse_bool name v (fun b -> { fc with degrade = b })
-          | "max_attempts" ->
-            parse_int name v (fun i -> { fc with max_attempts = i })
-          | "backend" -> (
-            match FC.backend_of_string v with
-            | Some b -> Ok { fc with backend = b }
-            | None ->
-              Error
-                (Printf.sprintf
-                   "knob backend: %S (expected beam|exact|portfolio)" v))
-          | "protection" -> (
-            match Cgra_arch.Protection.profile_of_string v with
-            | Some p -> Ok { fc with protection = p }
-            | None ->
-              Error
-                (Printf.sprintf "knob protection: %S (expected %s)" v
-                   Cgra_arch.Protection.valid_values))
-          | _ -> Error (Printf.sprintf "unknown flow knob %S" name)))
-    (Ok FC.default) knobs
+let code_version = "cgra_mapd-4"
 
 let spec_of_bundled ~slug ~config ~flow ~opt ~faults =
   match Cgra_kernels.Kernels.by_slug slug with
@@ -142,7 +29,7 @@ let spec_of_bundled ~slug ~config ~flow ~opt ~faults =
       {
         kernel = Bundled { slug; source = k.Cgra_kernels.Kernel_def.source };
         config;
-        knobs = knobs_of_config flow;
+        knobs = FC.to_knobs flow;
         opt;
         faults;
       }
@@ -164,7 +51,7 @@ let canonical spec =
     line "kernel inline mem_words=%d" mem_words;
     line "source-md5 %s" (md5_hex source));
   line "config %s" (Cgra_arch.Config.to_string spec.config);
-  line "opt %s" (opt_to_string spec.opt);
+  line "opt %s" (Cgra_exp.Toolchain.opt_to_string spec.opt);
   List.iter
     (fun (name, v) -> line "knob %s=%s" name v)
     (List.sort (fun (a, _) (b, _) -> compare a b) spec.knobs);

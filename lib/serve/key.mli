@@ -10,14 +10,11 @@
     single-flight dedup sound.
 
     Deliberately excluded from the key (proven bytes-neutral):
-    [expand_jobs] (RNG-free parallel expansion), [validate] (checks only)
-    and [optimize] (subsumed by the {!opt} mode). *)
+    [expand_jobs] (RNG-free parallel expansion) and [optimize] (subsumed
+    by the {!opt} mode). *)
 
-type opt = Default | Raw | Optimized
-(** Which CDFG the flow maps — mirrors [Cgra_exp.Runner.opt_mode]. *)
-
-val opt_to_string : opt -> string
-val opt_of_string : string -> opt option
+type opt = Cgra_exp.Toolchain.opt = Default | Raw | Optimized
+(** Which CDFG the flow maps — the tool chain's own type, re-exported. *)
 
 type kernel =
   | Bundled of { slug : string; source : string }
@@ -31,8 +28,9 @@ type spec = {
   kernel : kernel;
   config : Cgra_arch.Config.name;
   knobs : (string * string) list;
-      (** semantic flow knobs as name/value pairs; order-insensitive —
-          the canonical form sorts them *)
+      (** semantic flow knobs as name/value pairs
+          ({!Cgra_core.Flow_config.to_knobs}); order-insensitive — the
+          canonical form sorts them *)
   opt : opt;
   faults : Cgra_arch.Cgra.fault list;
 }
@@ -41,20 +39,6 @@ val code_version : string
 (** Baked into every digest: bump it when mapper/assembler/simulator
     changes can alter artifact bytes, and every stale store entry
     silently becomes a miss. *)
-
-val knobs_of_config : Cgra_core.Flow_config.t -> (string * string) list
-(** All semantic knobs of a flow configuration (traversal, filters,
-    beam/expansion widths, pruning, seeds, retry and degradation budgets)
-    as sorted name/value pairs.  Floats render in round-trip-exact
-    ["%.17g"] form. *)
-
-val config_of_knobs :
-  (string * string) list -> (Cgra_core.Flow_config.t, string) result
-(** Rebuild a flow configuration from knob pairs over
-    [Flow_config.default] — the daemon side of {!knobs_of_config}.
-    Omitted knobs keep their defaults; an unknown name or unparsable
-    value is a typed error (protocol version skew must not silently map
-    with wrong knobs). *)
 
 val spec_of_bundled :
   slug:string ->

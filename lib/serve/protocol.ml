@@ -143,7 +143,7 @@ let map_to_sexp (spec : Key.spec) deadline_ms =
      :: kernel_fields
     @ [
         str_field "config" (Cgra_arch.Config.to_string spec.Key.config);
-        str_field "opt" (Key.opt_to_string spec.Key.opt);
+        str_field "opt" (Cgra_exp.Toolchain.opt_to_string spec.Key.opt);
         knobs_to_sexp spec.Key.knobs;
       ]
     @ faults_fields @ deadline_fields)
@@ -181,7 +181,7 @@ let map_of_sexp items =
     match opt_s with
     | None -> Ok Key.Default
     | Some s -> (
-      match Key.opt_of_string s with
+      match Cgra_exp.Toolchain.opt_of_string s with
       | Some o -> Ok o
       | None ->
         Error
@@ -197,7 +197,7 @@ let map_of_sexp items =
     | None -> Ok []
   in
   (* Reject unknown knobs now, with a protocol-level error. *)
-  let* _ = Key.config_of_knobs knobs in
+  let* _ = Cgra_core.Flow_config.of_knobs knobs in
   let* faults =
     let* fm = find_str fields "faults" in
     match fm with

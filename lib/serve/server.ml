@@ -400,7 +400,6 @@ let start cfg =
      evicting them here restores the store invariant (every entry
      verifiable) before the first request can trip over the debris. *)
   let swept = Store.scan store in
-  Runner_backend.install store;
   let t =
     {
       cfg;

@@ -55,8 +55,7 @@ exception Address_in_use of { path : string }
     daemon's clients. *)
 
 val start : config -> t
-(** Bind the listeners, spawn the worker pool and accept threads, install
-    the {!Runner_backend} so harness-computed cells feed the same store.
+(** Bind the listeners and spawn the worker pool and accept threads.
     Raises [Unix_error] if a listener cannot bind and {!Address_in_use}
     if another live daemon already owns the Unix socket path. *)
 

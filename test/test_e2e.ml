@@ -2,6 +2,7 @@
    tool-chain (frontend -> mapper -> assembler -> simulator -> energy). *)
 
 module R = Cgra_exp.Runner
+module FC = Cgra_core.Flow_config
 module Config = Cgra_arch.Config
 module M = Cgra_core.Mapping
 module E = Cgra_power.Energy
@@ -19,7 +20,7 @@ let test_basic_fits_hom64 () =
      whole kernel set *)
   List.iter
     (fun k ->
-      match R.run_of k Config.HOM64 R.Basic with
+      match R.run_of k Config.HOM64 FC.Basic with
       | R.Mapped _ -> ()
       | R.Unmappable u -> Alcotest.fail (k.Cgra_kernels.Kernel_def.name ^ ": " ^ u.reason))
     R.kernels
@@ -29,7 +30,7 @@ let test_big_kernels_overflow_hom32_basic () =
      contexts without memory awareness (Figs 6-7) *)
   List.iter
     (fun slug ->
-      match R.run_of (kernel slug) Config.HOM32 R.Basic with
+      match R.run_of (kernel slug) Config.HOM32 FC.Basic with
       | R.Unmappable _ -> ()
       | R.Mapped _ -> Alcotest.fail (slug ^ " should overflow HOM32"))
     [ "matm"; "non_sep_filter"; "fft" ]
@@ -42,7 +43,7 @@ let test_aware_maps_het () =
     (fun k ->
       List.iter
         (fun config ->
-          match R.run_of k config R.Full with
+          match R.run_of k config FC.Full with
           | R.Mapped _ -> ()
           | R.Unmappable u ->
             Alcotest.fail
@@ -55,7 +56,7 @@ let test_basic_fails_het_for_big_kernels () =
   (* ...while the memory-blind basic flow cannot use them *)
   List.iter
     (fun slug ->
-      match R.run_of (kernel slug) Config.HET2 R.Basic with
+      match R.run_of (kernel slug) Config.HET2 FC.Basic with
       | R.Unmappable _ -> ()
       | R.Mapped _ -> Alcotest.fail (slug ^ " basic should fail HET2"))
     [ "matm"; "non_sep_filter" ]
@@ -63,16 +64,16 @@ let test_basic_fails_het_for_big_kernels () =
 let test_acmap_weaker_than_ecmap () =
   (* Fig 6 vs Fig 7: ACMAP alone finds no solution for the non-separable
      filter on the heterogeneous configurations; adding ECMAP does *)
-  (match R.run_of (kernel "non_sep_filter") Config.HET1 R.With_acmap with
+  (match R.run_of (kernel "non_sep_filter") Config.HET1 FC.With_acmap with
    | R.Unmappable _ -> ()
    | R.Mapped _ -> Alcotest.fail "ACMAP alone should fail NonSep on HET1");
-  ignore (mapped_exn "non_sep_filter" Config.HET1 R.With_ecmap)
+  ignore (mapped_exn "non_sep_filter" Config.HET1 FC.With_ecmap)
 
 let test_aware_energy_gain () =
   (* Table II: the context-aware mapping on HET beats basic on HOM64 *)
   List.iter
     (fun k ->
-      match R.run_of k Config.HOM64 R.Basic, R.run_of k Config.HET2 R.Full with
+      match R.run_of k Config.HOM64 FC.Basic, R.run_of k Config.HET2 FC.Full with
       | R.Mapped b, R.Mapped h ->
         let gain = b.R.energy.E.total_pj /. h.R.energy.E.total_pj in
         Alcotest.(check bool)
@@ -86,7 +87,7 @@ let test_cgra_beats_cpu () =
   List.iter
     (fun k ->
       let cpu = R.cpu_of k in
-      match R.run_of k Config.HET2 R.Full with
+      match R.run_of k Config.HET2 FC.Full with
       | R.Mapped r ->
         Alcotest.(check bool) (k.Cgra_kernels.Kernel_def.name ^ " faster") true
           (r.R.cycles < cpu.R.cpu_sim.Cgra_cpu.Cpu_sim.cycles);
@@ -100,7 +101,7 @@ let test_aware_uses_less_context () =
      HOM64's 1024 — and the per-tile usage respects every capacity *)
   List.iter
     (fun k ->
-      match R.run_of k Config.HET2 R.Full with
+      match R.run_of k Config.HET2 FC.Full with
       | R.Mapped r ->
         let usage = M.tile_usage r.R.mapping in
         let total = Array.fold_left (fun a u -> a + M.usage_total u) 0 usage in

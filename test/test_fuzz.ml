@@ -87,18 +87,13 @@ let run_interp cdfg seed =
   ignore (Cgra_ir.Interp.run cdfg ~mem);
   mem
 
+(* Through the whole pipeline, so every random kernel is also checked by
+   the independent validator. *)
 let run_cgra cdfg seed config flow =
-  match Cgra_core.Flow.run ~config:flow (Config.cgra config) cdfg with
-  | Error f -> Error ("map: " ^ f.Cgra_core.Flow.reason)
-  | Ok (m, _) -> (
-    match Cgra_asm.Assemble.assemble m with
-    | exception Cgra_asm.Assemble.Assembly_error e -> Error ("asm: " ^ e)
-    | prog -> (
-      let mem = init_mem seed in
-      match Cgra_sim.Simulator.run prog ~mem with
-      | exception Cgra_sim.Simulator.Sim_error e ->
-        Error ("sim: " ^ Cgra_sim.Simulator.error_to_string e)
-      | _ -> Ok mem))
+  let mem = init_mem seed in
+  match Cgra_exp.Toolchain.run ~config:flow ~mem (Config.cgra config) cdfg with
+  | Ok _ -> Ok mem
+  | Error e -> Error (Cgra_exp.Toolchain.error_to_string e)
 
 let run_cpu cdfg seed =
   let prog = Cgra_cpu.Codegen.compile cdfg in

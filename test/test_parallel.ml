@@ -3,6 +3,7 @@
 
 module Pool = Cgra_util.Pool
 module Runner = Cgra_exp.Runner
+module FC = Cgra_core.Flow_config
 
 (* ---- Pool.map -------------------------------------------------------- *)
 
@@ -49,7 +50,7 @@ let test_cache_computes_once () =
   (* a storm of concurrent requests for the same cell *)
   let cells =
     Pool.map ~jobs:8
-      (fun _ -> Runner.run_of k Cgra_arch.Config.HOM64 Runner.Basic)
+      (fun _ -> Runner.run_of k Cgra_arch.Config.HOM64 FC.Basic)
       (List.init 16 Fun.id)
   in
   Alcotest.(check int) "computed exactly once" 1
@@ -220,20 +221,20 @@ let test_persistent_pool_drains () =
 let test_jobs_invariant () =
   let sub_grid =
     List.concat_map
-      (fun k -> List.map (fun flow -> (k, flow)) Runner.flow_kinds)
+      (fun k -> List.map (fun flow -> (k, flow)) FC.presets)
       (List.filteri (fun i _ -> i < 2) Runner.kernels)
   in
   let signature (k, flow) =
     match Runner.run_of k Cgra_arch.Config.HET2 flow with
     | Runner.Mapped r ->
       Printf.sprintf "%s/%s: %d cycles, %d moves, %d work"
-        k.Cgra_kernels.Kernel_def.slug (Runner.flow_label flow)
+        k.Cgra_kernels.Kernel_def.slug (FC.preset_label flow)
         r.Runner.cycles
         (Cgra_core.Mapping.total_moves r.Runner.mapping)
         r.Runner.compile_work
     | Runner.Unmappable { reason; _ } ->
       Printf.sprintf "%s/%s: unmappable (%s)"
-        k.Cgra_kernels.Kernel_def.slug (Runner.flow_label flow) reason
+        k.Cgra_kernels.Kernel_def.slug (FC.preset_label flow) reason
   in
   Runner.clear_caches ();
   let seq = Pool.map ~jobs:1 signature sub_grid in
@@ -244,13 +245,13 @@ let test_jobs_invariant () =
 let test_clear_resets_compute_count () =
   Runner.clear_caches ();
   let k = List.hd Runner.kernels in
-  ignore (Runner.run_of k Cgra_arch.Config.HOM64 Runner.Basic);
+  ignore (Runner.run_of k Cgra_arch.Config.HOM64 FC.Basic);
   Alcotest.(check bool) "computed at least once" true
     (Runner.compute_count () >= 1);
   Runner.clear_caches ();
   Alcotest.(check int) "counter reset with the caches" 0
     (Runner.compute_count ());
-  ignore (Runner.run_of k Cgra_arch.Config.HOM64 Runner.Basic);
+  ignore (Runner.run_of k Cgra_arch.Config.HOM64 FC.Basic);
   Alcotest.(check int) "exactly one compute after the clear" 1
     (Runner.compute_count ())
 
@@ -295,7 +296,7 @@ let test_search_report_jobs_invariant () =
   let report jobs =
     Runner.clear_caches ();
     Pool.iter ~jobs
-      (fun k -> ignore (Runner.run_of k Cgra_arch.Config.HET2 Runner.Full))
+      (fun k -> ignore (Runner.run_of k Cgra_arch.Config.HET2 FC.Full))
       Runner.kernels;
     Cgra_exp.Figures.search_report ()
   in
@@ -307,7 +308,7 @@ let test_search_report_jobs_invariant () =
 let test_cell_reproducible_in_isolation () =
   let k = List.hd Runner.kernels in
   let config = Cgra_arch.Config.HOM64 in
-  let fc = Runner.cell_flow_config k.Cgra_kernels.Kernel_def.slug config Runner.Basic in
+  let fc = Runner.cell_flow_config k.Cgra_kernels.Kernel_def.slug config FC.Basic in
   let cgra = Cgra_arch.Config.cgra config in
   let cdfg = Cgra_kernels.Kernel_def.cdfg k in
   let direct =
@@ -315,7 +316,7 @@ let test_cell_reproducible_in_isolation () =
     | Ok (m, _) -> Cgra_core.Mapping.total_moves m
     | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
   in
-  match Runner.run_of k config Runner.Basic with
+  match Runner.run_of k config FC.Basic with
   | Runner.Unmappable { reason; _ } -> Alcotest.fail reason
   | Runner.Mapped r ->
     Alcotest.(check int) "cached cell equals direct run" direct

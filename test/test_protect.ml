@@ -276,11 +276,11 @@ let test_protection_energy_split () =
 
 let test_key_protection_knob () =
   let fc = { FC.context_aware with protection = P.secded } in
-  let knobs = Key.knobs_of_config fc in
+  let knobs = FC.to_knobs fc in
   Alcotest.(check (option string)) "knob rendered" (Some "secded")
     (List.assoc_opt "protection" knobs);
   (* round-trip through the daemon-side parser *)
-  (match Key.config_of_knobs knobs with
+  (match FC.of_knobs knobs with
    | Ok fc' ->
      Alcotest.(check string) "protection survives the round-trip" "secded"
        (P.profile_to_string fc'.FC.protection)
@@ -304,7 +304,7 @@ let test_key_protection_knob () =
     (d_sec <> d_none && d_sec <> d_par)
 
 let test_key_rejects_bad_protection () =
-  match Key.config_of_knobs [ ("protection", "bogus") ] with
+  match FC.of_knobs [ ("protection", "bogus") ] with
   | Ok _ -> Alcotest.fail "bogus protection value must be rejected"
   | Error e ->
     Alcotest.(check bool) "error names the knob" true

@@ -218,7 +218,7 @@ let kernel slug = Option.get (Cgra_kernels.Kernels.by_slug slug)
    backend — the same per-cell configuration the experiment runner
    uses, so these tests exercise exactly what the reports tabulate. *)
 let cell_config slug config backend =
-  { (R.cell_flow_config slug config R.Full) with FC.backend; retries = 0 }
+  { (R.cell_flow_config slug config FC.Full) with FC.backend; retries = 0 }
 
 let run_cell slug config backend =
   let k = kernel slug in

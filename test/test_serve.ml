@@ -172,25 +172,72 @@ let test_key_sensitivity () =
     }
 
 let test_key_excluded_knobs () =
-  (* expand_jobs and validate are bytes-neutral and must not appear *)
-  let flow =
-    { Cgra_core.Flow_config.basic with expand_jobs = 7; validate = true }
-  in
+  (* expand_jobs is bytes-neutral and must not appear *)
+  let flow = { Cgra_core.Flow_config.basic with expand_jobs = 7 } in
   Alcotest.(check string) "bytes-neutral fields are not keyed"
     (Key.digest (fir_spec ()))
     (Key.digest (fir_spec ~flow ()))
 
+(* Every knob of the table: printing a configuration's value and parsing
+   it back is the identity, over random configurations. *)
+let arb_flow_config =
+  let module FC = Cgra_core.Flow_config in
+  let module P = Cgra_arch.Protection in
+  let open QCheck.Gen in
+  let gen =
+    let* base = oneofl (List.map FC.of_preset FC.presets) in
+    let* beam_width = int_range 1 128 and* seed = int and* retries = int_bound 5 in
+    let* keep_prob = float_bound_inclusive 1.0 and* prune_slack = float in
+    let* degrade = bool and* cab = bool and* max_attempts = int_range 1 9 in
+    let* backend = oneofl FC.backends
+    and* traversal = oneofl [ FC.Forward; FC.Weighted ]
+    and* protection =
+      oneofl
+        [ P.none; P.parity; P.secded;
+          Option.get (P.profile_of_string "cm64=secded,cm32=parity,cm16=none") ]
+    in
+    return
+      { base with
+        FC.beam_width; seed; retries; keep_prob; prune_slack; degrade; cab;
+        max_attempts; backend; traversal; protection }
+  in
+  QCheck.make
+    ~print:(fun c ->
+      String.concat " " (List.map (fun (n, v) -> n ^ "=" ^ v) (FC.to_knobs c)))
+    gen
+
+let prop_knob_print_parse =
+  let module FC = Cgra_core.Flow_config in
+  QCheck.Test.make ~name:"knob table: print then parse is the identity"
+    ~count:200 arb_flow_config (fun c ->
+      List.for_all
+        (fun (k : FC.knob) ->
+          match k.FC.parse FC.default (k.FC.print c) with
+          | Ok c' -> k.FC.print c' = k.FC.print c
+          | Error e -> QCheck.Test.fail_report e)
+        FC.knobs
+      && FC.of_knobs (FC.to_knobs c) |> Result.map FC.to_knobs = Ok (FC.to_knobs c))
+
 let test_key_knobs_roundtrip () =
-  let knobs = Key.knobs_of_config Cgra_core.Flow_config.context_aware in
-  let fc = fail_on_error (Key.config_of_knobs knobs) in
+  let module FC = Cgra_core.Flow_config in
+  let knobs = FC.to_knobs FC.context_aware in
+  let fc = fail_on_error (FC.of_knobs knobs) in
   Alcotest.(check (list (pair string string)))
-    "knobs -> config -> knobs round-trip" knobs (Key.knobs_of_config fc);
-  (match Key.config_of_knobs [ ("no_such_knob", "1") ] with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "unknown knob accepted");
-  match Key.config_of_knobs [ ("beam_width", "bogus") ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unparsable knob value accepted"
+    "knobs -> config -> knobs round-trip" knobs (FC.to_knobs fc);
+  (* typed errors that name the culprit: an unknown name, and for every
+     knob a value none of its spellings accepts *)
+  let names_it pairs culprit =
+    match FC.of_knobs pairs with
+    | Ok _ -> Alcotest.fail (culprit ^ ": bad knob accepted")
+    | Error e ->
+      let n = String.length culprit in
+      let rec has i =
+        i + n <= String.length e && (String.sub e i n = culprit || has (i + 1))
+      in
+      Alcotest.(check bool) (e ^ " names " ^ culprit) true (has 0)
+  in
+  names_it [ ("no_such_knob", "1") ] "no_such_knob";
+  List.iter (fun (k : FC.knob) -> names_it [ (k.FC.name, "?") ] k.FC.name) FC.knobs
 
 (* ---- store ------------------------------------------------------------ *)
 
@@ -305,6 +352,81 @@ let test_compute_bad_request () =
   match Compute.run spec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonsense source should be a typed request error"
+
+(* A faulted request is priced on the array it was mapped onto — the
+   degraded one, as [cgra_map map --emit] prices it — so the daemon and
+   the local path store the same bytes under the same key. *)
+let test_compute_prices_degraded_array () =
+  let module FC = Cgra_core.Flow_config in
+  let faults =
+    fail_on_error
+      (Cgra_arch.Fault_map.of_string
+         "(dead_tile 5)\n(cm_rows_stuck 3 16)\n(dead_link 2 east)\n(no_lsu 1)\n")
+  in
+  let flow = FC.context_aware in
+  let spec =
+    fail_on_error
+      (Key.spec_of_bundled ~slug:"fir" ~config:Cgra_arch.Config.HET2 ~flow
+         ~opt:Key.Default ~faults)
+  in
+  let energy_line =
+    match Compute.run spec with
+    | Ok (Compute.Artifact { bytes; _ }) ->
+      List.find
+        (String.starts_with ~prefix:"energy_pj ")
+        (String.split_on_char '\n' bytes)
+    | _ -> Alcotest.fail "fir should map around the fault map"
+  in
+  let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
+  let pristine = Cgra_arch.Config.cgra Cgra_arch.Config.HET2 in
+  match
+    Cgra_core.Flow.run ~config:{ flow with FC.faults } pristine
+      (Cgra_kernels.Kernel_def.cdfg k)
+  with
+  | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
+  | Ok (m, _) ->
+    let sim =
+      Cgra_sim.Simulator.run (Cgra_asm.Assemble.assemble m)
+        ~mem:(Cgra_kernels.Kernel_def.fresh_mem k)
+    in
+    let priced cgra =
+      Printf.sprintf "energy_pj %.3f"
+        (Cgra_power.Energy.cgra cgra sim).Cgra_power.Energy.total_pj
+    in
+    Alcotest.(check string) "priced on the degraded array"
+      (priced (Cgra_arch.Cgra.degrade pristine faults))
+      energy_line;
+    Alcotest.(check bool) "not on the pristine one" true
+      (priced pristine <> energy_line)
+
+(* The harness and the daemon run one pipeline: a cell rendered from the
+   experiment runner's memo is the artifact [Compute.run] serves for the
+   cell's own key — one bundled kernel per preset. *)
+let test_runner_cell_equals_compute () =
+  let module FC = Cgra_core.Flow_config in
+  let module Runner = Cgra_exp.Runner in
+  let config = Cgra_arch.Config.HET2 in
+  List.iter2
+    (fun preset slug ->
+      let k = Option.get (Cgra_kernels.Kernels.by_slug slug) in
+      let spec =
+        fail_on_error
+          (Key.spec_of_bundled ~slug ~config
+             ~flow:(Runner.cell_flow_config slug config preset)
+             ~opt:Key.Default ~faults:[])
+      in
+      let what = slug ^ "/" ^ FC.preset_label preset in
+      match (Runner.run_of k config preset, Compute.run spec) with
+      | Runner.Mapped r, Ok (Compute.Artifact { bytes; _ }) ->
+        Alcotest.(check string) what
+          (Serve.Artifact.render ~key_digest:(Key.digest spec) ~spec
+             r.Runner.program r.Runner.sim r.Runner.energy)
+          bytes
+      | Runner.Unmappable u, Ok (Compute.Unmappable { reason }) ->
+        Alcotest.(check string) (what ^ " reason") u.reason reason
+      | _ -> Alcotest.fail (what ^ ": harness and daemon disagree"))
+    FC.presets
+    [ "fir"; "dc_filter"; "convolution"; "sep_filter" ]
 
 (* ---- protocol --------------------------------------------------------- *)
 
@@ -439,7 +561,6 @@ let test_e2e_daemon () =
     ~finally:(fun () ->
       Serve.Server.request_stop server;
       Serve.Server.wait server;
-      Cgra_exp.Runner.set_artifact_backend None;
       ignore (Store.clear (Serve.Server.store server)))
     (fun () ->
       let spec = fir_spec () in
@@ -531,7 +652,6 @@ let test_socket_collision () =
     ~finally:(fun () ->
       Serve.Server.request_stop server;
       Serve.Server.wait server;
-      Cgra_exp.Runner.set_artifact_backend None;
       ignore (Store.clear (Serve.Server.store server)))
     (fun () ->
       (* a second daemon on the same, now live, socket must fail typed *)
@@ -579,6 +699,7 @@ let suite =
           test_key_sensitivity;
         Alcotest.test_case "bytes-neutral knobs are excluded" `Quick
           test_key_excluded_knobs;
+        QCheck_alcotest.to_alcotest prop_knob_print_parse;
         Alcotest.test_case "knobs round-trip through a config" `Quick
           test_key_knobs_roundtrip;
         Alcotest.test_case "store round-trip, immutable entries" `Quick
@@ -591,6 +712,10 @@ let suite =
           test_compute_deterministic;
         Alcotest.test_case "compute reports unmappable" `Quick
           test_compute_unmappable;
+        Alcotest.test_case "compute prices the degraded array" `Quick
+          test_compute_prices_degraded_array;
+        Alcotest.test_case "runner cell equals compute artifact" `Quick
+          test_runner_cell_equals_compute;
         Alcotest.test_case "compute rejects bad requests" `Quick
           test_compute_bad_request;
         Alcotest.test_case "protocol request round-trips" `Quick

@@ -659,15 +659,41 @@ let test_repair_campaign_incremental_deterministic () =
         (a.R.trace.R.injected = b.R.trace.R.injected))
     c1.R.runs full.R.runs
 
-(* ---- Flow integration: validate + degrade ----------------------------- *)
+(* ---- the pipeline validates every program ----------------------------- *)
 
-let test_flow_validate_passes () =
-  Cgra_verify.Validator.install ();
+module Toolchain = Cgra_exp.Toolchain
+
+let test_toolchain_validates_clean_run () =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
-  let config = { FC.basic with FC.validate = true } in
-  match Flow.run ~config (Config.cgra Config.HOM64) (K.cdfg k) with
-  | Ok _ -> ()
-  | Error f -> Alcotest.fail ("validated flow failed: " ^ f.Flow.reason)
+  match Toolchain.run_kernel ~config:FC.basic (Config.cgra Config.HOM64) k with
+  | Error e -> Alcotest.fail (Toolchain.error_to_string e)
+  | Ok (m, _) ->
+    Alcotest.(check string) "the program it hands out is clean" ""
+      (violations_str (V.check m.Toolchain.program));
+    Alcotest.(check bool) "and passes its own validate stage" true
+      (Toolchain.validate m.Toolchain.program = Ok ())
+
+(* The mutation families above, fed to the pipeline's validate stage:
+   each must come back as the typed [Invalid] error carrying the
+   matching violation, never as another stage's error. *)
+let test_toolchain_rejects_corrupted_program () =
+  let _, m = Lazy.force base_aware in
+  let rejected what pred p =
+    match Toolchain.validate p with
+    | Error (Toolchain.Invalid vs) ->
+      Alcotest.(check bool) (what ^ " named") true (has_violation pred vs)
+    | Error e -> Alcotest.fail ("wrong stage: " ^ Toolchain.error_to_string e)
+    | Ok () -> Alcotest.fail (what ^ ": corrupted program accepted")
+  in
+  let p = Asm.assemble m in
+  let mutants = bad_crf_mutants p in
+  Alcotest.(check bool) "program has constant reads" true (mutants <> []);
+  List.iter
+    (rejected "bad CRF index" (function V.Bad_crf_index _ -> true | _ -> false))
+    mutants;
+  rejected "CM overflow"
+    (function V.Cm_overflow _ -> true | _ -> false)
+    { p with Asm.mapping = { m with M.cgra = Cgra.make ~cm_of_tile:(fun _ -> 2) () } }
 
 let test_degrade_noop_on_mappable () =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
@@ -703,22 +729,6 @@ let test_degrade_gave_up_trace () =
        Alcotest.(check bool) "escalation renders" true
          (String.length (Flow.escalation_to_string e1) > 0)
      | _ -> Alcotest.fail "expected 3 escalations")
-
-let test_validate_without_validator_is_typed () =
-  (* A fresh Flow in a process without [install] cannot be simulated here
-     (install is process-global), but the error path for a validator that
-     rejects everything is still reachable. *)
-  Flow.set_validator (fun _ -> [ "synthetic violation" ]);
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "fir") in
-  let config = { FC.basic with FC.validate = true } in
-  let r = Flow.run ~config (Config.cgra Config.HOM64) (K.cdfg k) in
-  (* restore the real validator for any later test *)
-  Cgra_verify.Validator.install ();
-  match r with
-  | Ok _ -> Alcotest.fail "rejecting validator must fail the flow"
-  | Error f ->
-    Alcotest.(check bool) "reason names the validation" true
-      (contains_sub ~sub:"validation failed" f.Flow.reason)
 
 let suite =
   [ ( "verify",
@@ -760,11 +770,11 @@ let suite =
           test_repair_campaign_deterministic;
         Alcotest.test_case "repair campaign: incremental jobs-independent"
           `Quick test_repair_campaign_incremental_deterministic;
-        Alcotest.test_case "flow: validate passes on real mapping" `Quick
-          test_flow_validate_passes;
+        Alcotest.test_case "toolchain: clean run validates" `Quick
+          test_toolchain_validates_clean_run;
         Alcotest.test_case "flow: degrade is a no-op when mappable" `Quick
           test_degrade_noop_on_mappable;
         Alcotest.test_case "flow: gave-up trace on starved fabric" `Quick
           test_degrade_gave_up_trace;
-        Alcotest.test_case "flow: rejecting validator fails typed" `Quick
-          test_validate_without_validator_is_typed ] ) ]
+        Alcotest.test_case "toolchain: corrupted program rejected typed" `Quick
+          test_toolchain_rejects_corrupted_program ] ) ]
