@@ -46,7 +46,9 @@
    alloc_check (a command, not an artifact) maps FIR on HOM64 with the
    basic flow and fails if the allocated words per binding attempt
    regress past the recorded budget — the smoke guard for the flattened
-   search inner loop.
+   search inner loop — then simulates FIR on HET2, unprotected and
+   SECDED, and fails if the minor words per simulated cycle regress past
+   theirs (the guard for the simulator's lock-step loop).
 
    Artifact regeneration prints the same rows/series as the paper's
    evaluation section (see EXPERIMENTS.md for the paper-vs-measured
@@ -293,7 +295,27 @@ let run_ablations () =
    exact expectation. *)
 let alloc_budget_words_per_attempt = 900.0
 
-let run_alloc_check () =
+(* Budgets for the simulator's lock-step loop, in minor words allocated
+   per simulated cycle of one [Simulator.run] (FIR @ HET2, full flow, set-up
+   included), unprotected and SECDED at the default scrub cadence.  The
+   same kind of bound: ~1.5x the values measured at the time of recording
+   (52.7 and 58.6 words/cycle, ~90 % of it operand lists and results). *)
+let sim_budget_words_per_cycle =
+  [ ("unprotected", None, 80.0);
+    ("secded", Some Cgra_arch.Protection.secded, 90.0) ]
+
+let check_budget ~what ~unit per budget =
+  Printf.printf "alloc_check: %s = %.1f %s (budget %.1f)\n" what per unit
+    budget;
+  if per > budget then begin
+    Printf.eprintf
+      "alloc_check: FAIL — %s allocation regressed past the recorded budget\n"
+      what;
+    false
+  end
+  else true
+
+let search_alloc_ok () =
   match
     Cgra_core.Flow.run ~config:Cgra_core.Flow_config.basic
       (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64)
@@ -310,18 +332,55 @@ let run_alloc_check () =
           (w +. b.Cgra_core.Search.alloc_words, a + b.Cgra_core.Search.attempts))
         (0.0, 0) stats.Cgra_core.Flow.search
     in
-    let per = words /. float_of_int (max 1 attempts) in
-    Printf.printf
-      "alloc_check: %.0f words over %d binding attempts = %.1f words/attempt \
-       (budget %.1f)\n"
-      words attempts per alloc_budget_words_per_attempt;
-    if per > alloc_budget_words_per_attempt then begin
-      Printf.eprintf
-        "alloc_check: FAIL — per-attempt allocation regressed past the \
-         recorded budget\n";
+    Printf.printf "alloc_check: %.0f words over %d binding attempts\n" words
+      attempts;
+    check_budget ~what:"search" ~unit:"words/attempt"
+      (words /. float_of_int (max 1 attempts))
+      alloc_budget_words_per_attempt
+
+let sim_alloc_ok () =
+  let module Sim = Cgra_sim.Simulator in
+  let program =
+    match
+      Toolchain.map ~config:Cgra_core.Flow_config.context_aware
+        (Cgra_arch.Config.cgra Cgra_arch.Config.HET2)
+        fir_cdfg
+    with
+    | Ok { Toolchain.program; _ } -> program
+    | Error e ->
+      Printf.eprintf "alloc_check: FIR must map on HET2: %s\n"
+        (Toolchain.error_to_string e);
       exit 1
-    end
-    else print_endline "alloc_check: OK"
+  in
+  List.map
+    (fun (level, profile, budget) ->
+      let protect =
+        Option.map
+          (fun profile ->
+            {
+              Sim.profile;
+              upsets = [];
+              scrub_interval = Cgra_arch.Protection.default_scrub_interval;
+            })
+          profile
+      in
+      let mem = Cgra_kernels.Kernel_def.fresh_mem fir in
+      let before = Gc.minor_words () in
+      let r = Sim.run ?protect program ~mem in
+      let words = Gc.minor_words () -. before in
+      Printf.printf "alloc_check: %.0f words over %d simulated cycles (%s)\n"
+        words r.Sim.cycles level;
+      check_budget ~what:("simulator " ^ level) ~unit:"words/cycle"
+        (words /. float_of_int (max 1 r.Sim.cycles))
+        budget)
+    sim_budget_words_per_cycle
+  |> List.for_all Fun.id
+
+let run_alloc_check () =
+  (* both checks always run and report *)
+  let search = search_alloc_ok () in
+  let sim = sim_alloc_ok () in
+  if search && sim then print_endline "alloc_check: OK" else exit 1
 
 (* ---- serve_report ------------------------------------------------------ *)
 

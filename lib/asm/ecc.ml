@@ -16,14 +16,18 @@ module P = Cgra_arch.Protection
 
 type verdict = Clean | Corrected of int64 | Detected
 
+(* The word's low and high 32-bit halves as native ints. *)
+let lo32 (w : int64) = Int64.to_int w land 0xFFFF_FFFF
+let hi32 (w : int64) = Int64.to_int (Int64.shift_right_logical w 32)
+
 let parity64 (w : int64) =
-  let x = Int64.logxor w (Int64.shift_right_logical w 32) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 16) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 8) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 4) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 2) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 1) in
-  Int64.to_int (Int64.logand x 1L)
+  let x = lo32 w lxor hi32 w in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  let x = x lxor (x lsr 4) in
+  let x = x lxor (x lsr 2) in
+  let x = x lxor (x lsr 1) in
+  x land 1
 
 let parity_int x =
   let x = x lxor (x lsr 4) in
@@ -49,16 +53,30 @@ let pos_of_data, data_of_pos =
   done;
   (pos, inv)
 
-let bit w i = Int64.logand (Int64.shift_right_logical w i) 1L = 1L
+(* Syndrome contribution of one byte lane: [lanes.((256 * l) + b)] is
+   the XOR of the codeword positions of the set bits of byte value [b]
+   in lane [l] (data bits [8l .. 8l + 7]). *)
+let lanes =
+  Array.init (8 * 256) (fun k ->
+      let l = k / 256 and b = k mod 256 in
+      let c = ref 0 in
+      for j = 0 to 7 do
+        if (b lsr j) land 1 = 1 then c := !c lxor pos_of_data.((8 * l) + j)
+      done;
+      !c)
 
 (* Seven Hamming check bits of a data word, packed as an int (c_i at bit
-   i, i.e. the syndrome value directly). *)
+   i, i.e. the syndrome value directly): one table lookup per byte. *)
 let hamming7 (w : int64) =
-  let c = ref 0 in
-  for d = 0 to 63 do
-    if bit w d then c := !c lxor pos_of_data.(d)
-  done;
-  !c
+  let lo = lo32 w and hi = hi32 w in
+  lanes.(lo land 0xff)
+  lxor lanes.(256 + ((lo lsr 8) land 0xff))
+  lxor lanes.(512 + ((lo lsr 16) land 0xff))
+  lxor lanes.(768 + (lo lsr 24))
+  lxor lanes.(1024 + (hi land 0xff))
+  lxor lanes.(1280 + ((hi lsr 8) land 0xff))
+  lxor lanes.(1536 + ((hi lsr 16) land 0xff))
+  lxor lanes.(1792 + (hi lsr 24))
 
 let secded_bits (w : int64) =
   let h = hamming7 w in

@@ -119,13 +119,9 @@ type protect = {
 module P = Cgra_arch.Protection
 module Ecc = Cgra_asm.Ecc
 
-(* Per-tile execution cursor within a section: remaining pnop cycles and
-   the instruction stream. *)
-type cursor = { mutable stream : Isa.instr list; mutable sleep : int }
-
-(* Word-indexed cursor for protected runs, which fetch from the (possibly
-   upset) stored context image instead of the pristine instruction list. *)
-type wcursor = { mutable widx : int; wlimit : int; mutable wsleep : int }
+(* Marks a stale entry of a protected run's decode cache.  [Isa.decode]
+   never yields a zero-length pnop, and entries are compared physically. *)
+let absent = Isa.Ipnop 0
 
 (* Protection-path state.  [stored] is the context image after upsets,
    repaired in place by fetch-path correction and scrubbing; [checks] are
@@ -134,7 +130,6 @@ type pstate = {
   kindof : P.kind array;
   checks : int array array;
   stored : int64 array array;
-  bases : int array array;  (* word offset of each section, per tile *)
   mutable p_detected : int;
   mutable p_corrected : int;
   mutable p_scrub_cycles : int;
@@ -144,27 +139,34 @@ type pstate = {
   mutable next_scrub : int;
 }
 
-type tstate = {
-  rf : int array;
-  mutable act : activity;
-}
-
 let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
     (p : Asm.program) ~mem =
+  if mem_ports < 1 then invalid_arg "Simulator.run: mem_ports must be >= 1";
   let m = p.Asm.mapping in
   let cgra = m.Cgra_core.Mapping.cgra in
   let cdfg = m.Cgra_core.Mapping.cdfg in
   let nt = Cgra.tile_count cgra in
+  let rf_words = cgra.Cgra.rf_words in
   List.iter
     (fun f ->
       if f.fault_tile < 0 || f.fault_tile >= nt then
         invalid_arg "Simulator.run: rf_fault tile out of range";
-      if f.fault_reg < 0 || f.fault_reg >= cgra.Cgra.rf_words then
+      if f.fault_reg < 0 || f.fault_reg >= rf_words then
         invalid_arg "Simulator.run: rf_fault register out of range")
     rf_faults;
+  let sections t = p.Asm.tiles.(t).Asm.sections in
+  (* Word offset of each section in its tile's context image, plus the
+     image length at the end: section [bi] is words
+     [bases.(t).(bi) .. bases.(t).(bi + 1) - 1]. *)
+  let bases =
+    Array.init nt (fun t ->
+        let secs = sections t in
+        let b = Array.make (Array.length secs + 1) 0 in
+        Array.iteri (fun i sec -> b.(i + 1) <- b.(i) + List.length sec) secs;
+        b)
+  in
   (* Protected runs fetch through the ECC decoder from a stored image that
-     upsets may have corrupted; unprotected runs take the pre-existing
-     path untouched. *)
+     upsets may have corrupted. *)
   let prot =
     match protect with
     | None -> None
@@ -173,12 +175,11 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
         Array.init nt (fun t ->
             P.for_cm pr.profile ~cm_words:(Cgra.base_cm cgra t))
       in
-      let images = Array.init nt (fun t -> Asm.encode_tile p.Asm.tiles.(t)) in
+      let stored = Array.init nt (fun t -> Asm.encode_tile p.Asm.tiles.(t)) in
       let checks =
         Array.init nt (fun t ->
-            Array.map (Ecc.check_bits kindof.(t)) images.(t))
+            Array.map (Ecc.check_bits kindof.(t)) stored.(t))
       in
-      let stored = Array.map Array.copy images in
       List.iter
         (fun u ->
           if u.up_tile < 0 || u.up_tile >= nt then
@@ -187,68 +188,77 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
             invalid_arg "Simulator.run: upset word out of range";
           if u.up_bit < 0 || u.up_bit > 63 then
             invalid_arg "Simulator.run: upset bit out of range";
-          stored.(u.up_tile).(u.up_word) <-
-            Int64.logxor
-              stored.(u.up_tile).(u.up_word)
-              (Int64.shift_left 1L u.up_bit))
+          let ws = stored.(u.up_tile) in
+          ws.(u.up_word) <- Int64.logxor ws.(u.up_word) (Int64.shift_left 1L u.up_bit))
         pr.upsets;
-      let bases =
-        Array.init nt (fun t ->
-            let secs = p.Asm.tiles.(t).Asm.sections in
-            let b = Array.make (Array.length secs) 0 in
-            let acc = ref 0 in
-            Array.iteri
-              (fun i sec ->
-                b.(i) <- !acc;
-                acc := !acc + List.length sec)
-              secs;
-            b)
-      in
       Some
         {
           kindof;
           checks;
           stored;
-          bases;
           p_detected = 0;
           p_corrected = 0;
           p_scrub_cycles = 0;
           p_scrub_reads = Array.make nt 0;
-          p_written = Array.map Array.length images;
+          p_written = Array.map Array.length stored;
           interval = pr.scrub_interval;
           next_scrub =
             (if pr.scrub_interval > 0 then pr.scrub_interval else max_int);
         }
   in
-  let tstates =
-    Array.init nt (fun _ ->
-        { rf = Array.make cgra.Cgra.rf_words 0; act = zero_activity })
+  (* The instruction at each context word.  Unprotected runs fill it from
+     the sections once; protected runs use it as a decode cache over the
+     stored image, filled on first fetch and invalidated on every
+     write-back. *)
+  let code =
+    Array.init nt (fun t ->
+        let c = Array.make bases.(t).(Array.length (sections t)) absent in
+        if Option.is_none prot then
+          Array.iteri
+            (fun bi sec ->
+              List.iteri (fun i ins -> c.(bases.(t).(bi) + i) <- ins) sec)
+            (sections t);
+        c)
   in
+  let rf = Array.init nt (fun _ -> Array.make rf_words 0) in
+  (* Per-tile activity counters, turned into [activity] records at the end. *)
+  let alu_ops = Array.make nt 0 and mul_ops = Array.make nt 0 in
+  let mem_ops = Array.make nt 0 and moves = Array.make nt 0 in
+  let fetches = Array.make nt 0 and awake = Array.make nt 0 in
+  (* Per-tile cursor within the current section: next word, end of the
+     section, remaining pnop cycles. *)
+  let pc = Array.make nt 0 and limit = Array.make nt 0 and sleep = Array.make nt 0 in
   let cycles = ref 0 and stalls = ref 0 and blocks = ref 0 and instrs = ref 0 in
+  (* Loads and stores issued in the current cycle. *)
+  let cycle_mem = ref 0 in
   (* The fault-injection hook: when the global cycle counter crosses a
      fault's [at_cycle] (stall and transition cycles included), XOR the
      mask into the target register.  Deterministic and order-independent:
      faults are applied in list order once per crossing. *)
-  let apply_faults lo hi =
-    List.iter
-      (fun f ->
-        if f.at_cycle >= lo && f.at_cycle < hi then
-          let rf = tstates.(f.fault_tile).rf in
-          rf.(f.fault_reg) <- Opcode.wrap32 (rf.(f.fault_reg) lxor f.xor_mask))
-      rf_faults
-  in
-  let check_tile t ~block ~cycle target =
-    if target < 0 || target >= nt then
-      fail (Bad_tile { tile = t; block; cycle; target; tiles = nt })
+  let rec apply_faults lo hi = function
+    | [] -> ()
+    | f :: rest ->
+      if f.at_cycle >= lo && f.at_cycle < hi then begin
+        let r = rf.(f.fault_tile) in
+        r.(f.fault_reg) <- Opcode.wrap32 (r.(f.fault_reg) lxor f.xor_mask)
+      end;
+      apply_faults lo hi rest
   in
   let check_reg t ~block ~cycle r =
-    if r < 0 || r >= cgra.Cgra.rf_words then
-      fail (Rf_out_of_range { tile = t; block; cycle; reg = r; rf_words = cgra.Cgra.rf_words })
+    if r < 0 || r >= rf_words then
+      fail (Rf_out_of_range { tile = t; block; cycle; reg = r; rf_words })
+  in
+  let check_neighbour t ~block ~cycle from_tile =
+    if from_tile < 0 || from_tile >= nt then
+      fail (Bad_tile { tile = t; block; cycle; target = from_tile; tiles = nt });
+    let d = Cgra.distance cgra t from_tile in
+    if d > 1 then
+      fail (Non_neighbour_read { tile = t; block; cycle; from_tile; distance = d })
   in
   let src_value t ~block ~cycle = function
     | Isa.Rf r ->
       check_reg t ~block ~cycle r;
-      tstates.(t).rf.(r)
+      rf.(t).(r)
     | Isa.Crf c ->
       let crf = p.Asm.tiles.(t).Asm.crf in
       if c < 0 || c >= Array.length crf then
@@ -256,52 +266,65 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
       else crf.(c)
     | Isa.Nbr (t', r) ->
       (* neighbour-mux read: start-of-cycle RF state of an adjacent tile *)
-      check_tile t ~block ~cycle t';
-      let d = Cgra.distance cgra t t' in
-      if d > 1 then
-        fail (Non_neighbour_read { tile = t; block; cycle; from_tile = t'; distance = d });
+      check_neighbour t ~block ~cycle t';
       check_reg t ~block ~cycle r;
-      tstates.(t').rf.(r)
+      rf.(t').(r)
   in
-  let cond = ref None in
-  (* Pending register writes applied at end of cycle (two-phase update). *)
-  let pending : (int * int * int) list ref = ref [] in
-  let write tile reg v = pending := (tile, reg, v) :: !pending in
+  (* -1 until a [set_cond] of the current section drives it, then 0 or 1. *)
+  let cond = ref (-1) in
+  (* Register writes of the current cycle, applied at its end (two-phase
+     update).  Each tile writes at most once per cycle, so [nt] slots
+     suffice. *)
+  let pw_tile = Array.make nt 0 and pw_reg = Array.make nt 0 in
+  let pw_val = Array.make nt 0 and pending = ref 0 in
+  let write t reg v =
+    let k = !pending in
+    pw_tile.(k) <- t;
+    pw_reg.(k) <- reg;
+    pw_val.(k) <- v;
+    pending := k + 1
+  in
   let commit ~block ~cycle =
     (* Same-cycle writes to one (tile, reg) have no defined winner in the
-       hardware; surface the conflict instead of letting list order pick. *)
-    let rec go committed = function
-      | [] -> ()
-      | (t, r, v) :: rest ->
-        if List.exists (fun (t', r') -> t = t' && r = r') committed then
-          fail (Write_conflict { tile = t; reg = r; block; cycle });
-        tstates.(t).rf.(r) <- Opcode.wrap32 v;
-        go ((t, r) :: committed) rest
-    in
-    go [] !pending;
-    pending := []
+       hardware; surface the conflict, scanning latest write first,
+       instead of letting issue order pick. *)
+    let n = !pending in
+    for k = n - 1 downto 0 do
+      let t = pw_tile.(k) and r = pw_reg.(k) in
+      for j = k + 1 to n - 1 do
+        if pw_tile.(j) = t && pw_reg.(j) = r then
+          fail (Write_conflict { tile = t; reg = r; block; cycle })
+      done;
+      rf.(t).(r) <- Opcode.wrap32 pw_val.(k)
+    done;
+    pending := 0
   in
   let mem_check t ~block ~cycle addr =
     if addr < 0 || addr >= Array.length mem then
       fail (Mem_out_of_bounds { tile = t; block; cycle; addr; words = Array.length mem })
   in
-  let bump t f = tstates.(t).act <- f tstates.(t).act in
+  let mem_op t =
+    mem_ops.(t) <- mem_ops.(t) + 1;
+    incr cycle_mem
+  in
   let exec_instr t ~block ~cycle instr =
     incr instrs;
-    bump t (fun a -> { a with fetches = a.fetches + 1; awake_cycles = a.awake_cycles + 1 });
+    fetches.(t) <- fetches.(t) + 1;
+    awake.(t) <- awake.(t) + 1;
     match instr with
     | Isa.Ipnop _ -> assert false
     | Isa.Iop { opcode; srcs; dst; set_cond } ->
+      (* every source is read, left to right, before the arity check *)
       let args = List.map (src_value t ~block ~cycle) srcs in
       let result =
         match opcode, args with
         | Opcode.Load, [ addr ] ->
           mem_check t ~block ~cycle addr;
-          bump t (fun a -> { a with mem_ops = a.mem_ops + 1 });
+          mem_op t;
           Some mem.(addr)
         | Opcode.Store, [ addr; v ] ->
           mem_check t ~block ~cycle addr;
-          bump t (fun a -> { a with mem_ops = a.mem_ops + 1 });
+          mem_op t;
           mem.(addr) <- v;
           None
         | (Opcode.Load | Opcode.Store), args ->
@@ -309,110 +332,69 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
         | op, args ->
           if List.length args <> Opcode.arity op then
             fail (Bad_arity { tile = t; block; cycle; opcode = op; args = List.length args });
-          bump t (fun a ->
-              { a with
-                alu_ops = a.alu_ops + 1;
-                mul_ops = (a.mul_ops + if op = Opcode.Mul then 1 else 0) });
+          alu_ops.(t) <- alu_ops.(t) + 1;
+          if op = Opcode.Mul then mul_ops.(t) <- mul_ops.(t) + 1;
           Some (Opcode.eval op args)
       in
       (match result, dst with
        | Some v, Some d -> check_reg t ~block ~cycle d; write t d v
-       | Some _, None -> ()
-       | None, Some _ -> fail (Store_with_dst { tile = t; block; cycle })
-       | None, None -> ());
+       | Some _, None | None, None -> ()
+       | None, Some _ -> fail (Store_with_dst { tile = t; block; cycle }));
       if set_cond then (
         match result with
-        | Some v -> cond := Some (v <> 0)
+        | Some v -> cond := Bool.to_int (v <> 0)
         | None -> fail (Cond_without_result { tile = t; block; cycle }))
     | Isa.Imov { from_tile; from_slot; dst } ->
-      bump t (fun a -> { a with moves = a.moves + 1 });
-      check_tile t ~block ~cycle from_tile;
-      let d = Cgra.distance cgra t from_tile in
-      if d > 1 then
-        fail (Non_neighbour_read { tile = t; block; cycle; from_tile; distance = d });
+      moves.(t) <- moves.(t) + 1;
+      check_neighbour t ~block ~cycle from_tile;
       check_reg t ~block ~cycle from_slot;
       check_reg t ~block ~cycle dst;
-      let v = tstates.(from_tile).rf.(from_slot) in
-      write t dst v
+      write t dst rf.(from_tile).(from_slot)
     | Isa.Icopy { src; dst; set_cond } ->
-      bump t (fun a -> { a with moves = a.moves + 1 });
+      moves.(t) <- moves.(t) + 1;
       let v = src_value t ~block ~cycle src in
       check_reg t ~block ~cycle dst;
       write t dst v;
-      if set_cond then cond := Some (v <> 0)
+      if set_cond then cond := Bool.to_int (v <> 0)
   in
-  let run_section bi =
-    let len = p.Asm.section_length.(bi) in
-    let cursors =
-      Array.init nt (fun t ->
-          { stream = p.Asm.tiles.(t).Asm.sections.(bi); sleep = 0 })
-    in
-    cond := None;
-    for cycle = 0 to len - 1 do
-      (* Phase 1: execute this cycle's instruction on every tile. *)
-      let mem_ops_before =
-        Array.fold_left (fun acc ts -> acc + ts.act.mem_ops) 0 tstates
-      in
-      Array.iteri
-        (fun t cur ->
-          if cur.sleep > 0 then cur.sleep <- cur.sleep - 1
-          else
-            match cur.stream with
-            | [] -> () (* trailing sleep: clock-gated until section end *)
-            | Isa.Ipnop n :: rest ->
-              (* fetching the pnop word costs one access, then the tile
-                 sleeps *)
-              bump t (fun a -> { a with fetches = a.fetches + 1 });
-              cur.sleep <- n - 1;
-              cur.stream <- rest
-            | instr :: rest ->
-              exec_instr t ~block:bi ~cycle instr;
-              cur.stream <- rest)
-        cursors;
-      (* Phase 2: commit register writes. *)
-      commit ~block:bi ~cycle;
-      (* Logarithmic-interconnect arbitration: accesses beyond the port
-         count this cycle stall the whole array. *)
-      let mem_ops_now =
-        Array.fold_left (fun acc ts -> acc + ts.act.mem_ops) 0 tstates
-      in
-      let this_cycle = mem_ops_now - mem_ops_before in
-      let extra = if this_cycle = 0 then 0 else ((this_cycle - 1) / mem_ports) in
-      stalls := !stalls + extra;
-      let before = !cycles in
-      cycles := before + 1 + extra;
-      apply_faults before !cycles
-    done;
-    Array.iteri
-      (fun t cur ->
-        if cur.stream <> [] then
-          fail (Unexecuted_instructions { tile = t; block = bi; left = List.length cur.stream }))
-      cursors
+  (* A stored word has been repaired: its cached decode is stale. *)
+  let write_back ps t w d =
+    ps.p_detected <- ps.p_detected + 1;
+    ps.p_corrected <- ps.p_corrected + 1;
+    ps.stored.(t).(w) <- d;
+    code.(t).(w) <- absent
   in
-  (* Fetch one stored context word through the ECC decoder.  Corrections
-     write back; uncorrectable verdicts abort the run with a typed error
-     (the hardware's machine-check).  A clean-but-corrupted word (parity
-     escape, even flip count) decodes and executes as whatever it now
-     encodes — or fails typed if no longer decodable. *)
-  let fetch_ps ps t w ~block ~cycle =
-    let decode word =
-      match Isa.decode word with
-      | Ok i -> i
+  (* Decode a stored word through the cache.  A word that no longer
+     decodes fails typed at fetch, never at load. *)
+  let decoded ps t w ~block ~cycle =
+    let i = code.(t).(w) in
+    if i != absent then i
+    else
+      match Isa.decode ps.stored.(t).(w) with
+      | Ok i -> code.(t).(w) <- i; i
       | Error _ -> fail (Undecodable_cm { tile = t; word = w; block; cycle })
-    in
-    match ps.kindof.(t) with
-    | P.Unprotected -> decode ps.stored.(t).(w)
-    | k -> (
-      match Ecc.decode k ~data:ps.stored.(t).(w) ~check:ps.checks.(t).(w) with
-      | Ecc.Clean -> decode ps.stored.(t).(w)
-      | Ecc.Corrected d ->
-        ps.p_detected <- ps.p_detected + 1;
-        ps.p_corrected <- ps.p_corrected + 1;
-        ps.stored.(t).(w) <- d;
-        decode d
-      | Ecc.Detected ->
-        ps.p_detected <- ps.p_detected + 1;
-        fail (Uncorrectable_cm { tile = t; word = w; block; cycle }))
+  in
+  (* Fetch one context word.  Protected runs check it through the ECC
+     decoder on every fetch: corrections write back; uncorrectable
+     verdicts abort the run with a typed error (the hardware's
+     machine-check).  A clean-but-corrupted word (parity escape, even
+     flip count) decodes and executes as whatever it now encodes — or
+     fails typed if no longer decodable. *)
+  let fetch t w ~block ~cycle =
+    match prot with
+    | None -> code.(t).(w)
+    | Some ps -> (
+      match ps.kindof.(t) with
+      | P.Unprotected -> decoded ps t w ~block ~cycle
+      | k -> (
+        match Ecc.decode k ~data:ps.stored.(t).(w) ~check:ps.checks.(t).(w) with
+        | Ecc.Clean -> decoded ps t w ~block ~cycle
+        | Ecc.Corrected d ->
+          write_back ps t w d;
+          decoded ps t w ~block ~cycle
+        | Ecc.Detected ->
+          ps.p_detected <- ps.p_detected + 1;
+          fail (Uncorrectable_cm { tile = t; word = w; block; cycle })))
   in
   (* One scrubber pass: read every protected word, correct correctable
      errors in place, abort on detected-uncorrectable ones.  Scrub reads
@@ -430,10 +412,7 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
               ps.p_scrub_cycles <- ps.p_scrub_cycles + 1;
               match Ecc.decode k ~data ~check:ps.checks.(t).(w) with
               | Ecc.Clean -> ()
-              | Ecc.Corrected d ->
-                ps.p_detected <- ps.p_detected + 1;
-                ps.p_corrected <- ps.p_corrected + 1;
-                ps.stored.(t).(w) <- d
+              | Ecc.Corrected d -> write_back ps t w d
               | Ecc.Detected ->
                 ps.p_detected <- ps.p_detected + 1;
                 fail (Uncorrectable_cm { tile = t; word = w; block; cycle }))
@@ -449,76 +428,66 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
         ps.next_scrub <- ps.next_scrub + ps.interval
       done
   in
-  (* The protected twin of [run_section]: same lock-step walk, but
-     instructions come from [fetch_ps] over the stored image, so every
-     fetch pays an ECC check and sees upsets that escaped correction. *)
-  let run_section_protected ps bi =
-    let len = p.Asm.section_length.(bi) in
-    let cursors =
-      Array.init nt (fun t ->
-          let base = ps.bases.(t).(bi) in
-          {
-            widx = base;
-            wlimit = base + List.length p.Asm.tiles.(t).Asm.sections.(bi);
-            wsleep = 0;
-          })
-    in
-    cond := None;
-    for cycle = 0 to len - 1 do
-      let mem_ops_before =
-        Array.fold_left (fun acc ts -> acc + ts.act.mem_ops) 0 tstates
-      in
-      Array.iteri
-        (fun t cur ->
-          if cur.wsleep > 0 then cur.wsleep <- cur.wsleep - 1
-          else if cur.widx >= cur.wlimit then ()
-          else
-            match fetch_ps ps t cur.widx ~block:bi ~cycle with
-            | Isa.Ipnop n ->
-              bump t (fun a -> { a with fetches = a.fetches + 1 });
-              cur.wsleep <- n - 1;
-              cur.widx <- cur.widx + 1
-            | instr ->
-              exec_instr t ~block:bi ~cycle instr;
-              cur.widx <- cur.widx + 1)
-        cursors;
+  (* Advance the global cycle counter, firing the RF faults it crosses. *)
+  let tick n =
+    let before = !cycles in
+    cycles := before + n;
+    match rf_faults with [] -> () | fs -> apply_faults before !cycles fs
+  in
+  (* One lock-step walk of block [bi]'s sections. *)
+  let run_section bi =
+    for t = 0 to nt - 1 do
+      pc.(t) <- bases.(t).(bi);
+      limit.(t) <- bases.(t).(bi + 1);
+      sleep.(t) <- 0
+    done;
+    cond := -1;
+    for cycle = 0 to p.Asm.section_length.(bi) - 1 do
+      (* Phase 1: execute this cycle's instruction on every tile, in
+         index order. *)
+      cycle_mem := 0;
+      for t = 0 to nt - 1 do
+        if sleep.(t) > 0 then sleep.(t) <- sleep.(t) - 1
+        else if pc.(t) < limit.(t) then begin
+          let w = pc.(t) in
+          (match fetch t w ~block:bi ~cycle with
+           | Isa.Ipnop n ->
+             (* fetching the pnop word costs one access, then the tile
+                sleeps *)
+             fetches.(t) <- fetches.(t) + 1;
+             sleep.(t) <- n - 1
+           | instr -> exec_instr t ~block:bi ~cycle instr);
+          pc.(t) <- w + 1
+        end
+        (* else trailing sleep: clock-gated until section end *)
+      done;
+      (* Phase 2: commit register writes. *)
       commit ~block:bi ~cycle;
-      let mem_ops_now =
-        Array.fold_left (fun acc ts -> acc + ts.act.mem_ops) 0 tstates
-      in
-      let this_cycle = mem_ops_now - mem_ops_before in
-      let extra = if this_cycle = 0 then 0 else ((this_cycle - 1) / mem_ports) in
+      (* Logarithmic-interconnect arbitration: accesses beyond the port
+         count this cycle stall the whole array. *)
+      let n = !cycle_mem in
+      let extra = if n = 0 then 0 else (n - 1) / mem_ports in
       stalls := !stalls + extra;
-      let before = !cycles in
-      cycles := before + 1 + extra;
-      apply_faults before !cycles;
+      tick (1 + extra);
       maybe_scrub ~block:bi ~cycle
     done;
-    Array.iteri
-      (fun t cur ->
-        if cur.widx < cur.wlimit then
-          fail
-            (Unexecuted_instructions
-               { tile = t; block = bi; left = cur.wlimit - cur.widx }))
-      cursors
+    for t = 0 to nt - 1 do
+      if pc.(t) < limit.(t) then
+        fail (Unexecuted_instructions { tile = t; block = bi; left = limit.(t) - pc.(t) })
+    done
   in
   let rec go bi =
     if !blocks >= max_blocks then fail (Runaway { max_blocks });
     incr blocks;
-    (match prot with
-     | None -> run_section bi
-     | Some ps -> run_section_protected ps bi);
+    run_section bi;
     (* Global controller: one transition cycle per block. *)
-    let before = !cycles in
-    incr cycles;
-    apply_faults before !cycles;
+    tick 1;
     maybe_scrub ~block:bi ~cycle:0;
     match cdfg.Cdfg.blocks.(bi).Cdfg.terminator with
     | Cdfg.Jump next -> go next
-    | Cdfg.Branch (_, bt, be) -> (
-      match !cond with
-      | None -> fail (Missing_condition { block = bi })
-      | Some c -> go (if c then bt else be))
+    | Cdfg.Branch (_, bt, be) ->
+      if !cond < 0 then fail (Missing_condition { block = bi });
+      go (if !cond = 1 then bt else be)
     | Cdfg.Return -> ()
   in
   go cdfg.Cdfg.entry;
@@ -527,7 +496,16 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
     stall_cycles = !stalls;
     blocks_executed = !blocks;
     instructions = !instrs;
-    activity = Array.map (fun ts -> ts.act) tstates;
+    activity =
+      Array.init nt (fun t ->
+          {
+            alu_ops = alu_ops.(t);
+            mul_ops = mul_ops.(t);
+            mem_ops = mem_ops.(t);
+            moves = moves.(t);
+            fetches = fetches.(t);
+            awake_cycles = awake.(t);
+          });
     ecc =
       (match prot with
        | None -> None

@@ -20,7 +20,10 @@
     campaigns of [Cgra_verify] — can classify failures without parsing
     strings.  The simulator is fully defensive: a corrupted context word
     (out-of-range register, tile or CRF index) produces a typed error,
-    never an [Invalid_argument] from an array access.
+    never an [Invalid_argument] from an array access.  When several checks
+    could fail, the first in execution order reports: tiles run in index
+    order within a cycle, and an operation reads its source operands left
+    to right, all of them before its operand count is checked.
 
     The simulator also gathers the per-tile activity counters the energy
     model integrates. *)
@@ -137,8 +140,15 @@ val run :
     {!Sim_error} on a malformed program (missing condition, out-of-range
     memory access, write conflict, runaway loop) and on uncorrectable or
     undecodable context words under [?protect]; raises
-    [Invalid_argument] if an [rf_fault] or [upset] names a site outside
-    the fabric.  Without [?protect] the simulation is bit-for-bit the
-    pre-existing unprotected path ([result.ecc = None]). *)
+    [Invalid_argument] if [mem_ports < 1] or if an [rf_fault] or [upset]
+    names a site outside the fabric.
+
+    Both kinds of run share one lock-step loop and differ only in where
+    an instruction is fetched from.  Without [?protect] it is read from
+    the program's sections ([result.ecc = None]).  With it, every fetch
+    checks the stored word through the ECC decoder first — the verdict is
+    never cached — and the word is then decoded through a per-word cache
+    that fetch-path corrections and the scrubber invalidate when they
+    write a repaired word back. *)
 
 val total_activity : result -> activity

@@ -83,6 +83,137 @@ let prop_parity_misses_even =
         ~check:(Ecc.check_bits P.Parity w)
       = Ecc.Clean)
 
+(* ---- codec against a bit-serial reference ----------------------------- *)
+
+(* The codec's laws above only test self-consistency: a wrong syndrome
+   table that agrees with itself would pass them.  The reference below is
+   the straightforward codec — Hamming check bits accumulated one data bit
+   at a time, parity by shift-folding — that the table-driven one must
+   match exactly. *)
+module Ref = struct
+  let parity64 (w : int64) =
+    let x = Int64.logxor w (Int64.shift_right_logical w 32) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 16) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 8) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 4) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 2) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 1) in
+    Int64.to_int (Int64.logand x 1L)
+
+  let parity_int x =
+    let x = x lxor (x lsr 4) in
+    let x = x lxor (x lsr 2) in
+    let x = x lxor (x lsr 1) in
+    x land 1
+
+  (* Data bits fill codeword positions 1..71 skipping the powers of two;
+     [data_of_pos] is -1 at the check positions. *)
+  let pos_of_data, data_of_pos =
+    let pos = Array.make 64 0 and inv = Array.make 72 (-1) in
+    let d = ref 0 and p = ref 1 in
+    while !d < 64 do
+      if !p land (!p - 1) <> 0 then begin
+        pos.(!d) <- !p;
+        inv.(!p) <- !d;
+        incr d
+      end;
+      incr p
+    done;
+    (pos, inv)
+
+  let bit w i = Int64.logand (Int64.shift_right_logical w i) 1L = 1L
+
+  let hamming7 (w : int64) =
+    let c = ref 0 in
+    for d = 0 to 63 do
+      if bit w d then c := !c lxor pos_of_data.(d)
+    done;
+    !c
+
+  let check_bits kind w =
+    match kind with
+    | P.Unprotected -> 0
+    | P.Parity -> parity64 w
+    | P.Secded ->
+      let h = hamming7 w in
+      h lor ((parity64 w lxor parity_int h) lsl 7)
+
+  let decode kind ~data ~check =
+    match kind with
+    | P.Unprotected -> Ecc.Clean
+    | P.Parity -> if parity64 data = check then Ecc.Clean else Ecc.Detected
+    | P.Secded ->
+      let stored_h = check land 0x7f and stored_p = (check lsr 7) land 1 in
+      let syndrome = stored_h lxor hamming7 data in
+      let total = stored_p lxor parity64 data lxor parity_int stored_h in
+      if syndrome = 0 then Ecc.Clean
+      else if total = 1 then
+        if syndrome < 72 && data_of_pos.(syndrome) >= 0 then
+          Ecc.Corrected (flip data data_of_pos.(syndrome))
+        else Ecc.Corrected data
+      else Ecc.Detected
+end
+
+let kinds = [ P.Unprotected; P.Parity; P.Secded ]
+
+let agrees ~data ~check =
+  List.for_all
+    (fun k -> Ecc.decode k ~data ~check = Ref.decode k ~data ~check)
+    kinds
+
+(* [Int64.of_int] sign-extends a 63-bit int, so bit 63 would always
+   equal bit 62: draw the two halves separately to reach every word. *)
+let arb_word64 =
+  QCheck.map
+    (fun (hi, lo) ->
+      Int64.logor (Int64.shift_left (Int64.of_int hi) 32)
+        (Int64.logand (Int64.of_int lo) 0xFFFF_FFFFL))
+    QCheck.(pair int int)
+
+let prop_check_bits_match_reference =
+  QCheck.Test.make ~count:1000 ~name:"ecc: check bits = bit-serial reference"
+    arb_word64 (fun w ->
+      List.for_all (fun k -> Ecc.check_bits k w = Ref.check_bits k w) kinds
+      && Ecc.parity64 w = Ref.parity64 w)
+
+let prop_decode_single_flips_match_reference =
+  QCheck.Test.make ~count:100
+    ~name:"ecc: decode of every single flip = bit-serial reference" arb_word64
+    (fun w ->
+      List.for_all
+        (fun k ->
+          let check = Ref.check_bits k w in
+          agrees ~data:w ~check
+          && List.for_all
+               (fun b -> agrees ~data:(flip w b) ~check)
+               (List.init 64 Fun.id))
+        kinds)
+
+let prop_decode_double_flips_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"ecc: decode of sampled double flips = bit-serial reference"
+    QCheck.(triple arb_word64 (int_bound 63) (int_bound 63))
+    (fun (w, b1, b2) ->
+      QCheck.assume (b1 <> b2);
+      List.for_all
+        (fun k ->
+          agrees ~data:(flip (flip w b1) b2) ~check:(Ref.check_bits k w))
+        kinds)
+
+let prop_check_bit_syndromes_correct =
+  QCheck.Test.make ~count:200
+    ~name:"ecc: a syndrome at a check-bit position decodes to the data"
+    arb_word64 (fun w ->
+      let check = Ref.check_bits P.Secded w in
+      List.for_all
+        (fun i ->
+          (* flipping Hamming check bit [i] leaves the syndrome at
+             codeword position [2^i] with odd overall parity *)
+          let check = check lxor (1 lsl i) in
+          Ecc.decode P.Secded ~data:w ~check = Ecc.Corrected w
+          && agrees ~data:w ~check)
+        (List.init 7 Fun.id))
+
 let test_check_words () =
   let _, m = Lazy.force base in
   let prog = Asm.assemble m in
@@ -417,6 +548,10 @@ let suite =
         QCheck_alcotest.to_alcotest prop_secded_detects_double;
         QCheck_alcotest.to_alcotest prop_parity_detects_odd;
         QCheck_alcotest.to_alcotest prop_parity_misses_even;
+        QCheck_alcotest.to_alcotest prop_check_bits_match_reference;
+        QCheck_alcotest.to_alcotest prop_decode_single_flips_match_reference;
+        QCheck_alcotest.to_alcotest prop_decode_double_flips_match_reference;
+        QCheck_alcotest.to_alcotest prop_check_bit_syndromes_correct;
         Alcotest.test_case "check words per kind" `Quick test_check_words;
         Alcotest.test_case "profile spellings" `Quick test_profile_strings;
         Alcotest.test_case "protected clean run" `Quick test_protected_run_clean;
