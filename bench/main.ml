@@ -1,83 +1,23 @@
-(* Benchmark and reproduction harness.
-
-   Usage:
-     main.exe [--jobs N] [--opt]    regenerate every artifact, then run the
-                                    Bechamel micro-benchmarks and ablations
-     main.exe [--jobs N] [--opt] <artifact>
-                                    an artifact name (see: main.exe list),
-                                    or all, micro, ablation, list
-
-   --jobs N (also -j N, --jobs=N) evaluates the experiment grid with N
-   domains before rendering; default is the machine's recommended domain
-   count.  Artifact output is byte-identical at any N.
-
-   --opt regenerates the artifacts from the cgra_opt-optimized kernels
-   (naive lowering + differential-verified pass pipeline) instead of the
-   default inline-optimized lowering.  Without it, output is byte-identical
-   to the seed harness.  The opt_report artifact compares raw vs optimized
-   directly and ignores the flag.
-
-   --trials N sizes the fault_report injection campaigns (default 120 per
-   kernel) and the repair_report survivability campaigns (default 30 per
-   kernel x configuration cell); must be positive.  The tables are
-   deterministic for a given N at any --jobs.
-
-   --faults N sets how many random permanent faults each repair_report
-   trial injects (default 2); must be positive.
-
-   --protect none|parity|secded (or a per-size-class csv, e.g.
-   cm64=secded,cm32=parity,cm16=none) runs fault_report campaigns through
-   the context-memory ECC fetch path and adds detected/corrected columns.
-   The protection_report artifact always sweeps all three uniform levels
-   and ignores the flag.  With the default (none), every artifact is
-   byte-identical to the unprotected harness.
-
-   --quick shrinks the optimality_report grid (two kernels, HOM64 and
-   HOM32) so CI can smoke the exact SAT backend without paying for the
-   full kernel x configuration sweep.  Quick and full tables are each
-   deterministic, but differ from each other.
-
-   --mode full|incremental selects the repair_report remap strategy:
-   full re-searches the whole kernel on every repair (default);
-   incremental reuses every block the diagnosed faults do not touch and
-   re-searches only the dirty ones.  Either mode is deterministic at any
-   --jobs; per-cell campaign wall-clock goes to stderr.
-
-   alloc_check (a command, not an artifact) maps FIR on HOM64 with the
-   basic flow and fails if the allocated words per binding attempt
-   regress past the recorded budget — the smoke guard for the flattened
-   search inner loop — then simulates FIR on HET2, unprotected and
-   SECDED, and fails if the minor words per simulated cycle regress past
-   theirs (the guard for the simulator's lock-step loop).
-
-   Artifact regeneration prints the same rows/series as the paper's
-   evaluation section (see EXPERIMENTS.md for the paper-vs-measured
-   record). *)
+(* Benchmark and reproduction harness: regenerates the paper's tables and
+   figures (and the beyond-the-paper reports) from one explicit
+   [Cgra_exp.Figures.params] record built from the command line, and runs
+   the Bechamel micro-benchmarks, the ablations and the smoke checks.
+   [main.exe --help] documents every target and flag; EXPERIMENTS.md
+   records the paper-vs-measured numbers. *)
 
 open Bechamel
 open Toolkit
 
-module Runner_kernels = struct
-  let kernels = Cgra_kernels.Kernels.all
-end
+module Figures = Cgra_exp.Figures
 
-(* The paper set, used by [all] and the micro benches; [list] and name
-   lookup also see the extras (opt_report, search_report). *)
-let artifacts = Cgra_exp.Figures.artifacts
+let print_artifact params render =
+  print_endline (render params);
+  print_newline ()
 
-let list_artifacts () =
-  List.iter print_endline Cgra_exp.Figures.artifact_names
-
-let print_artifact name =
-  match List.assoc_opt name Cgra_exp.Figures.all_artifacts with
-  | Some f ->
-    print_endline (f ());
-    print_newline ()
-  | None ->
-    Printf.eprintf "unknown artifact %s (try: main.exe list)\n" name;
-    exit 1
-
-let run_all_artifacts () = List.iter (fun (n, _) -> print_artifact n) artifacts
+(* The paper set, used by [all] and the micro benches; [list] and the
+   target lookup also see the extras (opt_report, search_report, ...). *)
+let run_all_artifacts params =
+  List.iter (fun (_, render) -> print_artifact params render) Figures.artifacts
 
 (* ---- Bechamel micro-benchmarks --------------------------------------- *)
 
@@ -96,10 +36,12 @@ let fir_cpu = lazy (Cgra_cpu.Codegen.compile fir_cdfg)
 (* One Test.make per paper table/figure: each measures regenerating that
    artifact with a warm run cache (the mapping work itself is benchmarked
    separately below). *)
-let artifact_tests =
+let artifact_tests params =
   List.map
-    (fun (name, f) -> Test.make ~name:("artifact/" ^ name) (Staged.stage f))
-    artifacts
+    (fun (name, render) ->
+      Test.make ~name:("artifact/" ^ name)
+        (Staged.stage (fun () -> render params)))
+    Figures.artifacts
 
 let pipeline_tests =
   [ Test.make ~name:"frontend/compile-fir"
@@ -126,11 +68,11 @@ let pipeline_tests =
            let mem = Cgra_kernels.Kernel_def.fresh_mem fir in
            Cgra_ir.Interp.run fir_cdfg ~mem)) ]
 
-let run_micro () =
+let run_micro params =
   (* Warm the experiment cache so artifact benches measure rendering, not
      first-run mapping. *)
-  List.iter (fun (_, f) -> ignore (f ())) artifacts;
-  let tests = artifact_tests @ pipeline_tests in
+  List.iter (fun (_, render) -> ignore (render params)) Figures.artifacts;
+  let tests = artifact_tests params @ pipeline_tests in
   let instance = Instance.monotonic_clock in
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
@@ -240,7 +182,7 @@ let ablation_cfg_simplification () =
           (Cgra_ir.Cdfg.block_count plain)
           (Cgra_ir.Cdfg.block_count simple)
       | _, _ -> Printf.printf "  %-14s (mapping failed)\n%!" k.Cgra_kernels.Kernel_def.name)
-    Runner_kernels.kernels;
+    Cgra_kernels.Kernels.all;
   print_endline
     "  (the lowering attaches live-outs to join blocks, so this suite has\n\
     \   no trivial blocks; the pass pays off on if/else-heavy kernels)"
@@ -725,129 +667,167 @@ let run_resilience_report ~quick () =
         exit 1
       end)
 
-(* --jobs N / -j N / --jobs=N and --opt anywhere on the command line. *)
-let parse_flags args =
-  let starts_with prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  in
-  let bad flag n =
-    Printf.eprintf "invalid %s value %S\n" flag n;
-    exit 1
-  in
-  let parse flag n =
-    match int_of_string_opt n with Some j -> j | None -> bad flag n
-  in
-  (* Campaign-sizing flags must be positive: a zero or negative count
-     would silently render an empty table. *)
-  let positive flag n =
-    let v = parse flag n in
-    if v <= 0 then begin
-      Printf.eprintf "%s must be positive (got %d)\n" flag v;
-      exit 1
-    end;
-    v
-  in
-  let repair_mode flag = function
-    | "full" -> Cgra_verify.Repair.Full
-    | "incremental" -> Cgra_verify.Repair.Incremental
-    | n ->
-      Printf.eprintf "invalid %s value %S (expected full|incremental)\n" flag n;
-      exit 1
-  in
-  let protection flag n =
-    match Cgra_arch.Protection.profile_of_string n with
-    | Some p -> p
-    | None ->
-      Printf.eprintf "invalid %s value %S (expected %s)\n" flag n
-        Cgra_arch.Protection.valid_values;
-      exit 1
-  in
-  let rec go jobs opt trials faults mode quick protect acc = function
-    | [] -> (jobs, opt, trials, faults, mode, quick, protect, List.rev acc)
-    | ("--jobs" | "-j") :: n :: rest ->
-      go (Some (parse "--jobs" n)) opt trials faults mode quick protect acc rest
-    | [ ("--jobs" | "-j") ] -> bad "--jobs" "<missing>"
-    | arg :: rest when starts_with "--jobs=" arg ->
-      let n = String.sub arg 7 (String.length arg - 7) in
-      go (Some (parse "--jobs" n)) opt trials faults mode quick protect acc rest
-    | "--trials" :: n :: rest ->
-      go jobs opt (Some (positive "--trials" n)) faults mode quick protect acc
-        rest
-    | [ "--trials" ] -> bad "--trials" "<missing>"
-    | arg :: rest when starts_with "--trials=" arg ->
-      let n = String.sub arg 9 (String.length arg - 9) in
-      go jobs opt (Some (positive "--trials" n)) faults mode quick protect acc
-        rest
-    | "--faults" :: n :: rest ->
-      go jobs opt trials (Some (positive "--faults" n)) mode quick protect acc
-        rest
-    | [ "--faults" ] -> bad "--faults" "<missing>"
-    | arg :: rest when starts_with "--faults=" arg ->
-      let n = String.sub arg 9 (String.length arg - 9) in
-      go jobs opt trials (Some (positive "--faults" n)) mode quick protect acc
-        rest
-    | "--mode" :: n :: rest ->
-      go jobs opt trials faults (Some (repair_mode "--mode" n)) quick protect
-        acc rest
-    | [ "--mode" ] -> bad "--mode" "<missing>"
-    | arg :: rest when starts_with "--mode=" arg ->
-      let n = String.sub arg 7 (String.length arg - 7) in
-      go jobs opt trials faults (Some (repair_mode "--mode" n)) quick protect
-        acc rest
-    | "--protect" :: n :: rest ->
-      go jobs opt trials faults mode quick
-        (Some (protection "--protect" n))
-        acc rest
-    | [ "--protect" ] -> bad "--protect" "<missing>"
-    | arg :: rest when starts_with "--protect=" arg ->
-      let n = String.sub arg 10 (String.length arg - 10) in
-      go jobs opt trials faults mode quick
-        (Some (protection "--protect" n))
-        acc rest
-    | "--opt" :: rest -> go jobs true trials faults mode quick protect acc rest
-    | "--quick" :: rest -> go jobs opt trials faults mode true protect acc rest
-    | arg :: rest ->
-      go jobs opt trials faults mode quick protect (arg :: acc) rest
-  in
-  go None false None None None false None [] args
+(* ---- command line ------------------------------------------------------ *)
 
-let () =
-  let jobs, opt, trials, faults, mode, quick, protect, rest =
-    parse_flags (List.tl (Array.to_list Sys.argv))
-  in
-  if opt then Cgra_exp.Runner.set_opt_mode Cgra_exp.Toolchain.Optimized;
-  Option.iter Cgra_exp.Figures.set_fault_trials trials;
-  Option.iter Cgra_exp.Figures.set_repair_trials trials;
-  Option.iter Cgra_exp.Figures.set_repair_faults faults;
-  Option.iter Cgra_exp.Figures.set_repair_mode mode;
-  Option.iter Cgra_exp.Figures.set_protection protect;
-  if quick then Cgra_exp.Figures.set_optimality_quick true;
-  let warm () = Cgra_exp.Runner.warm ?jobs () in
-  match rest with
-  | [] ->
+let run jobs (params : Figures.params) target =
+  let warm () = Cgra_exp.Runner.warm ?jobs ~opt:params.opt () in
+  match target with
+  | None ->
     warm ();
-    run_all_artifacts ();
-    run_micro ();
+    run_all_artifacts params;
+    run_micro params;
     run_ablations ()
-  | [ "all" ] ->
+  | Some `All ->
     warm ();
-    run_all_artifacts ()
-  | [ "micro" ] -> run_micro ()
-  | [ "ablation" ] -> run_ablations ()
-  | [ "alloc_check" ] -> run_alloc_check ()
-  | [ "serve_report" ] -> run_serve_report ()
-  | [ "resilience_report" ] -> run_resilience_report ~quick ()
-  | [ "list" ] -> list_artifacts ()
-  | [ name ] ->
+    run_all_artifacts params
+  | Some `Micro -> run_micro params
+  | Some `Ablation -> run_ablations ()
+  | Some `Alloc_check -> run_alloc_check ()
+  | Some `Serve_report -> run_serve_report ()
+  | Some `Resilience_report -> run_resilience_report ~quick:params.quick ()
+  | Some `List -> List.iter print_endline Figures.artifact_names
+  | Some (`Artifact render) ->
     (* a single artifact only needs its own cells; fan out only when the
        user explicitly asked for domains *)
     if jobs <> None then warm ();
-    print_artifact name
-  | _ ->
-    prerr_endline
-      "usage: main.exe [--jobs N] [--opt] [--trials N] [--faults N] \
-       [--mode full|incremental] [--protect none|parity|secded] \
-       [<artifact>|all|micro|ablation|alloc_check|serve_report|resilience_report|list]   \
-       (artifact names: main.exe list)";
-    exit 1
+    print_artifact params render
+
+open Cmdliner
+
+let target =
+  let commands =
+    [ ("all", `All); ("micro", `Micro); ("ablation", `Ablation);
+      ("alloc_check", `Alloc_check); ("serve_report", `Serve_report);
+      ("resilience_report", `Resilience_report); ("list", `List) ]
+  in
+  let targets =
+    List.map (fun (name, render) -> (name, `Artifact render))
+      Figures.all_artifacts
+    @ commands
+  in
+  Arg.(value & pos 0 (some (enum targets)) None
+       & info [] ~docv:"TARGET"
+           ~doc:("An artifact name ($(b,main.exe list) prints them) or "
+                 ^ doc_alts_enum commands
+                 ^ ".  Without a target, every paper artifact is \
+                    regenerated, then the micro-benchmarks and the \
+                    ablations run."))
+
+let jobs =
+  Arg.(value & opt (some int) None
+       & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Evaluate the experiment grid with $(docv) domains before \
+                 rendering (default: the machine's recommended domain \
+                 count; 0 or less runs sequentially).  A single artifact \
+                 warms the grid only when this flag is given.  Artifact \
+                 output is byte-identical at any $(docv).")
+
+(* Campaign sizes must be positive: a zero or negative count would
+   silently render an empty table. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let protection =
+  let module P = Cgra_arch.Protection in
+  let parse s =
+    match P.profile_of_string s with
+    | Some p -> Ok p
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown value %S (valid: %s)" s P.valid_values))
+  in
+  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (P.profile_to_string p))
+
+let params =
+  let d = Figures.default in
+  let opt =
+    Arg.(value & flag
+         & info [ "opt" ]
+             ~doc:"Map every harness cell from the cgra_opt-optimized \
+                   kernels (naive lowering + differential-verified pass \
+                   pipeline) instead of the default inline-optimized \
+                   lowering.  $(b,fig5) and $(b,opt_report) keep their own \
+                   CDFGs and ignore the flag.")
+  in
+  let trials =
+    Arg.(value & opt (some positive) None
+         & info [ "trials" ] ~docv:"N"
+             ~doc:(Printf.sprintf
+                     "Size the fault_report and protection_report injection \
+                      campaigns (default %d per kernel or cell) and the \
+                      repair_report survivability campaigns (default %d per \
+                      cell).  The tables are deterministic for a given \
+                      $(docv) at any --jobs."
+                     d.fault_trials d.repair_trials))
+  in
+  let faults =
+    Arg.(value & opt positive d.repair_faults
+         & info [ "faults" ] ~docv:"N"
+             ~doc:"Random permanent faults each repair_report trial injects.")
+  in
+  let mode =
+    Arg.(value
+         & opt (enum [ ("full", Cgra_verify.Repair.Full);
+                       ("incremental", Cgra_verify.Repair.Incremental) ])
+             d.repair_mode
+         & info [ "mode" ] ~docv:"MODE"
+             ~doc:"The repair_report remap strategy: $(b,full) re-searches \
+                   the whole kernel on every repair; $(b,incremental) \
+                   reuses every block the diagnosed faults do not touch and \
+                   re-searches only the dirty ones.  Per-cell campaign \
+                   wall-clock goes to stderr.")
+  in
+  let protect =
+    Arg.(value & opt protection d.protection
+         & info [ "protect" ] ~docv:"LEVEL"
+             ~doc:"Run the fault_report campaigns through the \
+                   context-memory ECC fetch path ($(b,none), $(b,parity), \
+                   $(b,secded), or a per-size-class csv such as \
+                   cm64=secded,cm32=parity,cm16=none) and add the \
+                   detected/corrected columns.  protection_report always \
+                   sweeps all three uniform levels.")
+  in
+  let quick =
+    Arg.(value & flag
+         & info [ "quick" ]
+             ~doc:"Shrink the optimality_report grid to FIR and FFT on \
+                   HOM64 and HOM32, and trim resilience_report's sweeps, \
+                   so CI can smoke them.  Quick and full tables differ.")
+  in
+  let make opt trials repair_faults repair_mode protection quick =
+    { Figures.opt = (if opt then Cgra_exp.Toolchain.Optimized else d.opt);
+      fault_trials = Option.value trials ~default:d.fault_trials;
+      repair_trials = Option.value trials ~default:d.repair_trials;
+      repair_faults; repair_mode; protection; quick }
+  in
+  Term.(const make $ opt $ trials $ faults $ mode $ protect $ quick)
+
+let () =
+  let man =
+    [ `S Manpage.s_description;
+      `P "$(b,alloc_check) maps FIR on HOM64 with the basic flow and fails \
+          if the allocated words per binding attempt regress past the \
+          recorded budget, then simulates FIR on HET2, unprotected and \
+          SECDED, and fails if the minor words per simulated cycle regress \
+          past theirs.";
+      `P "$(b,serve_report) and $(b,resilience_report) measure an \
+          in-process cgra_mapd daemon; their wall-clock numbers are \
+          host-dependent.  Every artifact is deterministic." ]
+  in
+  let exits =
+    [ Cmd.Exit.info 0 ~doc:"on success.";
+      Cmd.Exit.info 1 ~doc:"on a usage error or a failed check." ]
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "main.exe" ~man ~exits
+         ~doc:"regenerate the paper's tables and figures, run the \
+               micro-benchmarks, ablations and smoke checks")
+      Term.(const run $ jobs $ params $ target)
+  in
+  exit (match Cmd.eval_value ~catch:false cmd with Ok _ -> 0 | Error _ -> 1)

@@ -8,7 +8,8 @@
    cgra_map fault -k <kernel> [-c <config>] [-f <flow>] [--seed N]
                   [--trials K] [--show M] [--protect none|parity|secded]
    cgra_map compile <file>        compile a kernel-language source file
-   cgra_map artifacts <name|all>  regenerate paper tables/figures *)
+
+   The paper's tables and figures are regenerated by bench/main.exe. *)
 
 open Cmdliner
 module FC = Cgra_core.Flow_config
@@ -639,38 +640,10 @@ let remote_cmd =
           $ socket $ tcp $ emit $ stats $ clear $ shutdown $ ping $ no_fallback
           $ deadline $ retries $ backend_arg $ protect_arg)
 
-let artifacts_cmd =
-  let doc = "Regenerate the paper's tables and figures." in
-  let which = Arg.(value & pos 0 string "all" & info [] ~docv:"ARTIFACT") in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ]
-             ~doc:"Evaluate the experiment grid with $(docv) domains before \
-                   rendering (default: the machine's recommended domain \
-                   count).  Output is byte-identical at any value."
-             ~docv:"N")
-  in
-  let run jobs which =
-    (match which with
-     | "all" -> Cgra_exp.Runner.warm ?jobs ()
-     | _ -> if jobs <> None then Cgra_exp.Runner.warm ?jobs ());
-    match which with
-    | "all" -> print_string (Cgra_exp.Figures.run_all ())
-    | other -> (
-      match List.assoc_opt other Cgra_exp.Figures.all_artifacts with
-      | Some render -> print_string (render ())
-      | None ->
-        Printf.eprintf "unknown artifact %s (valid: all %s)\n" other
-          (String.concat " " Cgra_exp.Figures.artifact_names);
-        exit 1)
-  in
-  Cmd.v (Cmd.info "artifacts" ~doc) Term.(const run $ jobs $ which)
-
 let () =
   let doc = "context-memory aware mapping tool-chain for CGRAs" in
   let info = Cmd.info "cgra_map" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; map_cmd; fault_cmd; compile_cmd; stats_cmd; remote_cmd;
-            artifacts_cmd ]))
+          [ list_cmd; map_cmd; fault_cmd; compile_cmd; stats_cmd; remote_cmd ]))

@@ -19,7 +19,28 @@ let () =
 let artifact_error artifact fmt =
   Printf.ksprintf (fun reason -> raise (Artifact_error { artifact; reason })) fmt
 
-let table1 () =
+type params = {
+  opt : Toolchain.opt;
+  fault_trials : int;
+  repair_trials : int;
+  repair_faults : int;
+  repair_mode : Cgra_verify.Repair.mode;
+  protection : Cgra_arch.Protection.profile;
+  quick : bool;
+}
+
+let default =
+  {
+    opt = Toolchain.Default;
+    fault_trials = 120;
+    repair_trials = 30;
+    repair_faults = 2;
+    repair_mode = Cgra_verify.Repair.Full;
+    protection = Cgra_arch.Protection.none;
+    quick = false;
+  }
+
+let table1 (_ : params) =
   "Table I: context-memory configurations\n"
   ^ T.render
       ~header:
@@ -29,9 +50,9 @@ let table1 () =
 
 (* ---- Fig 2: context usage of the context-unaware mapping ------------ *)
 
-let fig2 () =
+let fig2 p =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "matm") in
-  match Runner.run_of k Config.HOM64 FC.Basic with
+  match Runner.run_of ~opt:p.opt k Config.HOM64 FC.Basic with
   | Runner.Unmappable u -> artifact_error "fig2" "basic matm must map: %s" u.reason
   | Runner.Mapped r ->
     let usage = M.tile_usage r.Runner.mapping in
@@ -67,7 +88,7 @@ let per_block_moves_pnops (m : M.t) =
         (0, 0) usage)
     m.M.bbs
 
-let fig5 () =
+let fig5 (_ : params) =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fft") in
   let cdfg = K.cdfg k in
   let cgra = Config.cgra Config.HOM64 in
@@ -107,22 +128,22 @@ let fig5 () =
 
 (* ---- Figs 6-8: latency sweeps --------------------------------------- *)
 
-let baseline_cycles k =
-  match Runner.run_of k Config.HOM64 FC.Basic with
+let baseline_cycles p k =
+  match Runner.run_of ~opt:p.opt k Config.HOM64 FC.Basic with
   | Runner.Mapped r -> r.Runner.cycles
   | Runner.Unmappable u ->
     artifact_error "fig6-8" "basic mapping must fit HOM64 for %s: %s" k.K.name
       u.reason
 
-let latency_figure ~title ~flow () =
+let latency_figure ~title ~flow p =
   let rows =
     List.map
       (fun k ->
-        let base = float_of_int (baseline_cycles k) in
+        let base = float_of_int (baseline_cycles p k) in
         let values =
           List.map
             (fun config ->
-              match Runner.run_of k config flow with
+              match Runner.run_of ~opt:p.opt k config flow with
               | Runner.Mapped r -> float_of_int r.Runner.cycles /. base
               | Runner.Unmappable _ -> 0.0)
             configs
@@ -146,14 +167,15 @@ let fig8 = latency_figure ~title:"Fig 8" ~flow:FC.Full
    time on, and unlike seconds it is identical across hosts, system load
    and [--jobs] values — which keeps this artifact byte-reproducible.
    Measured wall-clock times are recorded in EXPERIMENTS.md. *)
-let fig9 () =
+let fig9 p =
   let mean_work flow =
     let samples =
       List.concat_map
         (fun k ->
           List.map
             (fun config ->
-              float_of_int (Runner.compile_work_of (Runner.run_of k config flow)))
+              Runner.run_of ~opt:p.opt k config flow
+              |> Runner.compile_work_of |> float_of_int)
             configs)
         Runner.kernels
     in
@@ -172,7 +194,7 @@ let fig9 () =
 
 (* ---- Fig 10: execution time vs CPU ---------------------------------- *)
 
-let fig10 () =
+let fig10 p =
   let header =
     [ "Kernel"; "CPU cyc"; "HOM64 basic"; "norm"; "HET1 aware"; "norm";
       "HET2 aware"; "norm" ]
@@ -183,7 +205,7 @@ let fig10 () =
       (fun k ->
         let cpu = (Runner.cpu_of k).Runner.cpu_sim.Cgra_cpu.Cpu_sim.cycles in
         let cell config flow =
-          match Runner.run_of k config flow with
+          match Runner.run_of ~opt:p.opt k config flow with
           | Runner.Mapped r ->
             let norm = float_of_int r.Runner.cycles /. float_of_int cpu in
             if flow = FC.Full then speedups := (1.0 /. norm) :: !speedups;
@@ -208,7 +230,7 @@ let fig10 () =
 
 (* ---- Fig 11: area ---------------------------------------------------- *)
 
-let fig11 () =
+let fig11 (_ : params) =
   let module A = Cgra_power.Area in
   let cpu = A.cpu_breakdown () in
   let cpu_total = A.total cpu in
@@ -239,7 +261,7 @@ let fig11 () =
 
 (* ---- Table II: energy ------------------------------------------------ *)
 
-let table2 () =
+let table2 p =
   let module E = Cgra_power.Energy in
   let gains_vs_basic = ref [] and gains_vs_cpu = ref [] in
   let rows =
@@ -247,7 +269,7 @@ let table2 () =
       (fun k ->
         let cpu_uj = E.to_uj (Runner.cpu_of k).Runner.cpu_energy.E.total_pj in
         let cgra config flow =
-          match Runner.run_of k config flow with
+          match Runner.run_of ~opt:p.opt k config flow with
           | Runner.Mapped r -> Some (E.to_uj r.Runner.energy.E.total_pj)
           | Runner.Unmappable _ -> None
         in
@@ -297,8 +319,9 @@ let table2 () =
 (* Not part of the paper (the original flow compiled at -O3, so its
    mapper never saw unoptimized DFGs); this artifact quantifies what the
    [cgra_opt] pipeline recovers from the naive lowering.  Uses the basic
-   mapping flow so the numbers isolate the optimizer, not the search. *)
-let opt_report () =
+   mapping flow so the numbers isolate the optimizer, not the search.
+   It maps both lowerings whatever [p.opt] says. *)
+let opt_report (_ : params) =
   let module P = Cgra_opt.Pipeline in
   let module E = Cgra_power.Energy in
   (* static: pipeline on the naive lowering, per-pass statistics *)
@@ -414,14 +437,14 @@ let opt_report () =
    and [--jobs] — so this report reproduces byte-for-byte; per-block
    wall-clock times are deliberately excluded (the [--trace] option of
    [cgra_map map] dumps them as JSONL for profiling). *)
-let search_report () =
+let search_report p =
   let module S = Cgra_core.Search in
   let config = Config.HET2 and flow = FC.Full in
   let num = string_of_int in
   let block_rows = ref [] and summary_rows = ref [] in
   List.iter
     (fun k ->
-      match Runner.run_of k config flow with
+      match Runner.run_of ~opt:p.opt k config flow with
       | Runner.Unmappable u ->
         summary_rows := [ k.K.name; "-"; "-"; "unmappable: " ^ u.reason ]
                         :: !summary_rows
@@ -469,29 +492,17 @@ let search_report () =
 (* ---- Fault report: single-bit injection campaigns -------------------- *)
 
 (* Not part of the paper: the fault-tolerance experiment the [cgra_verify]
-   layer enables.  Per kernel, [fault_trials] single-bit upsets are
+   layer enables.  Per kernel, [p.fault_trials] single-bit upsets are
    injected into the context memory image, the constant pools or live RF
    state of the full-flow HET2 mapping, and each outcome classified.
    Campaign trials draw from per-trial keyed RNG splits, so the table is
    byte-identical at any [--jobs] value and across reruns. *)
-let fault_trials = Atomic.make 120
-let set_fault_trials n = Atomic.set fault_trials (max 1 n)
 let fault_seed = 7
 
-(* Context-memory protection profile applied by {!fault_report} and the
-   fault-free runs of {!protection_report}'s overhead column — the bench
-   [--protect] flag.  With the default [Protection.none], every renderer
-   below takes its pre-existing path, byte-identically. *)
-let protection : Cgra_arch.Protection.profile Atomic.t =
-  Atomic.make Cgra_arch.Protection.none
-
-let set_protection p = Atomic.set protection p
-
-let fault_report () =
+let fault_report p =
   let module F = Cgra_verify.Fault in
   let config = Config.HET2 and flow = FC.Full in
-  let trials = Atomic.get fault_trials in
-  let prot = Atomic.get protection in
+  let trials = p.fault_trials and prot = p.protection in
   (* The detected/corrected columns exist only on protected campaigns, so
      the protection-off table stays byte-identical to the historical
      fault_report. *)
@@ -500,7 +511,7 @@ let fault_report () =
   let rows =
     List.map
       (fun k ->
-        match Runner.run_of k config flow with
+        match Runner.run_of ~opt:p.opt k config flow with
         | Runner.Unmappable u ->
           [ k.K.name; "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
           @ (if protected_ then [ "-"; "-" ] else [])
@@ -576,12 +587,12 @@ let fault_report () =
    byte-identical at any [--jobs] value. *)
 let protection_seed = 13
 
-let protection_report () =
+let protection_report p =
   let module F = Cgra_verify.Fault in
   let module E = Cgra_power.Energy in
   let module P = Cgra_arch.Protection in
   let flow = FC.Full in
-  let trials = Atomic.get fault_trials in
+  let trials = p.fault_trials in
   let num = string_of_int in
   let esc_totals = ref [] (* (level label, escaped, trials) *) in
   let ovh_totals = ref [] (* (level label, +E%) *) in
@@ -591,7 +602,7 @@ let protection_report () =
       (fun k ->
         List.map
           (fun config ->
-            match Runner.run_of k config flow with
+            match Runner.run_of ~opt:p.opt k config flow with
             | Runner.Unmappable _ ->
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
                 "-"; "-"; "-" ]
@@ -689,29 +700,20 @@ let protection_report () =
 
 (* Not part of the paper: permanent-fault survivability through the
    [Cgra_verify.Repair] detect -> diagnose -> remap loop.  Per kernel and
-   Table-I configuration, [repair_trials] random [repair_faults]-fault
+   Table-I configuration, [p.repair_trials] random [p.repair_faults]-fault
    maps are injected under the full context-aware mapping; each trial
    either leaves the mapping untouched (faults on unused resources),
    repairs it by remapping on the diagnosed degraded array, or gives up.
    Per-trial keyed RNG splits keep the table byte-identical at any
    [--jobs] value. *)
-let repair_trials = Atomic.make 30
-let set_repair_trials n = Atomic.set repair_trials (max 1 n)
-let repair_faults = Atomic.make 2
-let set_repair_faults n = Atomic.set repair_faults (max 1 n)
 let repair_seed = 11
 
-let repair_mode : Cgra_verify.Repair.mode Atomic.t =
-  Atomic.make Cgra_verify.Repair.Full
-
-let set_repair_mode m = Atomic.set repair_mode m
-
-let repair_report () =
+let repair_report p =
   let module R = Cgra_verify.Repair in
   let flow = FC.Full in
-  let trials = Atomic.get repair_trials in
-  let faults = Atomic.get repair_faults in
-  let mode = Atomic.get repair_mode in
+  let trials = p.repair_trials
+  and faults = p.repair_faults
+  and mode = p.repair_mode in
   let mode_label =
     match mode with R.Full -> "full" | R.Incremental -> "incremental"
   in
@@ -727,7 +729,7 @@ let repair_report () =
       (fun k ->
         List.map
           (fun config ->
-            match Runner.run_of k config flow with
+            match Runner.run_of ~opt:p.opt k config flow with
             | Runner.Unmappable u ->
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
                 "-"; "-"; "unmappable: " ^ u.reason ]
@@ -736,6 +738,9 @@ let repair_report () =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
                 ^ FC.preset_label flow ^ "/repair"
               in
+              (* No [~opt] here: [Optimized] would set [optimize], and
+                 every remap would re-run [cgra_opt] on the mapping's
+                 already optimized CDFG. *)
               let config_flow =
                 { (Runner.cell_flow_config k.K.slug config flow) with
                   Cgra_core.Flow_config.degrade = true }
@@ -829,15 +834,12 @@ let repair_report () =
    its context words, cycles and energy next to the beam's.  The exact
    flow is move-free, so "UNSAT" always reads "under the exact encoding"
    (DESIGN.md §5g): the beam may still map the same cell with move
-   chains.  Both sides are deterministic, so the report reproduces
-   byte-for-byte at any [--jobs] value.  [set_optimality_quick] shrinks
-   the grid for CI smoke runs. *)
-let optimality_quick = Atomic.make false
-let set_optimality_quick b = Atomic.set optimality_quick b
-
-let optimality_report () =
+   chains.  Both sides map the same lowering ([p.opt]) and are
+   deterministic, so the report reproduces byte-for-byte at any [--jobs]
+   value.  [p.quick] shrinks the grid for CI smoke runs. *)
+let optimality_report p =
   let module E = Cgra_power.Energy in
-  let quick = Atomic.get optimality_quick in
+  let quick = p.quick in
   let kernels =
     if quick then
       List.filter
@@ -853,11 +855,11 @@ let optimality_report () =
   in
   let exact_cell k config =
     let fc =
-      { (Runner.cell_flow_config k.K.slug config FC.Full) with
+      { (Runner.cell_flow_config ~opt:p.opt k.K.slug config FC.Full) with
         FC.backend = FC.Exact;
         retries = 0 }
     in
-    match Toolchain.run_kernel ~config:fc (Config.cgra config) k with
+    match Toolchain.run_kernel ~opt:p.opt ~config:fc (Config.cgra config) k with
     | Ok (m, x) -> `Mapped (m.Toolchain.mapping, x.Toolchain.sim, x.Toolchain.energy)
     | Error ((Toolchain.Unmapped _ | Toolchain.Unassemblable _) as e) ->
       `Unmapped (Toolchain.error_to_string e)
@@ -871,7 +873,7 @@ let optimality_report () =
         List.map
           (fun config ->
             let beam =
-              match Runner.run_of k config FC.Full with
+              match Runner.run_of ~opt:p.opt k config FC.Full with
               | Runner.Mapped r ->
                 [ string_of_int (words_of r.Runner.mapping);
                   string_of_int r.Runner.cycles;
@@ -918,12 +920,7 @@ let optimality_report () =
           "exact wd"; "exact cyc"; "exact uJ"; "exact note" ]
       ~rows
 
-let run_all () =
-  String.concat "\n"
-    [ table1 (); fig2 (); fig5 (); fig6 (); fig7 (); fig8 (); fig9 ();
-      fig10 (); fig11 (); table2 () ]
-
-(* ---- the artifact name table, shared by bench/main and cgra_map ------- *)
+(* ---- the artifact name table ------------------------------------------ *)
 
 let artifacts =
   [ ("table1", table1); ("fig2", fig2); ("fig5", fig5); ("fig6", fig6);

@@ -15,11 +15,6 @@ let () =
            (Toolchain.error_to_string error))
     | _ -> None)
 
-(* Global mode driven by the bench [--opt] flag; [Default] keeps every
-   seed artifact byte-identical. *)
-let global_opt_mode = Atomic.make Toolchain.Default
-let set_opt_mode m = Atomic.set global_opt_mode m
-
 (* Every grid cell runs on its own split of the SplitMix64 stream, keyed by
    the cell's identity.  The cell's results therefore do not depend on how
    many other cells ran before it, in which order, or on how many domains —
@@ -45,7 +40,6 @@ type run = {
   compile_work : int;
   retries_used : int;
   search : Cgra_core.Search.block_stats list;
-  opt_stats : Cgra_opt.Pipeline.report option;
 }
 
 type cell =
@@ -173,8 +167,7 @@ let cache :
     (string * Cgra_arch.Config.name * FC.preset * Toolchain.opt, cell) Memo.t =
   Memo.create 64
 
-let run_of ?opt k config preset =
-  let opt = match opt with Some m -> m | None -> Atomic.get global_opt_mode in
+let run_of ?(opt = Toolchain.Default) k config preset =
   Memo.get cache (k.K.slug, config, preset, opt) (fun () ->
       let fc = cell_flow_config ~opt k.K.slug config preset in
       let cgra = Cgra_arch.Config.cgra config in
@@ -184,8 +177,7 @@ let run_of ?opt k config preset =
           { mapping; program; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
             compile_work = stats.Cgra_core.Flow.work;
             retries_used = stats.Cgra_core.Flow.retries_used;
-            search = stats.Cgra_core.Flow.search;
-            opt_stats = stats.Cgra_core.Flow.opt }
+            search = stats.Cgra_core.Flow.search }
       | Error (Toolchain.Unmapped f as e) ->
         Unmappable
           { reason = Toolchain.error_to_string e;
@@ -235,10 +227,10 @@ let grid () =
       @ [ `Cpu k ])
     kernels
 
-let warm ?jobs () =
+let warm ?jobs ?opt () =
   Pool.iter ?jobs
     (function
-      | `Cell (k, config, flow) -> ignore (run_of k config flow)
+      | `Cell (k, config, flow) -> ignore (run_of ?opt k config flow)
       | `Cpu k -> ignore (cpu_of k))
     (grid ())
 

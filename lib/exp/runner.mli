@@ -64,14 +64,6 @@ module Memo : sig
       re-claim their keys fresh. *)
 end
 
-val set_opt_mode : Toolchain.opt -> unit
-(** Set the process-wide default mode used when {!run_of} is called
-    without [?opt] — how the bench [--opt] flag switches whole artifacts
-    to optimized kernels.  Call before any cells are computed.  [Raw]
-    and [Optimized] cells carry their mode in the cache key and in the
-    RNG cell key, so they coexist with (and never perturb) the
-    byte-identical [Default] artifacts. *)
-
 val cell_flow_config :
   ?opt:Toolchain.opt ->
   string ->
@@ -97,8 +89,6 @@ type run = {
   search : Cgra_core.Search.block_stats list;
       (** per-block search telemetry of the successful attempt, traversal
           order; deterministic except for the [wall_seconds] field *)
-  opt_stats : Cgra_opt.Pipeline.report option;
-      (** pass statistics when the cell ran in [Optimized] mode *)
 }
 
 type cell =
@@ -111,8 +101,10 @@ val run_of :
   Cgra_arch.Config.name ->
   Cgra_core.Flow_config.preset ->
   cell
-(** Memoized; safe to call concurrently.  [opt] defaults to the
-    process-wide mode ({!set_opt_mode}).  Every cell goes through
+(** Memoized; safe to call concurrently.  [opt] (default [Default])
+    selects the kernel's lowering; [Raw] and [Optimized] cells carry
+    their mode in the cache key and in the RNG cell key, so they coexist
+    with (and never perturb) the [Default] cells.  Every cell goes through
     {!Toolchain.run_kernel}: mapped, validated, simulated against the
     golden model and priced.  No mapping (or an unassemblable one) is
     [Unmappable]; any later stage failing raises {!Failed}. *)
@@ -128,11 +120,11 @@ val cpu_of : Cgra_kernels.Kernel_def.t -> cpu_run
 val compile_work_of : cell -> int
 val kernels : Cgra_kernels.Kernel_def.t list
 
-val warm : ?jobs:int -> unit -> unit
-(** Evaluate the whole grid — every (kernel, configuration, flow) cell
-    plus the CPU baselines — with up to [jobs] domains (default
-    {!Cgra_util.Pool.default_jobs}), filling the cache so subsequent
-    figure rendering is pure table lookup.  Byte-identical artifacts at
+val warm : ?jobs:int -> ?opt:Toolchain.opt -> unit -> unit
+(** Evaluate the whole grid — every (kernel, configuration, flow) cell in
+    [opt] mode (default [Default]) plus the CPU baselines — with up to
+    [jobs] domains (default {!Cgra_util.Pool.default_jobs}), filling the
+    cache so subsequent figure rendering is pure table lookup.  Byte-identical artifacts at
     any [jobs]. *)
 
 val compute_count : unit -> int

@@ -21,7 +21,7 @@ let () =
     | Error e -> Some ("Compile.Error: " ^ error_to_string e)
     | _ -> None)
 
-let compile ?(raw = false) ?(simplify_cfg = false) src =
+let compile ?(raw = false) src =
   match Parser.parse src with
   | exception Ast.Syntax_error (pos, msg) ->
     Stdlib.Error { phase = Syntax; pos = Some pos; msg }
@@ -31,7 +31,6 @@ let compile ?(raw = false) ?(simplify_cfg = false) src =
       Stdlib.Error { phase = Semantic; pos = None; msg }
     | cdfg -> (
       let cdfg = if raw then cdfg else Cgra_ir.Opt.optimize cdfg in
-      let cdfg = if simplify_cfg then Cgra_ir.Opt.simplify_cfg cdfg else cdfg in
       match Cgra_ir.Cdfg.validate cdfg with
       | Ok () -> Stdlib.Ok cdfg
       | Error msg ->

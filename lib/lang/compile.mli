@@ -17,14 +17,10 @@ val error_to_string : error -> string
 (** ["syntax error at line L, col C: msg"] / ["semantic error: msg"] —
     what drivers should print. *)
 
-val compile :
-  ?raw:bool -> ?simplify_cfg:bool -> string -> (Cgra_ir.Cdfg.t, error) result
-(** Parse, lower, clean up and validate.  [simplify_cfg] (default false)
-    additionally short-circuits trivial forwarding blocks — each block
-    costs a controller transition cycle on the CGRA.  [raw] (default
-    false) lowers naively ({!Lower.lower}[ ~naive:true]) and skips the
-    {!Cgra_ir.Opt} clean-up: the unoptimized baseline for the [cgra_opt]
-    pipeline. *)
+val compile : ?raw:bool -> string -> (Cgra_ir.Cdfg.t, error) result
+(** Parse, lower, clean up and validate.  [raw] (default false) lowers
+    naively ({!Lower.lower}[ ~naive:true]) and skips the {!Cgra_ir.Opt}
+    clean-up: the unoptimized baseline for the [cgra_opt] pipeline. *)
 
 val compile_exn : ?raw:bool -> string -> Cgra_ir.Cdfg.t
 (** Like {!compile} but raises {!Error}. *)

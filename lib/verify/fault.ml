@@ -100,9 +100,9 @@ let reassemble_tile (tp : Asm.tile_program) (words : int64 array) =
     in
     Ok { tp with Asm.sections }
 
-let run_trial ~key ~seed ~mem_ports ~max_blocks ~(program : Asm.program)
-    ~ctx_words ~ctx_sites ~crf_sites ~golden_cycles ~fresh_mem ~golden ~protect
-    ~cm_only index =
+let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
+    ~ctx_sites ~crf_sites ~golden_cycles ~fresh_mem ~golden ~protect ~cm_only
+    index =
   let rng = Rng.create (Rng.seed_of ~base:seed (key ^ "#" ^ string_of_int index)) in
   let cgra = program.Asm.mapping.Cgra_core.Mapping.cgra in
   let nt = Cgra.tile_count cgra in
@@ -215,13 +215,13 @@ let run_trial ~key ~seed ~mem_ports ~max_blocks ~(program : Asm.program)
       let mem = fresh_mem () in
       match protect with
       | None -> (
-        match Sim.run ~mem_ports ~max_blocks ~rf_faults p ~mem with
+        match Sim.run ~max_blocks ~rf_faults p ~mem with
         | exception Sim.Sim_error (Sim.Runaway _) -> Hang
         | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
         | _ -> if mem = golden then Masked else Wrong_output)
       | Some pr -> (
         let pr = { pr with Sim.upsets } in
-        match Sim.run ~mem_ports ~max_blocks ~rf_faults ~protect:pr p ~mem with
+        match Sim.run ~max_blocks ~rf_faults ~protect:pr p ~mem with
         | exception Sim.Sim_error (Sim.Runaway _) -> Hang
         | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> Detected
         | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
@@ -234,8 +234,8 @@ let run_trial ~key ~seed ~mem_ports ~max_blocks ~(program : Asm.program)
   in
   { index; injection; outcome }
 
-let run_campaign ?jobs ?(mem_ports = 8) ?protect ?(cm_only = false) ~seed
-    ~trials ~key ~fresh_mem (program : Asm.program) =
+let run_campaign ?jobs ?protect ?(cm_only = false) ~seed ~trials ~key
+    ~fresh_mem (program : Asm.program) =
   (* An all-Unprotected profile is the same campaign as no profile at all;
      normalise so the unprotected path stays the pre-existing one. *)
   let protect =
@@ -250,7 +250,7 @@ let run_campaign ?jobs ?(mem_ports = 8) ?protect ?(cm_only = false) ~seed
     | Some _ | None -> None
   in
   let golden = fresh_mem () in
-  let baseline = Sim.run ~mem_ports ?protect program ~mem:golden in
+  let baseline = Sim.run ?protect program ~mem:golden in
   (* Corrupted control flow must terminate quickly: anything running past a
      generous multiple of the fault-free block count is a hang. *)
   let max_blocks = (baseline.Sim.blocks_executed * 4) + 64 in
@@ -261,7 +261,7 @@ let run_campaign ?jobs ?(mem_ports = 8) ?protect ?(cm_only = false) ~seed
   in
   let runs =
     Pool.map ?jobs
-      (run_trial ~key ~seed ~mem_ports ~max_blocks ~program ~ctx_words ~ctx_sites
+      (run_trial ~key ~seed ~max_blocks ~program ~ctx_words ~ctx_sites
          ~crf_sites ~golden_cycles:baseline.Sim.cycles ~fresh_mem ~golden
          ~protect ~cm_only)
       (List.init trials Fun.id)

@@ -58,7 +58,6 @@ val outcome_to_string : outcome -> string
 
 val run_campaign :
   ?jobs:int ->
-  ?mem_ports:int ->
   ?protect:Cgra_arch.Protection.profile ->
   ?cm_only:bool ->
   seed:int ->

@@ -133,8 +133,11 @@ let dirty_blocks (m : M.t) faults =
   let kept = Array.map (fun h -> if bad_tile h then -1 else h) m.M.homes in
   (dirty, kept)
 
-let repair ?(max_rounds = 4) ?(mem_ports = 8) ?(mode = Full) ~config ~injected
-    ~fresh_mem ~golden (pristine_m : M.t) =
+(* Diagnosis rounds before a repair gives up as non-converging. *)
+let max_rounds = 4
+
+let repair ?(mode = Full) ~config ~injected ~fresh_mem ~golden
+    (pristine_m : M.t) =
   let pristine = pristine_m.M.cgra in
   let truth = Cgra.degrade pristine injected in
   let detected = detect ~truth pristine_m in
@@ -190,7 +193,7 @@ let repair ?(max_rounds = 4) ?(mem_ports = 8) ?(mode = Full) ~config ~injected
                           rounds = round } )
                 | p -> (
                     let mem = fresh_mem () in
-                    match Sim.run ~mem_ports p ~mem with
+                    match Sim.run p ~mem with
                     | exception Sim.Sim_error e ->
                         ( faults',
                           Gave_up
@@ -311,12 +314,12 @@ let summarize ~pristine_cycles ~pristine_energy_pj runs =
       mean_cycle_overhead = covh /. float_of_int s.repaired;
       mean_energy_overhead = eovh /. float_of_int s.repaired }
 
-let run_campaign ?jobs ?(mem_ports = 8) ?(max_rounds = 4) ?(mode = Full) ~seed
-    ~trials ~faults ~key ~config ~fresh_mem (pristine_m : M.t) =
+let run_campaign ?jobs ?(mode = Full) ~seed ~trials ~faults ~key ~config
+    ~fresh_mem (pristine_m : M.t) =
   let pristine = pristine_m.M.cgra in
   let program = Asm.assemble pristine_m in
   let golden = fresh_mem () in
-  let baseline = Sim.run ~mem_ports program ~mem:golden in
+  let baseline = Sim.run program ~mem:golden in
   let pristine_energy_pj = (Energy.cgra pristine baseline).Energy.total_pj in
   let run_trial index =
     let rng =
@@ -333,8 +336,7 @@ let run_campaign ?jobs ?(mem_ports = 8) ?(max_rounds = 4) ?(mode = Full) ~seed
     in
     { index;
       trace =
-        repair ~max_rounds ~mem_ports ~mode ~config ~injected ~fresh_mem
-          ~golden pristine_m }
+        repair ~mode ~config ~injected ~fresh_mem ~golden pristine_m }
   in
   let runs = Pool.map ?jobs run_trial (List.init trials Fun.id) in
   {

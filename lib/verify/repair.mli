@@ -84,8 +84,6 @@ val dirty_blocks :
     block touches any faulted tile. *)
 
 val repair :
-  ?max_rounds:int ->
-  ?mem_ports:int ->
   ?mode:mode ->
   config:Cgra_core.Flow_config.t ->
   injected:Cgra_arch.Cgra.fault list ->
@@ -95,8 +93,8 @@ val repair :
   trace
 (** Run the full loop for one injected fault map against the pristine
     mapping.  [golden] is the fault-free memory image the repaired
-    program must reproduce; [max_rounds] bounds the diagnosis iterations
-    (default 4); [mode] (default [Full]) selects whole-kernel or
+    program must reproduce; diagnosis runs at most 4 rounds before the
+    trial gives up; [mode] (default [Full]) selects whole-kernel or
     incremental remaps — both must converge to a golden-PASS repair,
     incremental just spends less search on it. *)
 
@@ -129,8 +127,6 @@ type campaign = {
 
 val run_campaign :
   ?jobs:int ->
-  ?mem_ports:int ->
-  ?max_rounds:int ->
   ?mode:mode ->
   seed:int ->
   trials:int ->

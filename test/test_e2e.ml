@@ -111,13 +111,14 @@ let test_aware_uses_less_context () =
 
 let test_fig5_reductions () =
   (* Section III-D-1: the weighted traversal reduces moves and pnops *)
-  let s = Cgra_exp.Figures.fig5 () in
+  let s = Cgra_exp.Figures.(fig5 default) in
   Alcotest.(check bool) "report generated" true (String.length s > 100)
 
 let test_artifacts_render () =
   List.iter
     (fun (name, f) ->
-      Alcotest.(check bool) (name ^ " renders") true (String.length (f ()) > 50))
+      Alcotest.(check bool) (name ^ " renders") true
+        (String.length (f Cgra_exp.Figures.default) > 50))
     [ ("table1", Cgra_exp.Figures.table1);
       ("fig2", Cgra_exp.Figures.fig2);
       ("fig11", Cgra_exp.Figures.fig11) ]

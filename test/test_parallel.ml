@@ -298,7 +298,7 @@ let test_search_report_jobs_invariant () =
     Pool.iter ~jobs
       (fun k -> ignore (Runner.run_of k Cgra_arch.Config.HET2 FC.Full))
       Runner.kernels;
-    Cgra_exp.Figures.search_report ()
+    Cgra_exp.Figures.(search_report default)
   in
   Alcotest.(check string) "search_report identical at jobs 1 vs 4" (report 1)
     (report 4)

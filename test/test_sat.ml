@@ -346,6 +346,57 @@ let test_deadline_fired_typed () =
       Alcotest.(check bool) "where is recorded" true (String.length where > 0)
     | None -> Alcotest.failf "failure not typed as timeout: %s" f.Flow.reason)
 
+(* The optimality report's two sides map the same lowering: under
+   [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
+   harness cell, and its exact columns are the exact backend run on the
+   optimized kernel under the report's own exact configuration. *)
+let test_optimality_report_opt () =
+  let module T = Cgra_util.Text_table in
+  let module E = Cgra_power.Energy in
+  let module Toolchain = Cgra_exp.Toolchain in
+  let module Figures = Cgra_exp.Figures in
+  let opt = Toolchain.Optimized in
+  let k = kernel "fft" and config = Config.HOM64 in
+  let report =
+    Figures.optimality_report { Figures.default with opt; quick = true }
+  in
+  let columns words cycles (energy : E.breakdown) =
+    [ string_of_int words; string_of_int cycles;
+      T.float_cell (E.to_uj energy.E.total_pj) ]
+  in
+  let words_of mapping =
+    Array.fold_left (fun a u -> a + M.usage_total u) 0 (M.tile_usage mapping)
+  in
+  let beam =
+    match R.run_of ~opt k config FC.Full with
+    | R.Mapped r -> columns (words_of r.R.mapping) r.R.cycles r.R.energy
+    | R.Unmappable u -> Alcotest.failf "beam FFT@HOM64: %s" u.reason
+  in
+  let exact =
+    let fc =
+      { (R.cell_flow_config ~opt "fft" config FC.Full) with
+        FC.backend = FC.Exact;
+        retries = 0 }
+    in
+    match Toolchain.run_kernel ~opt ~config:fc (Config.cgra config) k with
+    | Ok (m, x) ->
+      columns (words_of m.Toolchain.mapping)
+        x.Toolchain.sim.Cgra_sim.Simulator.cycles x.Toolchain.energy
+    | Error e ->
+      Alcotest.failf "exact FFT@HOM64: %s" (Toolchain.error_to_string e)
+  in
+  let row =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | "FFT" :: "HOM64" :: cells -> Some cells
+        | _ -> None)
+      (String.split_on_char '\n' report)
+  in
+  Alcotest.(check (option (list string)))
+    "FFT@HOM64 row: optimized beam cell, then optimized exact run"
+    (Some (beam @ exact)) row
+
 let suite =
   [
     ( "sat.solver",
@@ -375,5 +426,7 @@ let suite =
           test_deadline_unfired_identical;
         Alcotest.test_case "fired deadline is a typed failure" `Quick
           test_deadline_fired_typed;
+        Alcotest.test_case "optimality report maps one lowering" `Slow
+          test_optimality_report_opt;
       ] );
   ]
