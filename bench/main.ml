@@ -246,6 +246,14 @@ let sim_budget_words_per_cycle =
   [ ("unprotected", None, 80.0);
     ("secded", Some Cgra_arch.Protection.secded, 90.0) ]
 
+(* Budget for the exact backend, in words allocated per SAT probe of
+   [Flow.run] (FIR @ HOM64, basic flow, [backend = Exact]): building each
+   probe's instance and solving it.  Counted with [Gc.allocated_bytes],
+   so arrays allocated straight into the major heap count too.  The
+   same kind of bound again: ~1.5x the value measured at the time of
+   recording (628,944 words/probe). *)
+let exact_budget_words_per_probe = 940_000.0
+
 let check_budget ~what ~unit per budget =
   Printf.printf "alloc_check: %s = %.1f %s (budget %.1f)\n" what per unit
     budget;
@@ -318,11 +326,42 @@ let sim_alloc_ok () =
     sim_budget_words_per_cycle
   |> List.for_all Fun.id
 
+let exact_alloc_ok () =
+  let config =
+    { Cgra_core.Flow_config.basic with
+      Cgra_core.Flow_config.backend = Cgra_core.Flow_config.Exact }
+  in
+  let before = Gc.allocated_bytes () in
+  match
+    Cgra_core.Flow.run ~config
+      (Cgra_arch.Config.cgra Cgra_arch.Config.HOM64)
+      fir_cdfg
+  with
+  | Error f ->
+    Printf.eprintf "alloc_check: FIR must map exactly on HOM64: %s\n"
+      f.Cgra_core.Flow.reason;
+    exit 1
+  | Ok (_, stats) ->
+    let words =
+      (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+    in
+    (* the exact backend reports its probes (solver calls) as rounds *)
+    let probes =
+      List.fold_left
+        (fun n (b : Cgra_core.Search.block_stats) -> n + b.Cgra_core.Search.rounds)
+        0 stats.Cgra_core.Flow.search
+    in
+    Printf.printf "alloc_check: %.0f words over %d exact probes\n" words probes;
+    check_budget ~what:"exact backend" ~unit:"words/probe"
+      (words /. float_of_int (max 1 probes))
+      exact_budget_words_per_probe
+
 let run_alloc_check () =
-  (* both checks always run and report *)
+  (* every check always runs and reports *)
   let search = search_alloc_ok () in
   let sim = sim_alloc_ok () in
-  if search && sim then print_endline "alloc_check: OK" else exit 1
+  let exact = exact_alloc_ok () in
+  if search && sim && exact then print_endline "alloc_check: OK" else exit 1
 
 (* ---- serve_report ------------------------------------------------------ *)
 
@@ -814,7 +853,8 @@ let () =
           if the allocated words per binding attempt regress past the \
           recorded budget, then simulates FIR on HET2, unprotected and \
           SECDED, and fails if the minor words per simulated cycle regress \
-          past theirs.";
+          past theirs, then maps FIR on HOM64 with the exact backend and \
+          fails if the words allocated per SAT probe regress past theirs.";
       `P "$(b,serve_report) and $(b,resilience_report) measure an \
           in-process cgra_mapd daemon; their wall-clock numbers are \
           host-dependent.  Every artifact is deterministic." ]

@@ -59,21 +59,11 @@ let value_of_operand = function
 
 (* A literal that may be constantly true or false: home tiles of
    pinned symbols and out-of-window placements fold to constants
-   instead of allocating variables. *)
-type plit = T | F | L of int
-
-(* [x -> OR lits], dropping false disjuncts; a [T] disjunct makes the
-   clause vacuous.  An all-false right-hand side forces [not x]. *)
-let add_imp solver x lits =
-  let rec go acc = function
-    | [] -> Some acc
-    | T :: _ -> None
-    | F :: rest -> go acc rest
-    | L v :: rest -> go (v :: acc) rest
-  in
-  match go [] lits with
-  | None -> ()
-  | Some ls -> S.add_clause solver (-x :: ls)
+   instead of allocating variables.  Every encoder variable is used as
+   its positive literal, so an int carries all three cases: [ff] (0),
+   [tt] (-1), or the variable itself. *)
+let ff = 0
+let tt = -1
 
 type model = {
   m_place : (int * int) array; (* item -> (tile, cycle) *)
@@ -313,7 +303,8 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
     List.filter (Cgra.alive cgra) (List.init nt (fun t -> t))
   in
   let usable_tiles = List.filter usable alive_tiles in
-  let nbr1 t = t :: Cgra.neighbors cgra t in
+  (* Closed torus neighbourhoods, computed once per attempt. *)
+  let nbr1 = Array.init nt (fun t -> t :: Cgra.neighbors cgra t) in
   let { blk; n_nodes; items; absorbed; cond_node = _; writers; syms; groups; lb; db; _ }
       =
     ctx
@@ -321,6 +312,29 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
   let n_items = Array.length items in
   (* Per-item placement window: ALAP bound from the depth below. *)
   let ub i = h - 1 - db.(i) in
+  (* Clause emitters over possibly-constant literals.  Literal order
+     inside a clause is free (the solver sorts); the order of clauses
+     and of [new_var] calls is what fixes the instance. *)
+  let imp x l =
+    (* x -> l *)
+    if l = ff then S.add_clause solver [ -x ]
+    else if l <> tt then S.add_clause solver [ -x; l ]
+  in
+  let imp2 x a b =
+    (* x -> a \/ b, for [a] and [b] never [tt] *)
+    S.add_clause solver
+      (if a = ff then if b = ff then [ -x ] else [ -x; b ]
+       else if b = ff then [ -x; a ]
+       else [ -x; a; b ])
+  in
+  (* [lit t] for each of [tiles] that is not [ff], consed onto [acc];
+     for literal functions that never return [tt]. *)
+  let rec lits_over lit acc = function
+    | [] -> acc
+    | t :: rest ->
+      let l = lit t in
+      lits_over lit (if l = ff then acc else l :: acc) rest
+  in
   (* Symbol homes: pinned syms fold to constants, free syms get hv
      variables over the alive tiles (a home needs no context word, so
      capacity-full tiles still qualify). *)
@@ -336,26 +350,38 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       (fun s -> homes.(s) < 0)
       (List.init (Array.length homes) (fun s -> s))
   in
-  let hv = Hashtbl.create 16 in
+  (* [hv.(s * nt + t)]: the variable homing free symbol [s] on tile [t],
+     or 0 (dead tile, or [s] pinned). *)
+  let hv = Array.make (Array.length homes * nt) 0 in
   List.iter
     (fun s ->
-      let vars = List.map (fun t -> (t, S.new_var solver)) alive_tiles in
-      List.iter (fun (t, v) -> Hashtbl.replace hv (s, t) v) vars;
-      Cnf.exactly_one solver (List.map snd vars))
+      Cnf.exactly_one solver
+        (List.map
+           (fun t ->
+             let v = S.new_var solver in
+             hv.((s * nt) + t) <- v;
+             v)
+           alive_tiles))
     free_syms;
   let home_lit s t =
-    if homes.(s) >= 0 then if homes.(s) = t then T else F
-    else match Hashtbl.find_opt hv (s, t) with Some v -> L v | None -> F
+    if homes.(s) >= 0 then if homes.(s) = t then tt else ff
+    else hv.((s * nt) + t)
+  in
+  (* x -> [s] homes on [t] or a torus neighbour of it. *)
+  let imp_home_near x s t =
+    if homes.(s) < 0 then
+      S.add_clause solver (-x :: lits_over (home_lit s) [] nbr1.(t))
+    else if not (List.mem homes.(s) nbr1.(t)) then S.add_clause solver [ -x ]
   in
   (* Kernel-wide home-adjacency groups: each needs some candidate tile
      hosting its anchors with every near symbol's home within reach.
      Tiles contradicting an already-pinned home are filtered out here;
      a group whose symbols are all pinned was honoured by the block
      that pinned them, so only groups touching a free symbol encode. *)
+  let free s = homes.(s) < 0 in
   List.iter
     (fun g ->
-      if List.exists (fun s -> homes.(s) < 0) (g.g_anchors @ g.g_near)
-      then begin
+      if List.exists free g.g_anchors || List.exists free g.g_near then begin
         let candidates =
           List.filter
             (fun t ->
@@ -366,7 +392,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
                    (fun a -> homes.(a) < 0 || homes.(a) = t)
                    g.g_anchors
               && List.for_all
-                   (fun s -> homes.(s) < 0 || List.mem homes.(s) (nbr1 t))
+                   (fun s -> homes.(s) < 0 || List.mem homes.(s) nbr1.(t))
                    g.g_near)
             alive_tiles
         in
@@ -380,13 +406,10 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
               (fun t ->
                 let sel = S.new_var solver in
                 List.iter
-                  (fun a ->
-                    if homes.(a) < 0 then add_imp solver sel [ home_lit a t ])
+                  (fun a -> if free a then imp sel (home_lit a t))
                   g.g_anchors;
                 List.iter
-                  (fun s ->
-                    if homes.(s) < 0 then
-                      add_imp solver sel (List.map (home_lit s) (nbr1 t)))
+                  (fun s -> if free s then imp_home_near sel s t)
                   g.g_near;
                 sel)
               candidates
@@ -417,22 +440,19 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
         tiles)
       items
   in
-  let x = Array.init n_items (fun _ -> Array.make (nt * h) 0) in
+  (* [x.(xi i t c)]: item [i] on tile [t] at cycle [c], or 0. *)
+  let x = Array.make (n_items * nt * h) 0 in
+  let xi i t c = ((i * nt) + t) * h + c in
   Array.iteri
     (fun i tiles ->
       List.iter
         (fun t ->
           for c = lb.(i) to ub i do
-            x.(i).((t * h) + c) <- S.new_var solver
+            x.(xi i t c) <- S.new_var solver
           done)
         tiles)
     dom;
-  let xl i t c =
-    if c < 0 || c >= h then F
-    else
-      let v = x.(i).((t * h) + c) in
-      if v = 0 then F else L v
-  in
+  let xl i t c = if c < 0 || c >= h then ff else x.(xi i t c) in
   (* Exactly-one placement per item (an empty domain is an immediate,
      honest UNSAT: no tile can host the item at any cycle). *)
   Array.iteri
@@ -441,7 +461,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       List.iter
         (fun t ->
           for c = ub i downto lb.(i) do
-            let v = x.(i).((t * h) + c) in
+            let v = x.(xi i t c) in
             if v <> 0 then vars := v :: !vars
           done)
         dom.(i);
@@ -461,38 +481,30 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       | Wcopy { value = Mapping.Vnode j; _ } -> node_read.(j) <- true
       | Op _ | Wcopy _ | Ccopy _ -> ())
     items;
-  let y = Array.init (max 1 n_nodes) (fun _ -> [||]) in
+  (* [y.(yi j t c)], 0 where no variable exists. *)
+  let y = Array.make (n_nodes * nt * h) 0 in
+  let yi j t c = ((j * nt) + t) * h + c in
   for j = 0 to n_nodes - 1 do
     if node_read.(j) then begin
-      let a = Array.make (nt * h) 0 in
-      y.(j) <- a;
       let first = lb.(j) + 1 in
       List.iter
         (fun t ->
           for c = first to h - 1 do
-            a.((t * h) + c) <- S.new_var solver
+            y.(yi j t c) <- S.new_var solver
           done;
           for c = first to h - 1 do
-            let yc = a.((t * h) + c) in
-            let prev = if c = first then F else L a.((t * h) + c - 1) in
+            let yc = y.(yi j t c) in
+            let prev = if c = first then ff else y.(yi j t (c - 1)) in
             let xc = xl j t (c - 1) in
             (* yc <-> prev \/ x(j,t,c-1) *)
-            add_imp solver yc [ prev; xc ];
-            (match prev with L p -> S.add_clause solver [ -p; yc ] | _ -> ());
-            (match xc with L v -> S.add_clause solver [ -v; yc ] | _ -> ())
+            imp2 yc prev xc;
+            if prev <> ff then S.add_clause solver [ -prev; yc ];
+            if xc <> ff then S.add_clause solver [ -xc; yc ]
           done)
         dom.(j)
     end
   done;
-  let yl j t c =
-    if c < 1 || c >= h then F
-    else
-      let a = y.(j) in
-      if Array.length a = 0 then F
-      else
-        let v = a.((t * h) + c) in
-        if v = 0 then F else L v
-  in
+  let yl j t c = if c < 1 || c >= h then ff else y.(yi j t c) in
   (* z(i,c): item i executed anywhere strictly before c.  Needed for
      memory-ordering edges and for symbol write/read sequencing. *)
   let z_needed = Array.make n_items false in
@@ -500,39 +512,34 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
     (fun nd -> List.iter (fun m -> z_needed.(m) <- true) nd.Cdfg.mem_dep)
     blk.Cdfg.nodes;
   List.iter (fun (_, w) -> z_needed.(w) <- true) writers;
-  let z = Array.init n_items (fun _ -> [||]) in
+  (* [z.(i * h + c)], 0 where no variable exists. *)
+  let z = Array.make (n_items * h) 0 in
   for i = 0 to n_items - 1 do
     if z_needed.(i) then begin
-      let a = Array.make h 0 in
-      z.(i) <- a;
       for c = 1 to h - 1 do
-        a.(c) <- S.new_var solver
+        z.((i * h) + c) <- S.new_var solver
       done;
       for c = 1 to h - 1 do
-        let zc = a.(c) in
-        let prev = if c = 1 then F else L a.(c - 1) in
-        let row = List.map (fun t -> xl i t (c - 1)) dom.(i) in
-        add_imp solver zc (prev :: row);
-        (match prev with L p -> S.add_clause solver [ -p; zc ] | _ -> ());
+        let zc = z.((i * h) + c) in
+        let prev = if c = 1 then ff else z.((i * h) + c - 1) in
+        let row = lits_over (fun t -> xl i t (c - 1)) [] dom.(i) in
+        S.add_clause solver (-zc :: (if prev = ff then row else prev :: row));
+        if prev <> ff then S.add_clause solver [ -prev; zc ];
         List.iter
-          (function L v -> S.add_clause solver [ -v; zc ] | _ -> ())
-          row
+          (fun t ->
+            let v = xl i t (c - 1) in
+            if v <> ff then S.add_clause solver [ -v; zc ])
+          dom.(i)
       done
     end
   done;
-  let zl i c =
-    if c < 1 then F
-    else if c >= h then T
-    else
-      let a = z.(i) in
-      if Array.length a = 0 then F else L a.(c)
-  in
+  let zl i c = if c < 1 then ff else if c >= h then tt else z.((i * h) + c) in
   (* Operand, ordering and symbol-home constraints per placement. *)
   let for_each_x i f =
     List.iter
       (fun t ->
         for c = lb.(i) to ub i do
-          let v = x.(i).((t * h) + c) in
+          let v = x.(xi i t c) in
           if v <> 0 then f t c v
         done)
       dom.(i)
@@ -547,33 +554,31 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
               (function
                 | Cdfg.Imm _ -> ()
                 | Cdfg.Node m ->
-                  add_imp solver v (List.map (fun t' -> yl m t' c) (nbr1 t))
-                | Cdfg.Sym s ->
-                  add_imp solver v (List.map (home_lit s) (nbr1 t)))
+                  S.add_clause solver
+                    (-v :: lits_over (fun t' -> yl m t' c) [] nbr1.(t))
+                | Cdfg.Sym s -> imp_home_near v s t)
               nd.Cdfg.operands;
-            List.iter (fun m -> add_imp solver v [ zl m c ]) nd.Cdfg.mem_dep;
+            List.iter (fun m -> imp v (zl m c)) nd.Cdfg.mem_dep;
             match absorbed.(n) with
-            | Some s -> add_imp solver v [ home_lit s t ]
+            | Some s -> imp v (home_lit s t)
             | None -> ())
       | Wcopy { sym; value } ->
         for_each_x i (fun t c v ->
-            add_imp solver v [ home_lit sym t ];
+            imp v (home_lit sym t);
             match value with
-            | Mapping.Vnode j -> add_imp solver v [ yl j t c ]
-            | Mapping.Vsym s' -> add_imp solver v [ home_lit s' t ]
+            | Mapping.Vnode j -> imp v (yl j t c)
+            | Mapping.Vsym s' -> imp v (home_lit s' t)
             | Mapping.Vimm _ -> ())
       | Ccopy { value } -> (
-        for_each_x i (fun t c v ->
-            ignore c;
-            match value with
-            | Mapping.Vsym s -> add_imp solver v [ home_lit s t ]
-            | Mapping.Vnode _ | Mapping.Vimm _ -> ());
+        (match value with
+        | Mapping.Vsym s -> for_each_x i (fun t _ v -> imp v (home_lit s t))
+        | Mapping.Vnode _ | Mapping.Vimm _ -> ());
         (* A branch on a written symbol tests the new value: the export
            copy must run strictly after the write. *)
         match value with
         | Mapping.Vsym s -> (
           match List.assoc_opt s writers with
-          | Some w -> for_each_x i (fun _ c v -> add_imp solver v [ zl w c ])
+          | Some w -> for_each_x i (fun _ c v -> imp v (zl w c))
           | None -> ())
         | Mapping.Vnode _ | Mapping.Vimm _ -> ()))
     items;
@@ -602,10 +607,9 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
         (fun r ->
           if r <> w then
             for_each_x r (fun _ c v ->
-                match zl w c with
-                | L zv -> S.add_clause solver [ -v; -zv ]
-                | T -> S.add_clause solver [ -v ]
-                | F -> ()))
+                let zv = zl w c in
+                if zv = tt then S.add_clause solver [ -v ]
+                else if zv <> ff then S.add_clause solver [ -v; -zv ]))
         !readers)
     writers;
   (* Occupancy exclusivity, busy/after/pnop-start chains and the exact
@@ -624,17 +628,17 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
         let b = busy.((t * h) + c) in
         let occupants = ref [] in
         for i = n_items - 1 downto 0 do
-          let v = x.(i).((t * h) + c) in
+          let v = x.(xi i t c) in
           if v <> 0 then occupants := v :: !occupants
         done;
         Cnf.at_most_one solver !occupants;
-        add_imp solver b (List.map (fun v -> L v) !occupants);
+        S.add_clause solver (-b :: !occupants);
         List.iter (fun v -> S.add_clause solver [ -v; b ]) !occupants;
         let a = after.((t * h) + c) in
-        let nxt = if c = h - 1 then F else L after.((t * h) + c + 1) in
-        add_imp solver a [ L b; nxt ];
+        let nxt = if c = h - 1 then ff else after.((t * h) + c + 1) in
+        imp2 a b nxt;
         S.add_clause solver [ -b; a ];
-        (match nxt with L n -> S.add_clause solver [ -n; a ] | _ -> ());
+        if nxt <> ff then S.add_clause solver [ -nxt; a ];
         let p = ps.((t * h) + c) in
         S.add_clause solver [ -p; -b ];
         S.add_clause solver [ -p; a ];
@@ -661,13 +665,11 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       List.iter
         (fun s ->
           let fw = future.(s) in
-          if fw > 0 then
-            match Hashtbl.find_opt hv (s, t) with
-            | Some v ->
-              for _ = 1 to fw do
-                pad := v :: !pad
-              done
-            | None -> ())
+          let v = hv.((s * nt) + t) in
+          if fw > 0 && v <> 0 then
+            for _ = 1 to fw do
+              pad := v :: !pad
+            done)
         free_syms;
       if bound < h + List.length !pad then begin
         let words = ref !pad in
@@ -685,10 +687,9 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       if not (usable t) then
         List.iter
           (fun s ->
-            if future.(s) > max 0 cap.(t) then
-              match Hashtbl.find_opt hv (s, t) with
-              | Some v -> S.add_clause solver [ -v ]
-              | None -> ())
+            let v = hv.((s * nt) + t) in
+            if future.(s) > max 0 cap.(t) && v <> 0 then
+              S.add_clause solver [ -v ])
           free_syms)
     alive_tiles;
   (* Solve and extract. *)
@@ -723,7 +724,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
           List.iter
             (fun t ->
               for c = lb.(i) to h - 1 do
-                let v = x.(i).((t * h) + c) in
+                let v = x.(xi i t c) in
                 if v <> 0 && S.value solver v then found := (t, c)
               done)
             dom.(i);
@@ -734,8 +735,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       List.map
         (fun s ->
           let t =
-            List.find (fun t -> S.value solver (Hashtbl.find hv (s, t)))
-              alive_tiles
+            List.find (fun t -> S.value solver hv.((s * nt) + t)) alive_tiles
           in
           (s, t))
         block_free_syms

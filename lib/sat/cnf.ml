@@ -8,26 +8,36 @@ let at_most_k solver lits k =
   else if k = 0 then
     List.iter (fun l -> Solver.add_clause solver [ -l ]) lits
   else if n > k then begin
-    let xs = Array.of_list lits in
-    (* regs.(i).(j) = "at least j+1 of xs.(0..i) are true", for
-       i in 0..n-2 (the last literal needs no register column). *)
-    let regs =
-      Array.init (n - 1) (fun _ -> Array.init k (fun _ -> Solver.new_var solver))
+    (* reg i j = "at least j+1 of the first i+1 literals are true", for
+       i in 0..n-2 (the last literal needs no register column).  The
+       registers are allocated row by row up front, so they are
+       consecutive variables from [first]. *)
+    let first = Solver.nvars solver + 1 in
+    for _ = 1 to (n - 1) * k do
+      ignore (Solver.new_var solver)
+    done;
+    let reg i j = first + (i * k) + j in
+    let rec rows i = function
+      | [ x ] -> Solver.add_clause solver [ -x; -reg (i - 1) (k - 1) ]
+      | x :: rest ->
+        Solver.add_clause solver [ -x; reg i 0 ];
+        Solver.add_clause solver [ -reg (i - 1) 0; reg i 0 ];
+        for j = 1 to k - 1 do
+          Solver.add_clause solver [ -x; -reg (i - 1) (j - 1); reg i j ];
+          Solver.add_clause solver [ -reg (i - 1) j; reg i j ]
+        done;
+        Solver.add_clause solver [ -x; -reg (i - 1) (k - 1) ];
+        rows (i + 1) rest
+      | [] -> ()
     in
-    Solver.add_clause solver [ -xs.(0); regs.(0).(0) ];
-    for j = 1 to k - 1 do
-      Solver.add_clause solver [ -regs.(0).(j) ]
-    done;
-    for i = 1 to n - 2 do
-      Solver.add_clause solver [ -xs.(i); regs.(i).(0) ];
-      Solver.add_clause solver [ -regs.(i - 1).(0); regs.(i).(0) ];
+    match lits with
+    | x0 :: rest ->
+      Solver.add_clause solver [ -x0; reg 0 0 ];
       for j = 1 to k - 1 do
-        Solver.add_clause solver [ -xs.(i); -regs.(i - 1).(j - 1); regs.(i).(j) ];
-        Solver.add_clause solver [ -regs.(i - 1).(j); regs.(i).(j) ]
+        Solver.add_clause solver [ -reg 0 j ]
       done;
-      Solver.add_clause solver [ -xs.(i); -regs.(i - 1).(k - 1) ]
-    done;
-    Solver.add_clause solver [ -xs.(n - 1); -regs.(n - 2).(k - 1) ]
+      rows 1 rest
+    | [] -> ()
   end
 
 let at_most_one solver lits = at_most_k solver lits 1

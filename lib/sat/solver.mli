@@ -12,7 +12,14 @@
 
     Variables are positive integers allocated by {!new_var}.  A
     literal is a non-zero integer: [v] for the positive literal,
-    [-v] for the negation — the familiar DIMACS convention. *)
+    [-v] for the negation — the familiar DIMACS convention.
+
+    The solver is built for an instance that is encoded once and then
+    solved: every clause goes straight into one flat arena of ints,
+    [new_var] only counts, and the first {!solve} sizes the
+    per-variable state and the watch lists once.  That first [solve]
+    also closes the clause set — {!new_var} and {!add_clause} raise
+    from then on — so set-up runs exactly once. *)
 
 type t
 
@@ -25,15 +32,19 @@ val create : unit -> t
 
 val new_var : t -> int
 (** Allocate a fresh variable; returns its (positive) index.
-    Variables are numbered consecutively from 1. *)
+    Variables are numbered consecutively from 1.  Raises
+    [Invalid_argument] once {!solve} has run. *)
 
 val nvars : t -> int
 
 val add_clause : t -> int list -> unit
 (** Add a clause given as a list of literals.  Duplicate literals are
     removed and tautologies ([v] and [-v] together) are dropped.  The
-    empty clause marks the instance unsatisfiable.  All clauses must
-    be added before calling {!solve}; the solver is not incremental. *)
+    empty clause marks the instance unsatisfiable.  A literal that is
+    0 or names no allocated variable raises [Invalid_argument] and adds
+    nothing.  All clauses must be added before calling {!solve}; the
+    solver is not incremental, and [add_clause] raises
+    [Invalid_argument] once [solve] has run. *)
 
 val solve :
   ?conflict_budget:int -> ?deadline:Cgra_util.Deadline.t -> t -> outcome
@@ -59,5 +70,6 @@ val stats_conflicts : t -> int
     exact backend reports this as its work measure). *)
 
 val stats_clauses : t -> int
-(** Clauses currently attached, problem and learnt together (deleted
-    learnt clauses keep their index slot and still count). *)
+(** Clauses of two or more literals attached so far, problem and
+    learnt together (deleted learnt clauses keep their arena slot and
+    still count). *)

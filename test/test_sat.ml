@@ -34,17 +34,61 @@ let test_no_clauses_sat () =
   let s, _ = fresh 5 in
   Alcotest.(check bool) "sat" true (S.solve s = S.Sat)
 
+(* Instances are written once against the operations of either solver,
+   so the arena solver can be checked against [Ref_solver] below. *)
+module R0 = Ref_solver
+
+type 'a ops = {
+  new_var : 'a -> int;
+  add_clause : 'a -> int list -> unit;
+  exactly_one : 'a -> int list -> unit;
+  at_most_one : 'a -> int list -> unit;
+  at_most_k : 'a -> int list -> int -> unit;
+}
+
+let arena_ops =
+  { new_var = S.new_var; add_clause = S.add_clause;
+    exactly_one = Cnf.exactly_one; at_most_one = Cnf.at_most_one;
+    at_most_k = Cnf.at_most_k }
+
+let reference_ops =
+  { new_var = R0.new_var; add_clause = R0.add_clause;
+    exactly_one = Ref_cnf.exactly_one; at_most_one = Ref_cnf.at_most_one;
+    at_most_k = Ref_cnf.at_most_k }
+
+type instance = { build : 'a. 'a ops -> 'a -> unit }
+
 (* Pigeonhole: n+1 pigeons into n holes is UNSAT and requires real
    clause learning to prove at n = 5 within a sane budget. *)
+let pigeonhole_instance n =
+  { build =
+      (fun ops s ->
+        let x =
+          Array.init (n + 1) (fun _ -> Array.init n (fun _ -> ops.new_var s))
+        in
+        Array.iter (fun row -> ops.exactly_one s (Array.to_list row)) x;
+        for h = 0 to n - 1 do
+          ops.at_most_one s (Array.to_list (Array.map (fun row -> row.(h)) x))
+        done) }
+
+let cnf_instance clauses =
+  { build =
+      (fun ops s ->
+        let n =
+          List.fold_left (List.fold_left (fun m l -> max m (abs l))) 0 clauses
+        in
+        let vars = Array.init n (fun _ -> ops.new_var s) in
+        List.iter
+          (fun c ->
+            ops.add_clause s
+              (List.map
+                 (fun l -> if l > 0 then vars.(l - 1) else -vars.(-l - 1))
+                 c))
+          clauses) }
+
 let pigeonhole n =
   let s = S.create () in
-  let x = Array.init (n + 1) (fun _ -> Array.init n (fun _ -> S.new_var s)) in
-  for p = 0 to n do
-    Cnf.exactly_one s (Array.to_list x.(p) |> List.map (fun v -> v))
-  done;
-  for h = 0 to n - 1 do
-    Cnf.at_most_one s (Array.to_list (Array.map (fun row -> row.(h)) x))
-  done;
+  (pigeonhole_instance n).build arena_ops s;
   s
 
 let test_pigeonhole_unsat () =
@@ -152,7 +196,20 @@ let arb_cnf =
     int_range 3 12 >>= fun n_vars ->
     int_range 1 40 >>= fun n_clauses ->
     let lit = int_range 1 n_vars >>= fun v -> map (fun b -> if b then v else -v) bool in
-    list_size (return n_clauses) (list_size (int_range 1 3) lit)
+    (* Mostly short clauses, some with a duplicated literal or a
+       literal next to its negation, the odd unit and, rarely, the empty
+       clause: everything [add_clause] has to normalise. *)
+    let clause =
+      frequency
+        [ (1, return []);
+          ( 199,
+            list_size (int_range 1 4) lit >>= fun c ->
+            frequency
+              [ (8, return c);
+                (1, return (List.hd c :: c));
+                (1, return (-List.hd c :: c)) ] ) ]
+    in
+    list_size (return n_clauses) clause
   in
   QCheck.make
     ~print:(fun cs ->
@@ -164,14 +221,8 @@ let arb_cnf =
 
 let build_cnf clauses =
   let s = S.create () in
-  let n = List.fold_left (List.fold_left (fun m l -> max m (abs l))) 0 clauses in
-  let vars = Array.init n (fun _ -> S.new_var s) in
-  List.iter
-    (fun c ->
-      S.add_clause s
-        (List.map (fun l -> if l > 0 then vars.(l - 1) else -vars.(-l - 1)) c))
-    clauses;
-  (s, vars)
+  (cnf_instance clauses).build arena_ops s;
+  (s, Array.init (S.nvars s) (fun i -> i + 1))
 
 let model_of s vars verdict =
   match verdict with
@@ -202,6 +253,244 @@ let prop_cancel_reusable =
       && resumed = fresh_verdict
       && model_of s_fresh v_fresh fresh_verdict
          = model_of s_cancel v_cancel resumed)
+
+(* -- step for step with the reference solver ------------------------ *)
+
+(* [Ref_solver] and [Ref_cnf] are frozen copies of the solver and the
+   cardinality encodings from before the clause arena.  The arena
+   solver must follow the same trajectory: the same verdict, model,
+   conflict count and clause count after every call, on the same
+   stream of [new_var]/[add_clause] calls. *)
+
+(* How [solve] is called, in order, on one solver. *)
+type call = Plain | Budget of int | Cancelled
+
+let outcome_name = function
+  | S.Sat -> "sat" | S.Unsat -> "unsat" | S.Unknown -> "unknown"
+
+let ref_outcome_name = function
+  | R0.Sat -> "sat" | R0.Unsat -> "unsat" | R0.Unknown -> "unknown"
+
+(* Verdict, model and counters after each of [calls], in order. *)
+let run_arena inst calls =
+  let s = S.create () in
+  inst.build arena_ops s;
+  List.map
+    (fun call ->
+      let v =
+        match call with
+        | Plain -> S.solve s
+        | Budget b -> S.solve ~conflict_budget:b s
+        | Cancelled -> S.solve ~deadline:(Deadline.after_ms 0) s
+      in
+      ( outcome_name v,
+        (if v = S.Sat then Some (Array.init (S.nvars s) (fun i -> S.value s (i + 1)))
+         else None),
+        S.stats_conflicts s,
+        S.stats_clauses s ))
+    calls
+
+(* The same on the reference, for a solver already built. *)
+let observe_reference s calls =
+  List.map
+    (fun call ->
+      let v =
+        match call with
+        | Plain -> R0.solve s
+        | Budget b -> R0.solve ~conflict_budget:b s
+        | Cancelled -> R0.solve ~deadline:(Deadline.after_ms 0) s
+      in
+      ( ref_outcome_name v,
+        (if v = R0.Sat then
+           Some (Array.init (R0.nvars s) (fun i -> R0.value s (i + 1)))
+         else None),
+        R0.stats_conflicts s,
+        R0.stats_clauses s ))
+    calls
+
+let run_reference inst calls =
+  let s = R0.create () in
+  inst.build reference_ops s;
+  observe_reference s calls
+
+let schedules = [ [ Plain ]; [ Budget 5; Plain ]; [ Cancelled; Plain ] ]
+
+let follows_reference inst =
+  List.for_all
+    (fun calls -> run_arena inst calls = run_reference inst calls)
+    schedules
+
+let prop_reference_cnf =
+  QCheck.Test.make ~name:"arena solver follows the reference on random CNFs"
+    ~count:500 arb_cnf (fun clauses -> follows_reference (cnf_instance clauses))
+
+(* Random 3-CNFs near the satisfiability threshold: enough conflicts for
+   the 5-conflict budget to cut the search short. *)
+let arb_3cnf =
+  let open QCheck.Gen in
+  let gen =
+    int_range 20 60 >>= fun n_vars ->
+    let lit = int_range 1 n_vars >>= fun v -> map (fun b -> if b then v else -v) bool in
+    list_size (return (n_vars * 43 / 10)) (list_size (return 3) lit)
+  in
+  QCheck.make ~print:(fun cs -> string_of_int (List.length cs) ^ " clauses") gen
+
+let prop_reference_3cnf =
+  QCheck.Test.make ~name:"arena solver follows the reference on 3-CNFs"
+    ~count:100 arb_3cnf (fun clauses -> follows_reference (cnf_instance clauses))
+
+(* Sinz counters over signed literals, any bound from -1 to past the
+   width, beside random side clauses. *)
+let arb_at_most_k =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 10 >>= fun n_vars ->
+    int_range (-1) (n_vars + 1) >>= fun k ->
+    let lit = int_range 1 n_vars >>= fun v -> map (fun b -> if b then v else -v) bool in
+    list_size (int_range 0 (2 * n_vars)) (list_size (int_range 1 3) lit)
+    >>= fun side -> return (n_vars, k, side)
+  in
+  QCheck.make
+    ~print:(fun (n, k, side) ->
+      Printf.sprintf "n=%d k=%d side=%d clauses" n k (List.length side))
+    gen
+
+let prop_reference_at_most_k =
+  QCheck.Test.make ~name:"arena solver and Cnf follow the reference on at_most_k"
+    ~count:300 arb_at_most_k (fun (n, k, side) ->
+      let inst =
+        { build =
+            (fun ops s ->
+              let vars = Array.init n (fun _ -> ops.new_var s) in
+              ops.at_most_k s
+                (List.mapi
+                   (fun i v -> if i mod 3 = 1 then -v else v)
+                   (Array.to_list vars))
+                k;
+              List.iter
+                (fun c ->
+                  ops.add_clause s
+                    (List.map
+                       (fun l ->
+                         if l > 0 then vars.(l - 1) else -vars.(-l - 1))
+                       c))
+                side) }
+      in
+      follows_reference inst)
+
+(* A random 3-CNF near the threshold over 120 variables, every tenth
+   clause replaced by one of 17 to 40 literals with duplicates: the long
+   clauses take the heapsort path, and they shift clause boundaries so
+   that the arena grows part-way through a clause. *)
+let test_reference_long_clauses () =
+  let rng = Cgra_util.Rng.create 3 in
+  let n_vars = 120 in
+  let lit () =
+    let v = 1 + Cgra_util.Rng.int rng n_vars in
+    if Cgra_util.Rng.bool rng then v else -v
+  in
+  let clauses =
+    List.init (n_vars * 426 / 100) (fun k ->
+        List.init (if k mod 10 = 9 then 17 + Cgra_util.Rng.int rng 24 else 3)
+          (fun _ -> lit ()))
+  in
+  Alcotest.(check bool) "same trajectory as the reference" true
+    (follows_reference (cnf_instance clauses))
+
+let test_reference_pigeonhole () =
+  for n = 2 to 6 do
+    let inst = pigeonhole_instance n in
+    Alcotest.(check bool)
+      (Printf.sprintf "php(%d,%d)" (n + 1) n)
+      true (follows_reference inst)
+  done;
+  let inst = pigeonhole_instance 8 in
+  let calls = [ Budget 300; Cancelled; Budget 300 ] in
+  Alcotest.(check bool) "php(9,8) under budgets" true
+    (run_arena inst calls = run_reference inst calls)
+
+(* One unbudgeted random 3-CNF that learns more than the 20,000 clauses
+   [max_learnt] starts at, so learnt-clause deletion runs in both
+   solvers (the reference's [max_learnt] grows only when it does). *)
+let test_reference_reduce_db () =
+  let rng = Cgra_util.Rng.create 6 in
+  let n_vars = 220 in
+  let clauses =
+    List.init (n_vars * 426 / 100) (fun _ ->
+        List.init 3 (fun _ ->
+            let v = 1 + Cgra_util.Rng.int rng n_vars in
+            if Cgra_util.Rng.bool rng then v else -v))
+  in
+  let inst = cnf_instance clauses in
+  let reference = R0.create () in
+  inst.build reference_ops reference;
+  let expected = observe_reference reference [ Plain ] in
+  Alcotest.(check bool) "learnt clauses were deleted" true
+    (reference.R0.max_learnt > 20_000.0);
+  Alcotest.(check bool) "same trajectory as the reference" true
+    (run_arena inst [ Plain ] = expected)
+
+let raises_invalid f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+(* [solve] keeps a [Sat] trail, so a clause added after it cannot be
+   honoured: the next [solve] could call a satisfiable formula UNSAT (a)
+   or return a model that violates the new clause (b).  The clause set
+   therefore closes at the first [solve]. *)
+let test_closed_after_solve () =
+  (* (a) [a \/ b] is Sat with a = false, b = true; adding [a] would make
+     the next solve report Unsat. *)
+  let s, v = fresh 2 in
+  let a = v.(0) and b = v.(1) in
+  S.add_clause s [ a; b ];
+  Alcotest.(check bool) "(a) first solve" true (S.solve s = S.Sat);
+  Alcotest.(check (pair bool bool)) "(a) model" (false, true)
+    (S.value s a, S.value s b);
+  Alcotest.(check bool) "(a) add_clause after solve raises" true
+    (raises_invalid (fun () -> S.add_clause s [ a ]));
+  Alcotest.(check bool) "(a) new_var after solve raises" true
+    (raises_invalid (fun () -> ignore (S.new_var s)));
+  Alcotest.(check bool) "(a) the solver still answers the old formula" true
+    (S.solve s = S.Sat && S.value s b);
+  let s, v = fresh 2 in
+  S.add_clause s [ v.(0); v.(1) ];
+  S.add_clause s [ v.(0) ];
+  Alcotest.(check bool) "(a) a fresh solver says Sat" true (S.solve s = S.Sat);
+  (* (b) [a \/ b \/ c] is Sat with only c true; adding [not c \/ a]
+     would make the next solve return that same, now violating, model. *)
+  let s, v = fresh 3 in
+  let a = v.(0) and b = v.(1) and c = v.(2) in
+  S.add_clause s [ a; b; c ];
+  Alcotest.(check bool) "(b) first solve" true (S.solve s = S.Sat);
+  Alcotest.(check (list bool)) "(b) model" [ false; false; true ]
+    (List.map (S.value s) [ a; b; c ]);
+  Alcotest.(check bool) "(b) add_clause after solve raises" true
+    (raises_invalid (fun () -> S.add_clause s [ -c; a ]));
+  let s, v = fresh 3 in
+  S.add_clause s [ v.(0); v.(1); v.(2) ];
+  S.add_clause s [ -v.(2); v.(0) ];
+  Alcotest.(check bool) "(b) a fresh solver's model satisfies both" true
+    (S.solve s = S.Sat
+    && (S.value s v.(0) || S.value s v.(1) || S.value s v.(2))
+    && ((not (S.value s v.(2))) || S.value s v.(0)))
+
+(* The documented normalisation and range checks. *)
+let test_add_clause_contract () =
+  let s, v = fresh 2 in
+  Alcotest.(check bool) "literal 0 raises" true
+    (raises_invalid (fun () -> S.add_clause s [ v.(0); 0 ]));
+  Alcotest.(check bool) "unknown variable raises" true
+    (raises_invalid (fun () -> S.add_clause s [ -3 ]));
+  Alcotest.(check int) "a raising clause adds nothing" 0 (S.stats_clauses s);
+  S.add_clause s [ v.(0); -v.(0); v.(1) ];
+  Alcotest.(check int) "tautology dropped" 0 (S.stats_clauses s);
+  S.add_clause s [ v.(1); v.(0); v.(1); v.(0) ];
+  Alcotest.(check int) "duplicates merged into one clause" 1 (S.stats_clauses s);
+  S.add_clause s [ -v.(0); -v.(0) ];
+  Alcotest.(check bool) "a duplicated unit forces the literal" true
+    (S.solve s = S.Sat && (not (S.value s v.(0))) && S.value s v.(1))
 
 (* -- exact backend end-to-end -------------------------------------- *)
 
@@ -413,6 +702,17 @@ let suite =
         Alcotest.test_case "cancel then resume" `Quick test_cancel_then_resume;
         QCheck_alcotest.to_alcotest prop_deadline_observer;
         QCheck_alcotest.to_alcotest prop_cancel_reusable;
+        Alcotest.test_case "closed after solve" `Quick test_closed_after_solve;
+        Alcotest.test_case "add_clause contract" `Quick test_add_clause_contract;
+        QCheck_alcotest.to_alcotest prop_reference_cnf;
+        QCheck_alcotest.to_alcotest prop_reference_3cnf;
+        QCheck_alcotest.to_alcotest prop_reference_at_most_k;
+        Alcotest.test_case "reference: long clauses" `Quick
+          test_reference_long_clauses;
+        Alcotest.test_case "reference: pigeonhole" `Quick
+          test_reference_pigeonhole;
+        Alcotest.test_case "reference: learnt-clause deletion" `Quick
+          test_reference_reduce_db;
       ] );
     ( "sat.exact",
       [
