@@ -82,11 +82,12 @@ let backend_arg =
   Arg.(value & opt (enum spellings) FC.Beam
        & info [ "backend" ]
            ~doc:"Mapping backend: $(b,beam) (the stochastic beam search), \
-                 $(b,exact) (the CDCL SAT backend — provably minimal \
-                 schedule length per block, or a proof the block is \
-                 unmappable under the encoding), or $(b,portfolio) (race \
-                 both and keep the better-by-cost result; ties favour the \
-                 beam).  Part of the artifact key."
+                 $(b,exact) (the CDCL SAT backend — the shortest schedule \
+                 length its probes find per block, minimal when every \
+                 shorter probe was refuted within the conflict budget, or \
+                 a proof the block is unmappable under the encoding), or \
+                 $(b,portfolio) (race both and keep the better-by-cost \
+                 result; ties favour the beam).  Part of the artifact key."
            ~docv:"NAME")
 
 (* Bad --protect values fail as one-line typed errors (exit 1) naming the
@@ -277,6 +278,7 @@ let map_cmd =
       List.iter (fun e ->
           Printf.printf "  escalation: %s\n" (Cgra_core.Flow.escalation_to_string e))
     in
+    let t0 = Cgra_util.Clock.now () in
     match Toolchain.run_kernel ~opt ~config:flow cgra k with
     | Error (Toolchain.Unmapped f) ->
       Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
@@ -288,19 +290,23 @@ let map_cmd =
     | Error e ->
       Printf.eprintf "map: %s\n" (Toolchain.error_to_string e);
       exit 3
-    | Ok ( { Toolchain.mapping = m; stats; program = prog },
+    | Ok ( { Toolchain.mapping = m; stats; program = prog; opt_report },
            { Toolchain.sim = r; energy = e } ) ->
+      let seconds = Cgra_util.Clock.elapsed_s t0 in
       print_escalations stats.Cgra_core.Flow.escalations;
       (match trace with
        | Some file ->
          write_trace file slug config stats;
          Printf.printf "search trace written to %s\n" file
        | None -> ());
-      (match stats.Cgra_core.Flow.opt with
+      (match opt_report with
        | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
        | None -> ());
       if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
-      Format.printf "%a@." Cgra_core.Mapping.pp_summary m;
+      Format.printf "mapping of %s via %s (%.3fs)@.%a@."
+        m.Cgra_core.Mapping.cdfg.Cgra_ir.Cdfg.kernel_name
+        (FC.steps_of flow ^ Toolchain.opt_label opt)
+        seconds Cgra_core.Mapping.pp_summary m;
       Format.printf "recomputes: %d, population peak: %d@."
         stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
       if schedule then

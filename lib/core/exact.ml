@@ -903,10 +903,11 @@ let map_block ?budget ?future ?(deadline = Deadline.never) ~config:_ ~cgra
         }
     | `Budget ->
       Error
-        (Printf.sprintf
-           "block %d (%s): exact backend exhausted its conflict budget \
-            (%d conflicts over %d solves)"
-           bi ctx.blk.Cdfg.name conflicts solves)
+        ( Search.Budget_spent,
+          Printf.sprintf
+            "block %d (%s): exact backend exhausted its conflict budget \
+             (%d conflicts over %d solves)"
+            bi ctx.blk.Cdfg.name conflicts solves )
     | `Unsat ->
       (* Distinguish "blocked by what earlier blocks committed" from a
          kernel-level infeasibility: re-solve in isolation (no
@@ -928,18 +929,25 @@ let map_block ?budget ?future ?(deadline = Deadline.never) ~config:_ ~cgra
       Error
         (match iso with
         | `Unsat ->
-          Printf.sprintf
-            "block %d (%s): proved UNSAT under the exact encoding (no \
-             placement at any schedule length <= %d, even in isolation)"
-            bi ctx.blk.Cdfg.name ctx.h_cap
+          ( Search.Proved_unsat,
+            Printf.sprintf
+              "block %d (%s): proved UNSAT under the exact encoding (no \
+               placement at any schedule length <= %d, even in isolation)"
+              bi ctx.blk.Cdfg.name ctx.h_cap )
         | `Mapped _ ->
-          Printf.sprintf
-            "block %d (%s): exact backend found no mapping under the \
-             committed context (the block is feasible in isolation)"
-            bi ctx.blk.Cdfg.name
+          ( Search.Dead_end,
+            Printf.sprintf
+              "block %d (%s): exact backend found no mapping under the \
+               committed context (the block is feasible in isolation)"
+              bi ctx.blk.Cdfg.name )
         | `Budget ->
-          Printf.sprintf
-            "block %d (%s): exact backend found no mapping under the \
-             committed context (isolation probe hit the conflict budget)"
-            bi ctx.blk.Cdfg.name)
+          (* Blocked under the committed context, and the isolation probe
+             could not tell why.  Counted as a spent budget, as the
+             optimality report has always printed it ("budget
+             exhausted"); no cheap cell reaches this case. *)
+          ( Search.Budget_spent,
+            Printf.sprintf
+              "block %d (%s): exact backend found no mapping under the \
+               committed context (isolation probe hit the conflict budget)"
+              bi ctx.blk.Cdfg.name ))
   end

@@ -31,7 +31,7 @@ val map_block :
   work:int ref ->
   Cgra_ir.Cdfg.t ->
   int ->
-  (Search.outcome, string) result
+  (Search.outcome, Search.verdict * string) result
 (** Drop-in counterpart of {!Search.map_block} (no RNG, no route
     table: the encoding enumerates the neighbour reads itself).
     [committed.(t)] context words are subtracted from tile [t]'s
@@ -43,14 +43,18 @@ val map_block :
     the flow's spread-retry heuristics; the isolation probe behind the
     UNSAT proof never applies them.  [homes.(s) >= 0] pins symbol
     [s]'s home.  On success the
-    outcome carries the decoded [bb_mapping] at the provably minimal
-    schedule length, the homes newly pinned by the model, and search
-    telemetry whose [attempts] field counts solver conflicts ([work]
-    is advanced by the same amount).  On failure the error string
-    distinguishes a proof that the block is unmappable under the
-    encoding even in isolation (zero committed words, all homes free)
-    from a dead-end caused by the committed context, from a conflict-
-    budget exhaustion.
+    outcome carries the decoded [bb_mapping], the homes newly pinned by
+    the model, and search telemetry whose [attempts] field counts
+    solver conflicts ([work] is advanced by the same amount).  The
+    schedule length is the shortest the probes found, not a proven
+    minimum: the refinement step counts a probe that spent its conflict
+    budget as infeasible, so the length is minimal only when every
+    shorter probe was refuted.  On failure the verdict is
+    {!Search.Proved_unsat} for a proof that the block is unmappable
+    under the encoding even in isolation (zero committed words, all
+    homes free), {!Search.Dead_end} when only the committed context
+    blocks it, and {!Search.Budget_spent} when a probe ran out of
+    conflicts; the message says which in words.
 
     [deadline] is polled before every schedule-length probe and inside
     the solver (restart boundaries, every 256 conflicts); expiry

@@ -14,17 +14,17 @@ type escalation = {
 }
 
 type failure = {
+  verdict : Search.verdict;
   reason : string;
   at_block : int option;
   work : int;
   gave_up : escalation list;
-  timed_out : string option;
 }
 
-(* Most failures are ordinary dead-ends; only the deadline paths fill
-   [timed_out], so the plain constructor keeps the sites readable. *)
-let fail ?at_block ?(gave_up = []) ~work reason =
-  { reason; at_block; work; gave_up; timed_out = None }
+(* Most failures are ordinary dead ends, so the plain constructor keeps
+   the sites readable. *)
+let fail ?(verdict = Search.Dead_end) ?at_block ~work reason =
+  { verdict; reason; at_block; work; gave_up = [] }
 
 type stats = {
   recomputes : int;
@@ -33,7 +33,6 @@ type stats = {
   work : int;
   retries_used : int;
   search : Search.block_stats list;
-  opt : Cgra_opt.Pipeline.report option;
   escalations : escalation list;
 }
 
@@ -47,14 +46,6 @@ let escalation_to_string e =
     (match e.e_at_block with
      | None -> ""
      | Some b -> Printf.sprintf " (at block %d)" b)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let proved_unsat reason = contains reason "proved UNSAT"
-let budget_exhausted reason = contains reason "conflict budget"
 
 (* Commit the symbol homes a block's mapping pinned.  A conflicting pin —
    the block wants a symbol on a different tile than an earlier block
@@ -119,8 +110,7 @@ let block_words cgra (bm : Mapping.bb_mapping) =
    verbatim — their exact context words are pre-committed and their home
    pins pre-applied — and only dirty blocks are searched, in the usual
    traversal order.  [None] is the ordinary full flow. *)
-let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
-    ?base cgra cdfg =
+let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
   match Cdfg.validate cdfg with
   | Error msg -> Error (fail ~work:!work ("invalid CDFG: " ^ msg))
   | Ok () ->
@@ -233,9 +223,11 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
                       ~committed ~homes ~work cdfg bi))
             | Flow_config.Beam | Flow_config.Portfolio ->
               (* [Portfolio] is resolved in [drive]; a portfolio config
-                 reaching a single run maps with the beam. *)
+                 reaching a single run maps with the beam.  Every beam
+                 failure is a dead end. *)
               Search.map_block ~routes ~deadline ~config ~cgra ~committed
                 ~homes ~rng ~work cdfg bi
+              |> Result.map_error (fun reason -> (Search.Dead_end, reason))
           with
           | exception Cgra_graph.Digraph.Cycle ids ->
             (* A cyclic per-block DFG that slipped past validation (e.g. a
@@ -246,7 +238,8 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
               (fail ~at_block:bi ~work:!work
                  (Printf.sprintf "block %d: cyclic DFG through nodes %s" bi
                     (String.concat ", " (List.map string_of_int ids))))
-          | Error reason -> Error (fail ~at_block:bi ~work:!work reason)
+          | Error (verdict, reason) ->
+            Error (fail ~verdict ~at_block:bi ~work:!work reason)
           | Ok outcome -> (
             match
               commit_homes ~homes ~at_block:bi ~work:!work
@@ -269,7 +262,7 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
         | Ok _ as ok -> ok
         | Error f
           when config.Flow_config.backend = Flow_config.Exact
-               && not (proved_unsat f.reason) -> (
+               && f.verdict <> Search.Proved_unsat -> (
           (* Greedy pass dead-ended on the committed context (not a
              kernel-level UNSAT proof, which no retry can beat): one
              deterministic second pass with spread budgets. *)
@@ -307,16 +300,7 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
         (* Symbols never touched keep home -1; pin them anywhere so the
            assembler has a slot (they are dead). *)
         let homes = Array.map (fun h -> if h < 0 then 0 else h) homes in
-        let mapping =
-          {
-            Mapping.cdfg;
-            cgra;
-            bbs;
-            homes;
-            flow_label = Flow_config.steps_of config;
-            compile_seconds = Cgra_util.Clock.elapsed_s t0;
-          }
-        in
+        let mapping = { Mapping.cdfg; cgra; bbs; homes } in
         if Mapping.fits mapping then
           Ok
             ( mapping,
@@ -327,7 +311,6 @@ let run_once ~t0 ~work ~retries_used ~config ~opt_report ~routes ~deadline
                 work = !work;
                 retries_used;
                 search = List.rev !block_stats;
-                opt = opt_report;
                 escalations = [];
               } )
         else
@@ -355,10 +338,12 @@ let escalation_of ~attempt (c : Flow_config.t) (f : failure) =
 (* The one retry ladder over [run_once].  Rung k is an attempt with
    [retries_used = k]: without [degrade] the rungs reseed the stochastic
    pruning (seed + 1000k, k <= [retries]); with it they escalate (see
-   [escalate]).  Every failed rung is recorded as an escalation.  The
-   route table depends only on the (already degraded) array, so it is
-   interned here once and reused by every rung and every block. *)
-let drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
+   [escalate]).  The exact backend reads neither the seed nor the search
+   knobs, so every further rung would repeat its solves: it gets one.
+   Every failed rung is recorded as an escalation.  The route table
+   depends only on the (already degraded) array, so it is interned here
+   once and reused by every rung and every block. *)
+let drive_single ~work ~config ~deadline ?base cgra cdfg =
   let routes = Search.build_routes cgra in
   (* Graceful degradation: rung 0 is the configuration as given; each
      further rung reseeds the stochastic pruning from a split of the base
@@ -387,14 +372,15 @@ let drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
     else { config with Flow_config.seed = config.Flow_config.seed + (1000 * k) }
   in
   let rungs =
-    if config.Flow_config.degrade then max 1 config.Flow_config.max_attempts
+    if config.Flow_config.backend = Flow_config.Exact then 1
+    else if config.Flow_config.degrade then max 1 config.Flow_config.max_attempts
     else config.Flow_config.retries + 1
   in
   let rec attempt k trace =
     let cfg_k = rung k in
     match
-      run_once ~t0 ~work ~retries_used:k ~config:cfg_k ~opt_report ~routes
-        ~deadline ?base cgra cdfg
+      run_once ~work ~retries_used:k ~config:cfg_k ~routes ~deadline ?base
+        cgra cdfg
     with
     | Ok (m, s) -> Ok (m, { s with escalations = List.rev trace })
     | Error f ->
@@ -409,13 +395,8 @@ let drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
   match attempt 0 [] with
   | exception Search.Timed_out { at_block; where } ->
     Error
-      {
-        reason = Printf.sprintf "timed out (%s)" where;
-        at_block = Some at_block;
-        work = !work;
-        gave_up = [];
-        timed_out = Some where;
-      }
+      (fail ~verdict:(Search.Expired { where }) ~at_block ~work:!work
+         (Printf.sprintf "timed out (%s)" where))
   | r -> r
 
 (* The portfolio race: run the beam flow (ladder and all) and the
@@ -427,32 +408,22 @@ let drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
    the beam's own objective (schedule length weighted at 256 per
    block, plus [move_weight] per routing move), with ties to the
    beam, so a portfolio artifact is never worse than the beam's. *)
-let drive ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
+let drive ~work ~config ~deadline ?base cgra cdfg =
   match config.Flow_config.backend with
   | Flow_config.Beam | Flow_config.Exact ->
-    drive_single ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg
+    drive_single ~work ~config ~deadline ?base cgra cdfg
   | Flow_config.Portfolio -> (
-    let beam_cfg = { config with Flow_config.backend = Flow_config.Beam } in
-    (* The exact side is deterministic: reseeded retries and the
-       escalation ladder cannot change its outcome, so it runs once. *)
-    let exact_cfg =
-      {
-        config with
-        Flow_config.backend = Flow_config.Exact;
-        retries = 0;
-        degrade = false;
-      }
-    in
     let results =
       Cgra_util.Pool.map ~jobs:2
-        (fun cfg ->
+        (fun backend ->
           let w = ref 0 in
           let r =
-            drive_single ~t0 ~work:w ~config:cfg ~opt_report ~deadline ?base
-              cgra cdfg
+            drive_single ~work:w
+              ~config:{ config with Flow_config.backend }
+              ~deadline ?base cgra cdfg
           in
           (r, !w))
-        [ beam_cfg; exact_cfg ]
+        [ Flow_config.Beam; Flow_config.Exact ]
     in
     match results with
     | [ (beam_r, beam_w); (exact_r, exact_w) ] -> (
@@ -463,15 +434,10 @@ let drive ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
           0 m.Mapping.bbs
         + (config.Flow_config.move_weight * Mapping.total_moves m)
       in
-      let finish (m, s) =
-        (* Relabel with the portfolio's own step label and fold both
-           branches' effort into the telemetry. *)
-        Ok
-          ( { m with Mapping.flow_label = Flow_config.steps_of config },
-            { s with work = !work } )
-      in
+      (* Fold both branches' effort into the telemetry. *)
+      let finish (m, s) = Ok (m, { s with work = !work }) in
       let timeout_of = function
-        | Error f when f.timed_out <> None -> Some f
+        | Error ({ verdict = Search.Expired _; _ } as f) -> Some f
         | Ok _ | Error _ -> None
       in
       match (timeout_of beam_r, timeout_of exact_r) with
@@ -498,37 +464,17 @@ let drive ~t0 ~work ~config ~opt_report ~deadline ?base cgra cdfg =
     | _ -> assert false)
 
 let run ?(config = Flow_config.default)
-    ?(deadline = Cgra_util.Deadline.never) ?opt_verify cgra cdfg =
-  let t0 = Cgra_util.Clock.now () in
-  let work = ref 0 in
+    ?(deadline = Cgra_util.Deadline.never) cgra cdfg =
   (* Map onto the degraded fabric when a permanent-fault map is given.
      [degrade] with an empty list returns the array physically unchanged,
      so the pristine flow is a strict no-op. *)
   let cgra = Cgra.degrade cgra config.Flow_config.faults in
-  (* Optimize before mapping when asked.  An invalid CDFG skips the
-     pipeline and falls through to [run_once], whose validation reports
-     it as an ordinary mapping failure. *)
-  let cdfg, opt_report =
-    if config.Flow_config.optimize && Cdfg.validate cdfg = Ok () then begin
-      let verify =
-        match opt_verify with
-        | Some v -> v
-        | None -> Cgra_opt.Pipeline.default_verifier ()
-      in
-      let cdfg', report = Cgra_opt.Pipeline.run ~verify cdfg in
-      (cdfg', Some report)
-    end
-    else (cdfg, None)
-  in
-  drive ~t0 ~work ~config ~opt_report ~deadline cgra cdfg
+  drive ~work:(ref 0) ~config ~deadline cgra cdfg
 
 let run_partial ?(config = Flow_config.default)
     ?(deadline = Cgra_util.Deadline.never) ~base ~dirty ~homes cgra =
-  let t0 = Cgra_util.Clock.now () in
-  let work = ref 0 in
   let cgra = Cgra.degrade cgra config.Flow_config.faults in
-  (* [base.cdfg] is the CDFG that was actually mapped (post-optimization
-     when the original flow optimized), so the pipeline must not run
-     again: the surviving placements reference its node ids. *)
-  drive ~t0 ~work ~config ~opt_report:None ~deadline
-    ~base:(base, dirty, homes) cgra base.Mapping.cdfg
+  (* The surviving placements reference [base.cdfg]'s node ids, so the
+     dirty blocks are searched over that very CDFG. *)
+  drive ~work:(ref 0) ~config ~deadline ~base:(base, dirty, homes) cgra
+    base.Mapping.cdfg

@@ -7,7 +7,12 @@
     and finally validates the context-memory inequality of Section III-C.
     Flows without exact pruning can produce over-full mappings; those are
     reported as failures here, which is what yields the "no mapping found"
-    zeros of Fig 6. *)
+    zeros of Fig 6.
+
+    The flow only maps: it binds the CDFG it is given.  Choosing and
+    optimizing the lowering is [Cgra_exp.Toolchain]'s job, and a failure
+    reports its kind as a {!Search.verdict}, never as a phrase in its
+    reason. *)
 
 type escalation = {
   e_attempt : int;           (** 0 = the configuration as given *)
@@ -26,20 +31,25 @@ type escalation = {
 val escalation_to_string : escalation -> string
 
 type failure = {
+  verdict : Search.verdict;
+      (** the kind of failure: the exact backend's {!Search.Proved_unsat}
+          and {!Search.Budget_spent}, {!Search.Expired} when an armed
+          {!Cgra_util.Deadline.t} cut the run short (its [where] names
+          the boundary that observed expiry: search round, exact probe,
+          flow block loop), and {!Search.Dead_end} for everything else —
+          beam failures, the flow's own, and a portfolio whose two sides
+          both failed.  An [Expired] failure is {e not} a verdict about
+          the kernel: callers must never cache or report it as
+          "unmappable", and the retry ladder never retries one. *)
   reason : string;
+      (** one line, printed, sent over the wire and rendered into
+          reports; code tells failures apart by [verdict], never by
+          this wording *)
   at_block : int option;  (** block where the search died, if any *)
   work : int;  (** binding attempts spent before giving up (all retries) *)
   gave_up : escalation list;
       (** the full ladder trace, one entry per exhausted rung; [[]] when
           the deadline cut the run short *)
-  timed_out : string option;
-      (** [Some where] iff the run was cut short by an expired
-          {!Cgra_util.Deadline.t}: [where] names the boundary that
-          observed expiry (search round, exact probe, flow block loop).
-          A timed-out failure is {e not} a verdict about the kernel —
-          callers must never cache or report it as "unmappable", and the
-          retry/escalation ladders never retry one.  [None] for every
-          ordinary dead-end. *)
 }
 
 type stats = {
@@ -58,9 +68,6 @@ type stats = {
           traversal order.  Every counter except
           [Search.block_stats.wall_seconds] is deterministic; when
           [retries_used = 0] the per-block [attempts] sum to [work]. *)
-  opt : Cgra_opt.Pipeline.report option;
-      (** per-pass statistics of the pre-mapping optimization, when
-          [config.optimize] was set *)
   escalations : escalation list;
       (** the failed rungs that preceded this success, in order; [[]]
           when the first attempt mapped *)
@@ -87,18 +94,9 @@ val traversal_order : Flow_config.traversal -> Cgra_ir.Cdfg.t -> int list
 (** Forward: weak topological order of the CFG from the entry.  Weighted:
     descending block weight Wbb, forward order breaking ties. *)
 
-val proved_unsat : string -> bool
-(** Whether a failure [reason] is the exact backend's proof that no
-    mapping exists under its encoding — a verdict no retry can beat. *)
-
-val budget_exhausted : string -> bool
-(** Whether a failure [reason] is the exact backend giving up on its
-    conflict budget. *)
-
 val run :
   ?config:Flow_config.t ->
   ?deadline:Cgra_util.Deadline.t ->
-  ?opt_verify:Cgra_opt.Pipeline.verifier ->
   Cgra_arch.Cgra.t ->
   Cgra_ir.Cdfg.t ->
   result
@@ -108,7 +106,7 @@ val run :
     block boundary, the beam search at every round and expansion
     boundary, the exact backend before every probe and inside the
     solver.  Expiry aborts the in-flight attempt in bounded time and
-    returns a {!failure} with [timed_out = Some where]; retries and the
+    returns a {!failure} with verdict {!Search.Expired}; retries and the
     escalation ladder never resume after one, and a portfolio race with
     either side cut short is reported as timed out as a whole (keeping
     the winner would make the bytes depend on where the deadline
@@ -121,14 +119,9 @@ val run :
     [config.degrade] the rungs reseed the stochastic pruning (seed +
     1000k for k <= [config.retries]); with it they escalate (reseeded
     pruning, wider beam, relaxed thresholds; at most
-    [config.max_attempts] rungs).
-
-    When [config.optimize] is set, the CDFG first goes through the
-    [cgra_opt] pipeline, differentially verified against [opt_verify]
-    (callers with kernel-specific inputs should pass them; default:
-    {!Cgra_opt.Pipeline.default_verifier}).  A pipeline bug raises
-    {!Cgra_opt.Pipeline.Verification_failed} rather than mapping a
-    wrong program. *)
+    [config.max_attempts] rungs).  The exact backend is deterministic
+    and reads none of those knobs, so it gets one rung whatever they
+    say. *)
 
 val run_partial :
   ?config:Flow_config.t ->
@@ -145,8 +138,7 @@ val run_partial :
     starts, and the home pins in [homes] ([homes.(s)] = kept tile of
     symbol [s], [-1] = free to re-pin) are pre-applied.  The result merges
     the surviving and freshly-searched blocks into one mapping over
-    [base.cdfg] — the optimization pipeline never reruns, because the
-    surviving placements reference the already-optimized CDFG's node ids.
+    [base.cdfg], whose node ids the surviving placements reference.
 
     The caller owns the dirty-set contract: every block whose placed
     tiles, routes, or referenced symbol homes touch a fault must be dirty,

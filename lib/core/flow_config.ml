@@ -16,7 +16,6 @@ type t = {
   energy_bias_nodes : int;
   retries : int;
   seed : int;
-  optimize : bool;
   expand_jobs : int;
   degrade : bool;
   max_attempts : int;
@@ -41,7 +40,6 @@ let default =
     energy_bias_nodes = 64;
     retries = 0;
     seed = 42;
-    optimize = false;
     expand_jobs = 1;
     degrade = false;
     max_attempts = 6;
@@ -81,7 +79,6 @@ let steps_of t =
   in
   let add cond label acc = if cond then acc ^ "+" ^ label else acc in
   base |> add t.acmap "ACMAP" |> add t.ecmap "ECMAP" |> add t.cab "CAB"
-  |> add t.optimize "OPT"
   |> add (t.backend = Exact) "SAT"
   |> add (t.backend = Portfolio) "PORT"
 
@@ -172,9 +169,8 @@ let knob name s get set =
           Error (Printf.sprintf "knob %s: %S (expected %s)" name v s.expected)) }
 
 (* Every semantic field, i.e. every field that can change an artifact's
-   bytes.  The bytes-neutral ones stay out: [expand_jobs] (RNG-free
-   expansion), [optimize] (carried by the opt mode) and [faults] (keyed
-   on their own). *)
+   bytes.  The others stay out: [expand_jobs] (RNG-free expansion, so
+   bytes-neutral) and [faults] (keyed on their own). *)
 let knobs =
   [ knob "acmap" bool_s (fun t -> t.acmap) (fun t v -> { t with acmap = v });
     knob "backend" backend_s (fun t -> t.backend)

@@ -16,8 +16,10 @@ type backend =
   | Exact
       (** the CDCL SAT backend ([Cgra_core.Exact]): per-block CNF of
           placement, neighbour routing, operand timing and CM capacity,
-          solved to a provably minimal schedule length — or to a proof
-          that no mapping exists under the encoding *)
+          solved for the shortest schedule length its probes find — or
+          to a proof that no mapping exists under the encoding.  The
+          length is minimal only when every shorter probe was refuted; a
+          probe that spends its conflict budget counts as infeasible *)
   | Portfolio
       (** race [Beam] and [Exact] on the domain pool and keep the
           better-by-cost feasible result (ties favour [Beam], so the
@@ -54,13 +56,10 @@ type t = {
           capacity, not energy, decides for them *)
   retries : int;
       (** extra attempts with reseeded stochastic pruning before giving up
-          — only the context-aware flows retry *)
+          — only the context-aware flows retry.  Like the [degrade]
+          ladder, it is ignored by the deterministic [Exact] backend,
+          which always makes one attempt. *)
   seed : int;
-  optimize : bool;
-      (** run the [cgra_opt] differential-verified pass pipeline on the
-          CDFG before mapping (default false, so the seed artifacts stay
-          byte-identical).  Orthogonal to the mapping steps: any flow can
-          map either the raw or the optimized CDFG. *)
   expand_jobs : int;
       (** domains used to expand the partial-mapping population each
           search round (default 1 = sequential).  Expansion is RNG-free —
@@ -159,9 +158,11 @@ type knob = {
 
 val knobs : knob list
 (** One entry per semantic field — every field that can change an
-    artifact's bytes — in name order.  The bytes-neutral fields are not
-    knobs: [expand_jobs], [optimize] (carried by the serve key's opt
-    mode) and [faults] (keyed on their own). *)
+    artifact's bytes — in name order.  Not knobs: [expand_jobs]
+    (bytes-neutral) and [faults] (keyed on their own).  Which lowering
+    is mapped, and whether [cgra_opt] runs on it, is not a flow setting
+    at all: it is the opt mode of [Cgra_exp.Toolchain], keyed on its
+    own by the serve key. *)
 
 val to_knobs : t -> (string * string) list
 (** Every knob of [t] as a name/value pair, in name order. *)

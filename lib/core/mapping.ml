@@ -24,8 +24,6 @@ type t = {
   cgra : Cgra_arch.Cgra.t;
   bbs : bb_mapping array;
   homes : int array;
-  flow_label : string;
-  compile_seconds : float;
 }
 
 let zero = { ops = 0; moves = 0; pnops = 0 }
@@ -94,9 +92,7 @@ let static_cycles m (trace : Cgra_ir.Interp.trace) =
 
 let pp_summary fmt m =
   let usage = tile_usage m in
-  Format.fprintf fmt "@[<v>mapping of %s via %s (%.3fs)@,"
-    m.cdfg.Cgra_ir.Cdfg.kernel_name m.flow_label m.compile_seconds;
-  Format.fprintf fmt "ops=%d moves=%d pnops=%d fits=%b@," (total_ops m)
+  Format.fprintf fmt "@[<v>ops=%d moves=%d pnops=%d fits=%b@," (total_ops m)
     (total_moves m) (total_pnops m) (fits m);
   Array.iteri
     (fun t u ->

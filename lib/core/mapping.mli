@@ -52,8 +52,6 @@ type t = {
   cgra : Cgra_arch.Cgra.t;
   bbs : bb_mapping array;    (** indexed by block id *)
   homes : int array;         (** symbol -> home tile *)
-  flow_label : string;
-  compile_seconds : float;
 }
 
 val tile_usage : t -> usage array
@@ -80,6 +78,9 @@ val static_cycles : t -> Cgra_ir.Interp.trace -> int
     reproduces this number (plus memory-port stalls). *)
 
 val pp_summary : Format.formatter -> t -> unit
+(** Operation, move and pnop totals with the fit check, then one usage
+    line per tile.  Callers print their own heading (kernel, flow,
+    time): the mapping does not record how it was made. *)
 
 val pp_schedule : Format.formatter -> t * int -> unit
 (** [pp_schedule fmt (m, bi)] renders block [bi]'s schedule as a tile x

@@ -27,6 +27,12 @@ type outcome = {
   stats : block_stats;
 }
 
+type verdict =
+  | Dead_end
+  | Proved_unsat
+  | Budget_spent
+  | Expired of { where : string }
+
 let take n l =
   let rec go n = function
     | [] -> []

@@ -59,6 +59,23 @@ type outcome = {
   stats : block_stats;           (** telemetry for this block's search *)
 }
 
+(** What kind of failure a block mapper (or the whole flow) reports,
+    beside its one-line reason. *)
+type verdict =
+  | Dead_end
+      (** no mapping found, nothing proved: every beam failure, the
+          flow's own (invalid CDFG, RF slots, cyclic DFG, home conflict,
+          CM overflow), and the exact backend blocked by what earlier
+          blocks committed *)
+  | Proved_unsat
+      (** the exact backend proved the block unmappable under its
+          encoding, even in isolation — no retry can beat it *)
+  | Budget_spent  (** the exact backend ran out of conflicts *)
+  | Expired of { where : string }
+      (** an armed {!Cgra_util.Deadline.t} fired; [where] names the
+          boundary that observed it.  Not a verdict about the kernel:
+          never retried, cached or reported as unmappable *)
+
 val build_routes : Cgra_arch.Cgra.t -> int list list array
 (** Candidate route paths per (src, dst) pair, flattened
     [src * tiles + dst]: the deterministic row-first and column-first
@@ -73,7 +90,7 @@ exception Timed_out of { at_block : int; where : string }
     boundary that observed expiry — useful to report how far a
     cancelled map had progressed.  Only ever raised when an armed
     {!Cgra_util.Deadline.t} actually expires; [Flow] catches it and
-    converts it into a typed [Timed_out] failure. *)
+    converts it into a failure with verdict {!Expired}. *)
 
 val map_block :
   ?routes:int list list array ->

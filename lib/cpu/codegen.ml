@@ -294,9 +294,6 @@ let compile cdfg =
   in
   { cdfg; blocks; spill_words = !spill }
 
-let instruction_count p =
-  Array.fold_left (fun acc code -> acc + List.length code) 0 p.blocks
-
 let pp fmt p =
   Format.fprintf fmt "@[<v>";
   Array.iteri

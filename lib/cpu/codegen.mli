@@ -23,7 +23,4 @@ val spill_base_reg : int
 
 val compile : Cgra_ir.Cdfg.t -> program
 
-val instruction_count : program -> int
-(** Static instructions over all blocks. *)
-
 val pp : Format.formatter -> program -> unit

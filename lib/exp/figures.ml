@@ -738,9 +738,8 @@ let repair_report p =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
                 ^ FC.preset_label flow ^ "/repair"
               in
-              (* No [~opt] here: [Optimized] would set [optimize], and
-                 every remap would re-run [cgra_opt] on the mapping's
-                 already optimized CDFG. *)
+              (* No [~opt] here: the repair seeds are keyed without the
+                 opt suffix, so [--opt repair_report] keeps its bytes. *)
               let config_flow =
                 { (Runner.cell_flow_config k.K.slug config flow) with
                   Cgra_core.Flow_config.degrade = true }
@@ -856,13 +855,12 @@ let optimality_report p =
   let exact_cell k config =
     let fc =
       { (Runner.cell_flow_config ~opt:p.opt k.K.slug config FC.Full) with
-        FC.backend = FC.Exact;
-        retries = 0 }
+        FC.backend = FC.Exact }
     in
     match Toolchain.run_kernel ~opt:p.opt ~config:fc (Config.cgra config) k with
     | Ok (m, x) -> `Mapped (m.Toolchain.mapping, x.Toolchain.sim, x.Toolchain.energy)
-    | Error ((Toolchain.Unmapped _ | Toolchain.Unassemblable _) as e) ->
-      `Unmapped (Toolchain.error_to_string e)
+    | Error (Toolchain.Unmapped f) -> `Unmapped f.Cgra_core.Flow.verdict
+    | Error (Toolchain.Unassemblable _) -> `Unmapped Cgra_core.Search.Dead_end
     | Error e ->
       artifact_error "optimality_report" "exact mapping of %s on %s: %s" k.K.name
         (Config.to_string config) (Toolchain.error_to_string e)
@@ -887,13 +885,13 @@ let optimality_report p =
                     string_of_int sim.Cgra_sim.Simulator.cycles;
                     T.float_cell (E.to_uj energy.E.total_pj) ],
                   "" )
-              | `Unmapped reason ->
+              | `Unmapped verdict ->
                 ( [ "-"; "-"; "-" ],
-                  if Cgra_core.Flow.proved_unsat reason then
-                    "UNSAT under encoding"
-                  else if Cgra_core.Flow.budget_exhausted reason then
-                    "budget exhausted"
-                  else "no mapping" )
+                  match verdict with
+                  | Cgra_core.Search.Proved_unsat -> "UNSAT under encoding"
+                  | Cgra_core.Search.Budget_spent -> "budget exhausted"
+                  | Cgra_core.Search.Dead_end | Cgra_core.Search.Expired _ ->
+                    "no mapping" )
             in
             [ k.K.name; Config.to_string config ] @ beam @ exact @ [ note ])
           configs)

@@ -27,9 +27,7 @@ let cell_flow_config ?(opt = Toolchain.Default) slug config preset =
     slug ^ "/" ^ Cgra_arch.Config.to_string config ^ "/" ^ FC.preset_label preset
     ^ Toolchain.opt_label opt
   in
-  { fc with
-    FC.optimize = opt = Toolchain.Optimized;
-    seed = Rng.seed_of ~base:fc.FC.seed key }
+  { fc with FC.seed = Rng.seed_of ~base:fc.FC.seed key }
 
 type run = {
   mapping : Cgra_core.Mapping.t;
@@ -172,7 +170,7 @@ let run_of ?(opt = Toolchain.Default) k config preset =
       let fc = cell_flow_config ~opt k.K.slug config preset in
       let cgra = Cgra_arch.Config.cgra config in
       match Toolchain.run_kernel ~opt ~config:fc cgra k with
-      | Ok ({ mapping; stats; program }, { sim; energy }) ->
+      | Ok ({ mapping; stats; program; opt_report = _ }, { sim; energy }) ->
         Mapped
           { mapping; program; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
             compile_work = stats.Cgra_core.Flow.work;

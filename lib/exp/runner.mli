@@ -71,9 +71,9 @@ val cell_flow_config :
   Cgra_core.Flow_config.preset ->
   Cgra_core.Flow_config.t
 (** [cell_flow_config slug config preset] is the preset's configuration
-    with the seed replaced by the cell-keyed split described above (and,
-    for [~opt:Optimized], the [optimize] knob set).  Exposed so tests can
-    reproduce a single cell outside the cache. *)
+    with the seed replaced by the cell-keyed split described above; a
+    non-[Default] [opt] adds its {!Toolchain.opt_label} to the key.
+    Exposed so tests can reproduce a single cell outside the cache. *)
 
 type run = {
   mapping : Cgra_core.Mapping.t;

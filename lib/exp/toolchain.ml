@@ -1,6 +1,7 @@
 module FC = Cgra_core.Flow_config
 module Flow = Cgra_core.Flow
 module K = Cgra_kernels.Kernel_def
+module Pipeline = Cgra_opt.Pipeline
 module Sim = Cgra_sim.Simulator
 module Validator = Cgra_verify.Validator
 
@@ -19,8 +20,13 @@ let opt_of_string = function
 
 let opt_label = function Default -> "" | Raw -> "+RAW" | Optimized -> "+OPT"
 
-let cdfg_of opt k =
-  match opt with Default -> K.cdfg k | Raw | Optimized -> K.cdfg_raw k
+(* The opt mode, decided here once: [Default] maps the inline-optimized
+   lowering, [Raw] and [Optimized] the naive one, and [Optimized] then
+   runs the [cgra_opt] pipeline over it ([optimize] below). *)
+let raw_lowering = function Default -> false | Raw | Optimized -> true
+
+let cdfg_of opt k = if raw_lowering opt then K.cdfg_raw k else K.cdfg k
+let compile opt source = Cgra_lang.Compile.compile ~raw:(raw_lowering opt) source
 
 type error =
   | Unmapped of Flow.failure
@@ -43,6 +49,7 @@ type mapped = {
   mapping : Cgra_core.Mapping.t;
   stats : Flow.stats;
   program : Cgra_asm.Assemble.program;
+  opt_report : Pipeline.report option;
 }
 
 type executed = { sim : Sim.result; energy : Cgra_power.Energy.breakdown }
@@ -50,16 +57,27 @@ type executed = { sim : Sim.result; energy : Cgra_power.Energy.breakdown }
 let validate program =
   match Validator.check program with [] -> Ok () | vs -> Error (Invalid vs)
 
-let map ?deadline ?opt_verify ~config cgra cdfg =
-  match Flow.run ~config ?deadline ?opt_verify cgra cdfg with
-  | exception Cgra_opt.Pipeline.Verification_failed msg -> Error (Unoptimizable msg)
+(* An invalid CDFG skips the pipeline and reaches [Flow.run] as it is,
+   which reports it as an ordinary mapping failure. *)
+let optimize opt ~verify cdfg =
+  match opt with
+  | Optimized when Cgra_ir.Cdfg.validate cdfg = Ok () -> (
+    match Pipeline.run ~verify:(verify ()) cdfg with
+    | cdfg, report -> Ok (cdfg, Some report)
+    | exception Pipeline.Verification_failed msg -> Error (Unoptimizable msg))
+  | Default | Raw | Optimized -> Ok (cdfg, None)
+
+let map ?deadline ~config cgra cdfg =
+  match Flow.run ~config ?deadline cgra cdfg with
   | Error f -> Error (Unmapped f)
   | Ok (mapping, stats) -> (
     match Cgra_asm.Assemble.assemble mapping with
     | exception Cgra_asm.Assemble.Assembly_error reason ->
       Error (Unassemblable { reason; work = stats.Flow.work })
     | program ->
-      Result.map (fun () -> { mapping; stats; program }) (validate program))
+      Result.map
+        (fun () -> { mapping; stats; program; opt_report = None })
+        (validate program))
 
 let execute ?(protection = Cgra_arch.Protection.none) ?golden ~mem program =
   (* Protection off keeps the plain fetch path and energy model, so
@@ -80,20 +98,23 @@ let execute ?(protection = Cgra_arch.Protection.none) ?golden ~mem program =
     let protect = Option.map (fun _ -> protection) protect in
     Ok { sim; energy = Cgra_power.Energy.cgra ?protect cgra sim }
 
-let run ?deadline ?golden ~config ~mem cgra cdfg =
+let ( let* ) = Result.bind
+
+let run ?deadline ?golden ?(opt = Default) ~config ~mem cgra cdfg =
   (* A kernel with known inputs verifies the optimizer on exactly the
      image it will be simulated on. *)
-  let opt_verify =
-    Option.map
-      (fun _ -> Cgra_opt.Pipeline.verifier_of_mems [ Array.copy mem ])
-      golden
+  let verify () =
+    match golden with
+    | Some _ -> Pipeline.verifier_of_mems [ Array.copy mem ]
+    | None -> Pipeline.default_verifier ()
   in
-  Result.bind (map ?deadline ?opt_verify ~config cgra cdfg) (fun m ->
-      Result.map
-        (fun x -> (m, x))
-        (execute ~protection:config.FC.protection ?golden ~mem m.program))
+  let* cdfg, opt_report = optimize opt ~verify cdfg in
+  let* m = map ?deadline ~config cgra cdfg in
+  let m = { m with opt_report } in
+  Result.map
+    (fun x -> (m, x))
+    (execute ~protection:config.FC.protection ?golden ~mem m.program)
 
 let run_kernel ?deadline ?(opt = Default) ~config cgra k =
-  run ?deadline ~golden:(K.run_golden k)
-    ~config:{ config with FC.optimize = opt = Optimized }
-    ~mem:(K.fresh_mem k) cgra (cdfg_of opt k)
+  run ?deadline ~golden:(K.run_golden k) ~opt ~config ~mem:(K.fresh_mem k) cgra
+    (cdfg_of opt k)

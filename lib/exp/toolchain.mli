@@ -1,5 +1,6 @@
-(** The tool chain, in one place: CDFG → mapping flow ([Cgra_core.Flow.run])
-    → assembly → independent validation → cycle-level simulation → golden
+(** The tool chain, in one place: lowering → [cgra_opt] pipeline (opt
+    mode [Optimized] only) → mapping flow ([Cgra_core.Flow.run]) →
+    assembly → independent validation → cycle-level simulation → golden
     check → energy model.
 
     The experiment harness ({!Runner}), the [cgra_mapd] compute path,
@@ -9,6 +10,10 @@
     validated, protected runs fetch through the ECC decoder, and energy
     is always priced on the array the mapping targeted (the degraded one
     under a fault map).
+
+    The opt mode lives here and nowhere else: {!cdfg_of} and {!compile}
+    pick the lowering, and {!run} runs the pipeline over it; the flow
+    maps whatever CDFG it is handed.
 
     The API splits at the map/execute boundary: {!map} turns a CDFG into a
     validated program, {!execute} runs a program, and {!run} is both.
@@ -35,13 +40,19 @@ val cdfg_of : opt -> Cgra_kernels.Kernel_def.t -> Cgra_ir.Cdfg.t
 (** The kernel's inline-optimized CDFG for [Default], its naive lowering
     otherwise. *)
 
+val compile :
+  opt -> string -> (Cgra_ir.Cdfg.t, Cgra_lang.Compile.error) result
+(** {!cdfg_of} for kernel-language source text: the lowering [opt] maps,
+    before {!run} optimizes it. *)
+
 (** Why a run stopped, one constructor per stage. *)
 type error =
   | Unmapped of Cgra_core.Flow.failure
       (** map: the flow found no mapping, or its deadline fired
-          ([failure.timed_out]) *)
+          ([failure.verdict] is [Expired]) *)
   | Unoptimizable of string
-      (** map: the [cgra_opt] pipeline failed differential verification *)
+      (** optimize: the [cgra_opt] pipeline failed differential
+          verification *)
   | Unassemblable of { reason : string; work : int }
       (** assemble: register-file pressure the search does not model;
           [work] is the flow's binding attempts *)
@@ -61,6 +72,8 @@ type mapped = {
   mapping : Cgra_core.Mapping.t;
   stats : Cgra_core.Flow.stats;
   program : Cgra_asm.Assemble.program;  (** validated *)
+  opt_report : Cgra_opt.Pipeline.report option;
+      (** per-pass statistics, when {!run} optimized the CDFG *)
 }
 
 type executed = {
@@ -70,14 +83,12 @@ type executed = {
 
 val map :
   ?deadline:Cgra_util.Deadline.t ->
-  ?opt_verify:Cgra_opt.Pipeline.verifier ->
   config:Cgra_core.Flow_config.t ->
   Cgra_arch.Cgra.t ->
   Cgra_ir.Cdfg.t ->
   (mapped, error) result
-(** Map onto [cgra] (degraded by [config.faults]), assemble, validate.
-    [deadline] bounds the flow; [opt_verify] is handed to the [cgra_opt]
-    pipeline when [config.optimize] is set. *)
+(** Map the CDFG as given onto [cgra] (degraded by [config.faults]),
+    assemble, validate.  [deadline] bounds the flow. *)
 
 val validate : Cgra_asm.Assemble.program -> (unit, error) result
 (** The validate stage on its own: [Error (Invalid _)] on any violation. *)
@@ -97,15 +108,18 @@ val execute :
 val run :
   ?deadline:Cgra_util.Deadline.t ->
   ?golden:int array ->
+  ?opt:opt ->
   config:Cgra_core.Flow_config.t ->
   mem:int array ->
   Cgra_arch.Cgra.t ->
   Cgra_ir.Cdfg.t ->
   (mapped * executed, error) result
-(** {!map} then {!execute} at [config.protection].  With
-    [config.optimize], the pipeline is differentially verified on [mem]
-    when [golden] is given (a kernel with known inputs), else on
-    {!Cgra_opt.Pipeline.default_verifier}. *)
+(** {!map} then {!execute} at [config.protection].  The CDFG is the
+    lowering [opt] (default [Default]) picked; under [Optimized] the
+    [cgra_opt] pipeline runs over it first, differentially verified on
+    [mem] when [golden] is given (a kernel with known inputs), else on
+    {!Cgra_opt.Pipeline.default_verifier}.  A CDFG that fails
+    {!Cgra_ir.Cdfg.validate} skips the pipeline and fails in the flow. *)
 
 val run_kernel :
   ?deadline:Cgra_util.Deadline.t ->
@@ -115,5 +129,4 @@ val run_kernel :
   Cgra_kernels.Kernel_def.t ->
   (mapped * executed, error) result
 (** {!run} on a bundled kernel: its {!cdfg_of} [opt] (default [Default]),
-    its input image and its golden model; [config.optimize] is set
-    exactly when [opt = Optimized]. *)
+    its input image and its golden model. *)

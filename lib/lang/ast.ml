@@ -29,20 +29,3 @@ type kernel = { name : string; decls : decl list; body : stmt list }
 type pos = { line : int; col : int }
 
 exception Syntax_error of pos * string
-
-let binop_to_string = function
-  | Badd -> "+"
-  | Bsub -> "-"
-  | Bmul -> "*"
-  | Bshl -> "<<"
-  | Bshrl -> ">>>"
-  | Bshra -> ">>"
-  | Band -> "&"
-  | Bor -> "|"
-  | Bxor -> "^"
-  | Blt -> "<"
-  | Ble -> "<="
-  | Beq -> "=="
-  | Bne -> "!="
-  | Bgt -> ">"
-  | Bge -> ">="

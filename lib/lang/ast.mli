@@ -42,5 +42,3 @@ type kernel = { name : string; decls : decl list; body : stmt list }
 type pos = { line : int; col : int }
 
 exception Syntax_error of pos * string
-
-val binop_to_string : binop -> string

@@ -27,14 +27,12 @@ let run ?deadline (spec : Key.spec) =
       | Some k ->
         Ok (Toolchain.run_kernel ?deadline ~opt:spec.Key.opt ~config:fc cgra k))
     | Key.Inline { source; mem_words } -> (
-      let raw = spec.Key.opt <> Key.Default in
-      match Cgra_lang.Compile.compile ~raw source with
+      match Toolchain.compile spec.Key.opt source with
       | Error e ->
         Error ("kernel source: " ^ Cgra_lang.Compile.error_to_string e)
       | Ok cdfg ->
         Ok
-          (Toolchain.run ?deadline
-             ~config:{ fc with FC.optimize = spec.Key.opt = Key.Optimized }
+          (Toolchain.run ?deadline ~opt:spec.Key.opt ~config:fc
              ~mem:(Array.make mem_words 0) cgra cdfg))
   in
   match result with
@@ -43,7 +41,9 @@ let run ?deadline (spec : Key.spec) =
       Artifact.render ~key_digest:(Key.digest spec) ~spec program sim energy
     in
     Ok (Artifact { bytes; digest = Artifact.digest bytes })
-  | Error (Toolchain.Unmapped { Cgra_core.Flow.timed_out = Some where; _ }) ->
+  | Error
+      (Toolchain.Unmapped
+        { Cgra_core.Flow.verdict = Cgra_core.Search.Expired { where }; _ }) ->
     (* Not a verdict about the kernel — the caller must not memoise it. *)
     Ok (Timed_out { where })
   | Error ((Toolchain.Unmapped _ | Toolchain.Unassemblable _) as e) ->

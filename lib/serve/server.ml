@@ -49,7 +49,6 @@ let log t fmt =
   else Printf.ifprintf stderr fmt
 
 let store t = t.store
-let stopping t = Atomic.get t.stop
 
 (* ---- compute scheduling ----------------------------------------------- *)
 

@@ -65,8 +65,6 @@ val request_stop : t -> unit
 (** Begin graceful shutdown; idempotent, safe from a signal handler
     context (sets a flag the accept loops poll). *)
 
-val stopping : t -> bool
-
 val wait : t -> unit
 (** Block until shutdown completes: accept threads joined, connections
     drained (bounded grace, then force-closed), pool drained and joined,

@@ -7,21 +7,10 @@ type t = int64
 let never : t = Int64.max_int
 let is_never t = Int64.equal t never
 
-let at_ns ns : t = ns
-
 let after_ms ms : t =
   if ms <= 0 then Clock.now_ns ()
   else Int64.add (Clock.now_ns ()) (Int64.mul (Int64.of_int ms) 1_000_000L)
 
 let expired t = (not (is_never t)) && Int64.compare (Clock.now_ns ()) t >= 0
-
-let remaining_ms t =
-  if is_never t then None
-  else
-    let left = Int64.sub t (Clock.now_ns ()) in
-    if Int64.compare left 0L <= 0 then Some 0
-    else
-      (* round up: an unexpired token never reports 0 *)
-      Some (Int64.to_int (Int64.div (Int64.add left 999_999L) 1_000_000L))
 
 let intersect a b = if Int64.compare a b <= 0 then a else b

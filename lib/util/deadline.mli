@@ -26,16 +26,9 @@ val after_ms : int -> t
 (** [after_ms ms] is a token expiring [ms] milliseconds from now.
     [ms <= 0] yields a token that is already expired. *)
 
-val at_ns : int64 -> t
-(** A token expiring at an absolute {!Clock.now_ns} instant. *)
-
 val expired : t -> bool
 (** One clock read and one compare ([never] short-circuits without the
     read). *)
-
-val remaining_ms : t -> int option
-(** Milliseconds until expiry: [None] for {!never}, [Some 0] once
-    expired.  Rounds up, so an unexpired token never reports [Some 0]. *)
 
 val is_never : t -> bool
 (** [true] iff the token is {!never}. *)

@@ -583,9 +583,6 @@ let test_portfolio_jobs_identical () =
     match Flow.run ~config:fc (Config.cgra Config.HOM32) (K.cdfg (kernel "fir")) with
     | Error f -> Alcotest.failf "fir portfolio jobs=%d failed: %s" jobs f.Flow.reason
     | Ok (mapping, _) ->
-      (* [compile_seconds] is honest wall-clock; everything else must
-         reproduce bit for bit, so zero it before hashing. *)
-      let mapping = { mapping with M.compile_seconds = 0.0 } in
       Digest.string
         (Marshal.to_string (Cgra_asm.Assemble.assemble mapping) [])
   in
@@ -608,7 +605,6 @@ let test_deadline_unfired_identical () =
       Alcotest.failf "fir %s failed: %s" (FC.backend_to_string backend)
         f.Flow.reason
     | Ok (mapping, _) ->
-      let mapping = { mapping with M.compile_seconds = 0.0 } in
       Digest.string (Marshal.to_string (Cgra_asm.Assemble.assemble mapping) [])
   in
   let armed = Cgra_util.Deadline.after_ms 3_600_000 in
@@ -630,10 +626,58 @@ let test_deadline_fired_typed () =
   with
   | Ok _ -> Alcotest.fail "expired deadline cannot produce a mapping"
   | Error f -> (
-    match f.Flow.timed_out with
-    | Some where ->
-      Alcotest.(check bool) "where is recorded" true (String.length where > 0)
-    | None -> Alcotest.failf "failure not typed as timeout: %s" f.Flow.reason)
+    match f.Flow.verdict with
+    | Cgra_core.Search.Expired { where } ->
+      Alcotest.(check string) "where names the boundary" "flow block loop" where;
+      Alcotest.(check string) "reason renders where" "timed out (flow block loop)"
+        f.Flow.reason
+    | _ -> Alcotest.failf "failure not typed as timeout: %s" f.Flow.reason)
+
+(* A failure's kind is data.  dc_filter@HOM64 is the exact backend's
+   move-free infeasibility proof, and its reason keeps the phrase the
+   benchmark's own matcher still looks for; FFT@HOM32 under the full beam
+   flow is an ordinary dead end. *)
+let test_typed_verdicts () =
+  (match run_cell "dc_filter" Config.HOM64 FC.Exact with
+   | Ok _ -> Alcotest.fail "dc_filter@HOM64 cannot map move-free"
+   | Error f ->
+     Alcotest.(check bool) "verdict is Proved_unsat" true
+       (f.Flow.verdict = Cgra_core.Search.Proved_unsat);
+     let phrase = "proved UNSAT" and reason = f.Flow.reason in
+     let n = String.length phrase in
+     let rec has i =
+       i + n <= String.length reason
+       && (String.sub reason i n = phrase || has (i + 1))
+     in
+     Alcotest.(check bool) "reason still says proved UNSAT" true (has 0));
+  let fc = R.cell_flow_config "fft" Config.HOM32 FC.Full in
+  match Flow.run ~config:fc (Config.cgra Config.HOM32) (K.cdfg (kernel "fft")) with
+  | Ok _ -> Alcotest.fail "FFT@HOM32 is the full beam flow's unmappable cell"
+  | Error f ->
+    Alcotest.(check bool) "verdict is Dead_end" true
+      (f.Flow.verdict = Cgra_core.Search.Dead_end)
+
+(* The exact backend is deterministic and reads no search knob, so the
+   retry ladder gives it one rung: reseeded retries and the degrade
+   ladder would only repeat the same solves. *)
+let test_exact_one_rung () =
+  let cgra = Config.cgra Config.HOM64 and cdfg = K.cdfg (kernel "dc_filter") in
+  let exact = { FC.context_aware with FC.backend = FC.Exact } in
+  let failure config =
+    match Flow.run ~config cgra cdfg with
+    | Ok _ -> Alcotest.fail "dc_filter@HOM64 cannot map move-free"
+    | Error f -> f
+  in
+  let once = failure { exact with FC.retries = 0 } in
+  List.iter
+    (fun (what, config) ->
+      let f = failure config in
+      Alcotest.(check int) (what ^ ": one rung") 1 (List.length f.Flow.gave_up);
+      Alcotest.(check int) (what ^ ": the work of one attempt") once.Flow.work
+        f.Flow.work;
+      Alcotest.(check string) (what ^ ": same reason") once.Flow.reason
+        f.Flow.reason)
+    [ ("retries 2", exact); ("degrade", { exact with FC.degrade = true }) ]
 
 (* The optimality report's two sides map the same lowering: under
    [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
@@ -663,9 +707,7 @@ let test_optimality_report_opt () =
   in
   let exact =
     let fc =
-      { (R.cell_flow_config ~opt "fft" config FC.Full) with
-        FC.backend = FC.Exact;
-        retries = 0 }
+      { (R.cell_flow_config ~opt "fft" config FC.Full) with FC.backend = FC.Exact }
     in
     match Toolchain.run_kernel ~opt ~config:fc (Config.cgra config) k with
     | Ok (m, x) ->
@@ -726,6 +768,10 @@ let suite =
           test_deadline_unfired_identical;
         Alcotest.test_case "fired deadline is a typed failure" `Quick
           test_deadline_fired_typed;
+        Alcotest.test_case "failures carry typed verdicts" `Quick
+          test_typed_verdicts;
+        Alcotest.test_case "exact backend climbs one rung" `Quick
+          test_exact_one_rung;
         Alcotest.test_case "optimality report maps one lowering" `Slow
           test_optimality_report_opt;
       ] );

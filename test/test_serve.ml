@@ -428,6 +428,149 @@ let test_runner_cell_equals_compute () =
     FC.presets
     [ "fir"; "dc_filter"; "convolution"; "sep_filter" ]
 
+(* ---- known answers ----------------------------------------------------- *)
+
+(* The digest of every [Compute.run] outcome over a grid of cheap cells:
+   the artifact's MD5, or an unmappable cell's reason's MD5.  The table
+   was recorded under [kat_version].  Changing any of these bytes without
+   bumping [Key.code_version] would let a store keep serving the old
+   bytes under the old keys; after a bump the table is re-recorded and
+   re-stamped.  A mismatch prints the whole actual table. *)
+let kat_version = "cgra_mapd-4"
+
+let kat_cells =
+  let module FC = Cgra_core.Flow_config in
+  let module Config = Cgra_arch.Config in
+  let module P = Cgra_arch.Protection in
+  List.concat_map
+    (fun slug ->
+      List.concat_map
+        (fun config ->
+          List.concat_map
+            (fun opt ->
+              List.map (fun backend -> (slug, config, opt, backend, P.none))
+                [ FC.Beam; FC.Exact ])
+            [ Key.Default; Key.Raw; Key.Optimized ])
+        [ Config.HOM64; Config.HET2 ])
+    [ "fir"; "convolution"; "sep_filter"; "fft"; "dc_filter" ]
+  @ List.concat_map
+      (fun slug ->
+        List.map
+          (fun backend -> (slug, Config.HET2, Key.Default, backend, P.secded))
+          [ FC.Beam; FC.Exact ])
+      [ "fir"; "dc_filter" ]
+
+let actual_kat () =
+  let module FC = Cgra_core.Flow_config in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.map
+    (fun (slug, config, opt, backend, protection) ->
+      let spec =
+        fail_on_error
+          (Key.spec_of_bundled ~slug ~config
+             ~flow:{ FC.context_aware with FC.backend; protection }
+             ~opt ~faults:[])
+      in
+      let digest =
+        match Compute.run spec with
+        | Ok (Compute.Artifact { digest; _ }) -> digest
+        | Ok (Compute.Unmappable { reason }) -> md5 reason
+        | Ok (Compute.Timed_out { where }) -> "timed out: " ^ where
+        | Error e -> "error: " ^ e
+      in
+      ( ( slug,
+          Cgra_arch.Config.to_string config,
+          Cgra_exp.Toolchain.opt_to_string opt,
+          FC.backend_to_string backend,
+          Cgra_arch.Protection.profile_to_string protection ),
+        digest ))
+    kat_cells
+
+let expected_kat : ((string * string * string * string * string) * string) list =
+  [
+    (("fir", "HOM64", "default", "beam", "none"), "9b9ae0d253f1b8093ed8bdc372b6adc4");
+    (("fir", "HOM64", "default", "exact", "none"), "9ef94e469715f8d0ba1575ca814e8737");
+    (("fir", "HOM64", "raw", "beam", "none"), "76b333761510bff7db41ee298d6c19df");
+    (("fir", "HOM64", "raw", "exact", "none"), "b5c439d23c0270b2148bf6d00172a290");
+    (("fir", "HOM64", "optimized", "beam", "none"), "176da75dca831df328fde6f1111fdd4a");
+    (("fir", "HOM64", "optimized", "exact", "none"), "fe20065ba3b4cea3ee76ae8a0aa5beae");
+    (("fir", "HET2", "default", "beam", "none"), "1ac3807c9196b1f48c96877da8700791");
+    (("fir", "HET2", "default", "exact", "none"), "b0e555da55e3e50286a0116773770fab");
+    (("fir", "HET2", "raw", "beam", "none"), "de4550091c97033646a0a1a5395962ea");
+    (("fir", "HET2", "raw", "exact", "none"), "957908f48a669adadb6ae88390b54d89");
+    (("fir", "HET2", "optimized", "beam", "none"), "0fdef6a1cecb74228321535996de44df");
+    (("fir", "HET2", "optimized", "exact", "none"), "4d7f02a6085cd4bb41bba7622fa29ffe");
+    (("convolution", "HOM64", "default", "beam", "none"), "19768b980b8714f9a1d1a30089402f6d");
+    (("convolution", "HOM64", "default", "exact", "none"), "de325f7123cb65e2793947d12c5f6400");
+    (("convolution", "HOM64", "raw", "beam", "none"), "f19e3fecfc49c636f04d12f635fa2616");
+    (("convolution", "HOM64", "raw", "exact", "none"), "b2f42ade9fb066de404ec9d8b96e7637");
+    (("convolution", "HOM64", "optimized", "beam", "none"), "d6dbcc721dd3f3dd959b9e87d0b9a9fc");
+    (("convolution", "HOM64", "optimized", "exact", "none"), "e22579ad59e67201a3b362cc48d2be49");
+    (("convolution", "HET2", "default", "beam", "none"), "967ee7a0681330b218e6204c3b79b83d");
+    (("convolution", "HET2", "default", "exact", "none"), "25c5577a6967a668e3b5ce66d3c767e4");
+    (("convolution", "HET2", "raw", "beam", "none"), "0d2545bacfb3a2c228ad4825c17070ea");
+    (("convolution", "HET2", "raw", "exact", "none"), "7de3cd91b831291f7803384499d23c61");
+    (("convolution", "HET2", "optimized", "beam", "none"), "49e0f6c36a9f37c30d1d1b30cf1da6e8");
+    (("convolution", "HET2", "optimized", "exact", "none"), "74358e3fca19c5524c7db46035ee69be");
+    (("sep_filter", "HOM64", "default", "beam", "none"), "92384f18c2683725c184231eecba6bf1");
+    (("sep_filter", "HOM64", "default", "exact", "none"), "b6ae1b562a774999dc83168cf8c14bf1");
+    (("sep_filter", "HOM64", "raw", "beam", "none"), "e4df546733e0ec2e36d947953c5f21c0");
+    (("sep_filter", "HOM64", "raw", "exact", "none"), "a73dfc0941bc1452a4087c4fc6139043");
+    (("sep_filter", "HOM64", "optimized", "beam", "none"), "39a41baf313faf839c675bbc92325a5c");
+    (("sep_filter", "HOM64", "optimized", "exact", "none"), "2839d54032e88dc1a9a98fe3fb13b934");
+    (("sep_filter", "HET2", "default", "beam", "none"), "436200de6174ff7229952c24bea53a67");
+    (("sep_filter", "HET2", "default", "exact", "none"), "092a045613c967b60f9e985211b484e0");
+    (("sep_filter", "HET2", "raw", "beam", "none"), "d9e652194e1c421db4839ada7efee45f");
+    (("sep_filter", "HET2", "raw", "exact", "none"), "d0b515ec5c8ecfdc335224f80f84add4");
+    (("sep_filter", "HET2", "optimized", "beam", "none"), "1610373da31396f1fd88f16601a07ad9");
+    (("sep_filter", "HET2", "optimized", "exact", "none"), "f59235b071531654881a4654b084dcb9");
+    (("fft", "HOM64", "default", "beam", "none"), "6227d21e7c51b7a41440199e13cc141c");
+    (("fft", "HOM64", "default", "exact", "none"), "0d9e43b100fd1f70df0ebb349123e5b1");
+    (("fft", "HOM64", "raw", "beam", "none"), "5cf7f9f788beae9584543c468d93faa9");
+    (("fft", "HOM64", "raw", "exact", "none"), "6a4a7b913503ea6d0cc18ad3f99a28bd");
+    (("fft", "HOM64", "optimized", "beam", "none"), "1d1e6e7a4739adafacb1218b457fd20c");
+    (("fft", "HOM64", "optimized", "exact", "none"), "513b74f3c5aa88b7eba75c5d614f838c");
+    (("fft", "HET2", "default", "beam", "none"), "cecb2a95cccf7068de82cac44e4e691d");
+    (("fft", "HET2", "default", "exact", "none"), "27bb3e3922e1859561d029ead1bcb155");
+    (("fft", "HET2", "raw", "beam", "none"), "2675b51ffdda9c32053142b2b09fe850");
+    (("fft", "HET2", "raw", "exact", "none"), "21ef6a1de61719dc127a987091408e52");
+    (("fft", "HET2", "optimized", "beam", "none"), "7b379f0a7da55d62a35282901792bf93");
+    (("fft", "HET2", "optimized", "exact", "none"), "551d0a0206c4ab89960b32f1852d1b8d");
+    (("dc_filter", "HOM64", "default", "beam", "none"), "1b6a633598c380ecffea733f61810999");
+    (("dc_filter", "HOM64", "default", "exact", "none"), "3f2eec17cea42ba67758b57a66851644");
+    (("dc_filter", "HOM64", "raw", "beam", "none"), "0440b6ea2fc55f23a81602f059b1e0ef");
+    (("dc_filter", "HOM64", "raw", "exact", "none"), "f4e7b0465b5377c6e5ef66c453b41ce0");
+    (("dc_filter", "HOM64", "optimized", "beam", "none"), "f3a62dd22d74b5afdd7ef0e2395e0899");
+    (("dc_filter", "HOM64", "optimized", "exact", "none"), "3f2eec17cea42ba67758b57a66851644");
+    (("dc_filter", "HET2", "default", "beam", "none"), "f63c0476ce8f015e58aa3acbac2c5d51");
+    (("dc_filter", "HET2", "default", "exact", "none"), "3f2eec17cea42ba67758b57a66851644");
+    (("dc_filter", "HET2", "raw", "beam", "none"), "274455e935ba3df1f1b14065b6567416");
+    (("dc_filter", "HET2", "raw", "exact", "none"), "e5ff2ef6e1ab31795192f0d8e917ae78");
+    (("dc_filter", "HET2", "optimized", "beam", "none"), "7e760c4703a242aae95e7303e7b8efdb");
+    (("dc_filter", "HET2", "optimized", "exact", "none"), "3f2eec17cea42ba67758b57a66851644");
+    (("fir", "HET2", "default", "beam", "secded"), "297791d947450445f2f3161042f01c34");
+    (("fir", "HET2", "default", "exact", "secded"), "35c4a232e4deb7ee40ffdeb39327b223");
+    (("dc_filter", "HET2", "default", "beam", "secded"), "b37124756f01fe0554a28f4358aea1e7");
+    (("dc_filter", "HET2", "default", "exact", "secded"), "3f2eec17cea42ba67758b57a66851644");
+  ]
+
+let test_known_answers () =
+  let actual = actual_kat () in
+  let show ((s, c, o, b, p), d) =
+    Printf.sprintf "((%S, %S, %S, %S, %S), %S)" s c o b p d
+  in
+  let table () = String.concat "" (List.map (fun e -> "  " ^ show e ^ ";\n") actual) in
+  if Key.code_version <> kat_version then
+    Alcotest.failf
+      "Key.code_version is %s but the table is stamped %s: re-record it \
+       and its stamp; actual:\n[\n%s]"
+      Key.code_version kat_version (table ())
+  else if actual <> expected_kat then
+    Alcotest.failf
+      "artifact bytes changed without a Key.code_version bump (still %s); \
+       actual:\n[\n%s]"
+      kat_version (table ())
+
 (* ---- protocol --------------------------------------------------------- *)
 
 let roundtrip_request req =
@@ -718,6 +861,8 @@ let suite =
           test_runner_cell_equals_compute;
         Alcotest.test_case "compute rejects bad requests" `Quick
           test_compute_bad_request;
+        Alcotest.test_case "known answers: artifact digests" `Slow
+          test_known_answers;
         Alcotest.test_case "protocol request round-trips" `Quick
           test_protocol_requests;
         Alcotest.test_case "protocol validates map requests" `Quick
