@@ -92,18 +92,12 @@ let traversal_order traversal cdfg =
         else compare pos.(a) pos.(b))
       forward
 
-(* Exact per-tile context words of one committed block mapping. *)
-let block_words cgra (bm : Mapping.bb_mapping) =
-  let nt = Cgra.tile_count cgra in
-  let occ = Array.init nt (fun _ -> Occupancy.create ()) in
-  let instr = Array.make nt 0 in
-  List.iter
-    (fun sl ->
-      Occupancy.occupy occ.(sl.Mapping.tile) sl.Mapping.cycle;
-      instr.(sl.Mapping.tile) <- instr.(sl.Mapping.tile) + 1)
-    bm.Mapping.slots;
-  Array.init nt (fun t ->
-      instr.(t) + Occupancy.pnops occ.(t))
+(* Charge one block mapping's exact per-tile context words to
+   [committed]. *)
+let commit_words cgra committed bm =
+  Array.iteri
+    (fun t u -> committed.(t) <- committed.(t) + Mapping.usage_total u)
+    (Mapping.block_usage cgra bm)
 
 (* [base = Some (m, dirty, kept_homes)] switches one mapping attempt into
    partial mode: blocks with [dirty.(b) = false] reuse [m]'s placements
@@ -142,10 +136,7 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
            CM pressure a full flow would have accumulated. *)
         Array.iteri
           (fun bi bm ->
-            if not dirty.(bi) then begin
-              let words = block_words cgra bm in
-              Array.iteri (fun t w -> committed.(t) <- committed.(t) + w) words
-            end)
+            if not dirty.(bi) then commit_words cgra committed bm)
           m.Mapping.bbs);
       let rng = Rng.create config.Flow_config.seed in
       let recomputes = ref 0 in
@@ -247,8 +238,7 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
             with
             | Error _ as e -> e
             | Ok () ->
-              let words = block_words cgra outcome.Search.bb_mapping in
-              Array.iteri (fun t w -> committed.(t) <- committed.(t) + w) words;
+              commit_words cgra committed outcome.Search.bb_mapping;
               let bs = outcome.Search.stats in
               block_stats := bs :: !block_stats;
               recomputes := !recomputes + bs.Search.recomputes;
@@ -300,10 +290,20 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
         (* Symbols never touched keep home -1; pin them anywhere so the
            assembler has a slot (they are dead). *)
         let homes = Array.map (fun h -> if h < 0 then 0 else h) homes in
-        let mapping = { Mapping.cdfg; cgra; bbs; homes } in
-        if Mapping.fits mapping then
+        (* After the last block [committed] holds every tile's total
+           words, so the verdict needs no recount of the mapping. *)
+        let culprits =
+          List.filter_map
+            (fun t ->
+              let cap = cgra.Cgra.tiles.(t).Cgra.cm_words in
+              if committed.(t) > cap then
+                Some (Printf.sprintf "T%02d %d/%d" t committed.(t) cap)
+              else None)
+            (List.init nt Fun.id)
+        in
+        if culprits = [] then
           Ok
-            ( mapping,
+            ( { Mapping.cdfg; cgra; bbs; homes },
               {
                 recomputes = !recomputes;
                 population_peak = !peak;
@@ -314,13 +314,9 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
                 escalations = [];
               } )
         else
-          let culprits =
-            Mapping.overflowing_tiles mapping
-            |> List.map (fun (t, used, cap) ->
-                   Printf.sprintf "T%02d %d/%d" t used cap)
-            |> String.concat ", "
-          in
-          Error (fail ~work:!work ("context memory overflow: " ^ culprits))
+          Error
+            (fail ~work:!work
+               ("context memory overflow: " ^ String.concat ", " culprits))
     end
 
 let escalation_of ~attempt (c : Flow_config.t) (f : failure) =

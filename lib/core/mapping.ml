@@ -26,55 +26,46 @@ type t = {
   homes : int array;
 }
 
-let zero = { ops = 0; moves = 0; pnops = 0 }
-
-let block_tile_usage m bi =
-  let ntiles = Cgra_arch.Cgra.tile_count m.cgra in
-  let occ = Array.init ntiles (fun _ -> Occupancy.create ()) in
-  let counts = Array.make ntiles zero in
-  let bm = m.bbs.(bi) in
+(* Counted on the occupancy grid the search decides with: a tile's busy
+   cycles are its ops and moves, its idle runs the pnops. *)
+let block_usage cgra bm =
+  let nt = Cgra_arch.Cgra.tile_count cgra in
+  let occ = Occupancy.create nt in
+  let ops = Array.make nt 0 in
   List.iter
     (fun s ->
-      Occupancy.occupy occ.(s.tile) s.cycle;
-      let u = counts.(s.tile) in
-      counts.(s.tile) <-
-        (match s.action with
-         | Aop _ -> { u with ops = u.ops + 1 }
-         | Amove _ | Acopy _ -> { u with moves = u.moves + 1 }))
+      Occupancy.occupy occ s.tile s.cycle;
+      match s.action with
+      | Aop _ -> ops.(s.tile) <- ops.(s.tile) + 1
+      | Amove _ | Acopy _ -> ())
     bm.slots;
-  Array.mapi
-    (fun t u ->
-      { u with pnops = Occupancy.pnops occ.(t) })
-    counts
+  Array.init nt (fun t ->
+      {
+        ops = ops.(t);
+        moves = Occupancy.busy_count occ t - ops.(t);
+        pnops = Occupancy.pnops occ t;
+      })
 
 let tile_usage m =
-  let ntiles = Cgra_arch.Cgra.tile_count m.cgra in
-  let total = Array.make ntiles zero in
-  Array.iteri
-    (fun bi _ ->
-      let per = block_tile_usage m bi in
+  let total =
+    Array.make (Cgra_arch.Cgra.tile_count m.cgra) { ops = 0; moves = 0; pnops = 0 }
+  in
+  Array.iter
+    (fun bm ->
       Array.iteri
         (fun t u ->
           total.(t) <-
             { ops = total.(t).ops + u.ops;
               moves = total.(t).moves + u.moves;
               pnops = total.(t).pnops + u.pnops })
-        per)
+        (block_usage m.cgra bm))
     m.bbs;
   total
 
-let overflowing_tiles m =
-  let usage = tile_usage m in
-  let acc = ref [] in
-  Array.iteri
-    (fun t u ->
-      let cap = m.cgra.Cgra_arch.Cgra.tiles.(t).cm_words in
-      let used = usage_total u in
-      if used > cap then acc := (t, used, cap) :: !acc)
-    usage;
-  List.rev !acc
-
-let fits m = overflowing_tiles m = []
+let fits m =
+  Array.for_all2
+    (fun u (tile : Cgra_arch.Cgra.tile) -> usage_total u <= tile.cm_words)
+    (tile_usage m) m.cgra.Cgra_arch.Cgra.tiles
 
 let sum_usage m f =
   Array.fold_left (fun acc u -> acc + f u) 0 (tile_usage m)

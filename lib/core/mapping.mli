@@ -4,8 +4,8 @@
     node, of every routing move and of every symbol-initialisation copy;
     it also fixes the {e home} tile of every symbol variable.  Context
     usage (Section III-C: operations + transformed operations + pnops per
-    tile) is derived here and is what the memory constraint is checked
-    against. *)
+    tile) is derived here on the same {!Occupancy} grid the search
+    decides with; the validator recounts it independently. *)
 
 type value =
   | Vnode of int  (** result of the block's DFG node *)
@@ -54,18 +54,16 @@ type t = {
   homes : int array;         (** symbol -> home tile *)
 }
 
+val block_usage : Cgra_arch.Cgra.t -> bb_mapping -> usage array
+(** Per-tile usage of one block, counted on an {!Occupancy} grid — the
+    accounting the search decides with and the flow commits. *)
+
 val tile_usage : t -> usage array
 (** Per-tile context usage summed over all basic blocks. *)
-
-val block_tile_usage : t -> int -> usage array
-(** Per-tile usage of one block. *)
 
 val fits : t -> bool
 (** The inequality of Section III-C: every tile's total usage is within
     its context-memory capacity. *)
-
-val overflowing_tiles : t -> (int * int * int) list
-(** [(tile, used, capacity)] for each over-full tile. *)
 
 val total_ops : t -> int
 val total_moves : t -> int

@@ -1,171 +1,102 @@
-(* Occupancy is a growable byte buffer: 0 = free, 1 = busy.  Schedules are a
-   few hundred cycles at most, so linear scans are cheap — but the pnop and
-   busy counts sit on the mapper's hot path (every ACMAP/ECMAP filter and
-   every partial-mapping cost evaluation reads them), so they are maintained
-   incrementally on [occupy] instead of rescanning [bytes] on each query. *)
+(* The occupancies of a whole tile array flattened into one byte buffer
+   (tile-major, 0 = free, 1 = busy) plus per-tile counter arrays.
+   Schedules are a few hundred cycles at most, so linear scans are cheap —
+   but the pnop and busy counts sit on the mapper's hot path (every
+   ACMAP/ECMAP filter and every partial-mapping cost evaluation reads
+   them), so they are maintained incrementally on [occupy] instead of
+   rescanning [bytes] on each query.  A copy is 4 small allocations
+   whatever the tile count, and the search copies its state on every
+   binding attempt. *)
 
 type t = {
-  mutable bytes : Bytes.t;
-  mutable last : int;
-  mutable busy : int; (* busy cycles in [0, last] *)
-  mutable runs : int; (* maximal free runs in [0, last] (pnops) *)
+  nt : int;
+  mutable cap : int; (* cycle capacity per tile *)
+  mutable bytes : Bytes.t; (* nt * cap, row [t * cap .. t * cap + cap) *)
+  last : int array; (* per tile: highest busy cycle, -1 when idle *)
+  busy : int array; (* per tile: busy cycles in [0, last] *)
+  runs : int array; (* per tile: maximal free runs in [0, last] (pnops) *)
 }
 
-let create () = { bytes = Bytes.make 32 '\000'; last = -1; busy = 0; runs = 0 }
+let create nt =
+  {
+    nt;
+    cap = 32;
+    bytes = Bytes.make (nt * 32) '\000';
+    last = Array.make nt (-1);
+    busy = Array.make nt 0;
+    runs = Array.make nt 0;
+  }
 
-let copy t = { bytes = Bytes.copy t.bytes; last = t.last; busy = t.busy; runs = t.runs }
+let copy g =
+  {
+    g with
+    bytes = Bytes.copy g.bytes;
+    last = Array.copy g.last;
+    busy = Array.copy g.busy;
+    runs = Array.copy g.runs;
+  }
 
-let ensure t c =
-  let cap = Bytes.length t.bytes in
-  if c >= cap then begin
-    let ncap = max (c + 1) (2 * cap) in
-    let nb = Bytes.make ncap '\000' in
-    Bytes.blit t.bytes 0 nb 0 cap;
-    t.bytes <- nb
+(* Grow every row to hold cycle [c], re-blitting each row to its new
+   offset. *)
+let ensure g c =
+  if c >= g.cap then begin
+    let ncap = max (c + 1) (2 * g.cap) in
+    let nb = Bytes.make (g.nt * ncap) '\000' in
+    for t = 0 to g.nt - 1 do
+      Bytes.blit g.bytes (t * g.cap) nb (t * ncap) g.cap
+    done;
+    g.bytes <- nb;
+    g.cap <- ncap
   end
 
-let is_free t c =
-  c >= 0 && (c >= Bytes.length t.bytes || Bytes.get t.bytes c = '\000')
-
-let occupy t c =
+let occupy g t c =
   if c < 0 then invalid_arg "Occupancy.occupy: negative cycle";
-  ensure t c;
-  if Bytes.get t.bytes c <> '\000' then
-    invalid_arg (Printf.sprintf "Occupancy.occupy: cycle %d already busy" c);
+  ensure g c;
+  let base = t * g.cap in
+  if Bytes.get g.bytes (base + c) <> '\000' then
+    invalid_arg
+      (Printf.sprintf "Occupancy.occupy: tile %d cycle %d already busy" t c);
   (* Run delta before flipping the byte: a busy cycle beyond [last] appends
      one free run iff it leaves a gap; a busy cycle inside [0, last] splits
      the free run it lands in (+1), consumes it entirely (-1, run of length
      one), or merely shortens it (0). *)
-  if c > t.last then begin
-    if c > t.last + 1 then t.runs <- t.runs + 1;
-    t.last <- c
+  if c > g.last.(t) then begin
+    if c > g.last.(t) + 1 then g.runs.(t) <- g.runs.(t) + 1;
+    g.last.(t) <- c
   end
   else begin
-    let left_free = c > 0 && Bytes.get t.bytes (c - 1) = '\000' in
-    let right_free = Bytes.get t.bytes (c + 1) = '\000' in
-    (* c < last here (last is busy), so c+1 <= last is in range *)
-    if left_free && right_free then t.runs <- t.runs + 1
-    else if (not left_free) && not right_free then t.runs <- t.runs - 1
+    let left_free = c > 0 && Bytes.get g.bytes (base + c - 1) = '\000' in
+    let right_free = Bytes.get g.bytes (base + c + 1) = '\000' in
+    (* c < last.(t) here (last is busy), so c+1 <= last.(t) is in range *)
+    if left_free && right_free then g.runs.(t) <- g.runs.(t) + 1
+    else if (not left_free) && not right_free then g.runs.(t) <- g.runs.(t) - 1
   end;
-  Bytes.set t.bytes c '\001';
-  t.busy <- t.busy + 1
+  Bytes.set g.bytes (base + c) '\001';
+  g.busy.(t) <- g.busy.(t) + 1
 
-let first_free_at_or_after t c =
+let first_free_at_or_after g t c =
   let c = max 0 c in
-  let rec go i = if is_free t i then i else go (i + 1) in
-  go c
+  if c >= g.cap then c
+  else begin
+    let base = t * g.cap in
+    let rec go i =
+      if i >= g.cap || Bytes.get g.bytes (base + i) = '\000' then i
+      else go (i + 1)
+    in
+    go c
+  end
 
-let last_busy t = t.last
+let busy_count g t = g.busy.(t)
 
-let busy_count t = t.busy
-
-let pnops t = t.runs
 (* runs in [0, last): the last cycle itself is busy, trailing is free. *)
+let pnops g t = g.runs.(t)
 
-let pnops_optimistic t =
-  if t.last < 0 then 0
+let pnops_optimistic g t =
+  if g.last.(t) < 0 then 0
   else if
     (* a free cycle 0 means the first run is the leading gap: drop it *)
-    is_free t 0
-  then max 0 (t.runs - 1)
-  else t.runs
+    Bytes.get g.bytes (t * g.cap) = '\000'
+  then max 0 (g.runs.(t) - 1)
+  else g.runs.(t)
 
-let busy_cycles t =
-  let acc = ref [] in
-  for c = t.last downto 0 do
-    if not (is_free t c) then acc := c :: !acc
-  done;
-  !acc
-
-(* A whole array's worth of per-tile occupancies flattened into one byte
-   buffer (tile-major) plus per-tile counter arrays.  Semantically
-   identical to an [t array], but a copy is 4 small allocations instead of
-   2 x tiles — and the search copies its state on every binding attempt,
-   so this sits squarely on the mapper's hot path. *)
-module Flat = struct
-  type grid = {
-    nt : int;
-    mutable cap : int; (* cycle capacity per tile *)
-    mutable bytes : Bytes.t; (* nt * cap, row [t * cap .. t * cap + cap) *)
-    last : int array;
-    busy : int array;
-    runs : int array;
-  }
-
-  let create nt =
-    {
-      nt;
-      cap = 32;
-      bytes = Bytes.make (nt * 32) '\000';
-      last = Array.make nt (-1);
-      busy = Array.make nt 0;
-      runs = Array.make nt 0;
-    }
-
-  let copy g =
-    {
-      g with
-      bytes = Bytes.copy g.bytes;
-      last = Array.copy g.last;
-      busy = Array.copy g.busy;
-      runs = Array.copy g.runs;
-    }
-
-  let ensure g c =
-    if c >= g.cap then begin
-      let ncap = max (c + 1) (2 * g.cap) in
-      let nb = Bytes.make (g.nt * ncap) '\000' in
-      for t = 0 to g.nt - 1 do
-        Bytes.blit g.bytes (t * g.cap) nb (t * ncap) g.cap
-      done;
-      g.bytes <- nb;
-      g.cap <- ncap
-    end
-
-  let is_free g t c =
-    c >= 0 && (c >= g.cap || Bytes.get g.bytes ((t * g.cap) + c) = '\000')
-
-  (* Same run accounting as the scalar [occupy] above, per tile row. *)
-  let occupy g t c =
-    if c < 0 then invalid_arg "Occupancy.Flat.occupy: negative cycle";
-    ensure g c;
-    let base = t * g.cap in
-    if Bytes.get g.bytes (base + c) <> '\000' then
-      invalid_arg
-        (Printf.sprintf "Occupancy.Flat.occupy: tile %d cycle %d already busy"
-           t c);
-    if c > g.last.(t) then begin
-      if c > g.last.(t) + 1 then g.runs.(t) <- g.runs.(t) + 1;
-      g.last.(t) <- c
-    end
-    else begin
-      let left_free = c > 0 && Bytes.get g.bytes (base + c - 1) = '\000' in
-      let right_free = Bytes.get g.bytes (base + c + 1) = '\000' in
-      (* c < last.(t) here (last is busy), so c+1 <= last.(t) is in range *)
-      if left_free && right_free then g.runs.(t) <- g.runs.(t) + 1
-      else if (not left_free) && not right_free then g.runs.(t) <- g.runs.(t) - 1
-    end;
-    Bytes.set g.bytes (base + c) '\001';
-    g.busy.(t) <- g.busy.(t) + 1
-
-  let first_free_at_or_after g t c =
-    let c = max 0 c in
-    if c >= g.cap then c
-    else begin
-      let base = t * g.cap in
-      let rec go i =
-        if i >= g.cap || Bytes.get g.bytes (base + i) = '\000' then i
-        else go (i + 1)
-      in
-      go c
-    end
-
-  let last_busy g t = g.last.(t)
-  let busy_count g t = g.busy.(t)
-  let pnops g t = g.runs.(t)
-
-  let pnops_optimistic g t =
-    if g.last.(t) < 0 then 0
-    else if Bytes.get g.bytes (t * g.cap) = '\000' then max 0 (g.runs.(t) - 1)
-    else g.runs.(t)
-end
+let words g t = g.busy.(t) + g.runs.(t)

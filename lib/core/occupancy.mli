@@ -8,74 +8,46 @@
     contributes no context words, and trailing idle cycles after a tile's
     last instruction are slept through for free; only {e leading} and
     {e interior} idle runs consume a pnop word.  This module owns that
-    accounting so ACMAP (optimistic estimate), ECMAP (exact count) and the
-    final assembler all agree on it.
+    accounting so ACMAP (optimistic estimate), ECMAP (exact count), the
+    flow's committed words and {!Mapping}'s usage all agree on it.
 
-    The busy and pnop counts are maintained {e incrementally} on
-    {!occupy}, so {!pnops}, {!pnops_optimistic} and {!busy_count} are
-    O(1) — they sit on the mapper's hot path (every ACMAP/ECMAP filter
-    and cost evaluation) and must not rescan the cycle buffer. *)
+    One grid holds every tile of an array.  The busy and pnop counts are
+    maintained {e incrementally} on {!occupy}, so {!pnops},
+    {!pnops_optimistic}, {!busy_count} and {!words} are O(1) — they sit on
+    the mapper's hot path (every ACMAP/ECMAP filter and cost evaluation)
+    and must not rescan the cycles.  A copy is a handful of flat-array
+    allocations whatever the tile count: the search duplicates its state
+    on every binding attempt. *)
 
 type t
-(** Occupancy of one tile.  Cheap to copy. *)
+(** The occupancy of every tile of one array. *)
 
-val create : unit -> t
+val create : int -> t
+(** [create nt] is an all-free grid for [nt] tiles. *)
 
 val copy : t -> t
 
-val occupy : t -> int -> unit
-(** Marks a cycle busy.  Raises [Invalid_argument] if already busy or
-    negative. *)
+val occupy : t -> int -> int -> unit
+(** [occupy g t c] marks cycle [c] of tile [t] busy.  Raises
+    [Invalid_argument] if already busy or negative. *)
 
-val is_free : t -> int -> bool
+val first_free_at_or_after : t -> int -> int -> int
+(** [first_free_at_or_after g t c] is tile [t]'s earliest free cycle
+    [>= c]. *)
 
-val first_free_at_or_after : t -> int -> int
-(** Earliest free cycle [>= c]. *)
+val busy_count : t -> int -> int
+(** The tile's mapped instructions. *)
 
-val last_busy : t -> int
-(** Highest busy cycle, or [-1] when idle. *)
+val pnops : t -> int -> int
+(** Exact pnop count of the tile: maximal idle runs before its last busy
+    cycle — leading and interior gaps.  0 for an idle tile.
+    This is the count ECMAP (Section III-D-3) filters on and the assembler
+    materialises. *)
 
-val busy_count : t -> int
-
-val pnops : t -> int
-(** Exact pnop count: maximal idle runs in [\[0, last_busy\]] — leading
-    and interior gaps.  0 for an idle tile.  This is the count ECMAP
-    (Section III-D-3) filters on and the assembler materialises. *)
-
-val pnops_optimistic : t -> int
+val pnops_optimistic : t -> int -> int
 (** ACMAP's approximate count (Section III-D-2): interior idle runs only —
     the leading gap is assumed absorbable by later bindings.  Always
     [<= pnops]. *)
 
-val busy_cycles : t -> int list
-(** Ascending busy cycles; used by the assembler. *)
-
-(** The occupancies of a whole tile array flattened into one byte buffer
-    plus per-tile counter arrays.  Behaviourally identical to a [t array]
-    indexed by tile, but copying is O(1) allocations instead of
-    O(tiles) — the search duplicates its occupancy state on every binding
-    attempt, so the copy cost dominates the mapper's allocation rate. *)
-module Flat : sig
-  type grid
-
-  val create : int -> grid
-  (** [create nt] is an all-free grid for [nt] tiles. *)
-
-  val copy : grid -> grid
-
-  val occupy : grid -> int -> int -> unit
-  (** [occupy g t c] marks cycle [c] of tile [t] busy.  Raises
-      [Invalid_argument] if already busy or negative. *)
-
-  val is_free : grid -> int -> int -> bool
-  val first_free_at_or_after : grid -> int -> int -> int
-  val last_busy : grid -> int -> int
-  val busy_count : grid -> int -> int
-
-  val pnops : grid -> int -> int
-  (** Exact pnop count of the tile, as {!val:pnops}. *)
-
-  val pnops_optimistic : grid -> int -> int
-  (** ACMAP's approximate count of the tile, as
-      {!val:pnops_optimistic}. *)
-end
+val words : t -> int -> int
+(** [busy_count + pnops]: the tile's context words in this block. *)

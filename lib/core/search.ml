@@ -56,11 +56,11 @@ let merge_tally ~into t =
 (* A partial mapping.  [avail.(v)] lists the (tile, ready-cycle) pairs where
    value [v] can be read; value ids are node ids, then [nnodes + sym].
    Copies share the immutable lists, so duplicating a state is cheap: the
-   occupancy of all tiles lives in one flat grid ([Occupancy.Flat]), so the
-   whole copy is a handful of flat-array allocations, not one per tile. *)
+   occupancy of all tiles lives in one grid ([Occupancy.t]), which also
+   counts each tile's instructions, so the whole copy is a handful of
+   flat-array allocations, not one per tile. *)
 type pstate = {
-  occ : Occupancy.Flat.grid;
-  instr : int array;
+  occ : Occupancy.t;
   avail : (int * int) list array;
   place_cycle : int array; (* node -> latest cycle it executes at, -1 unplaced *)
   slots : Mapping.slot list; (* reversed *)
@@ -87,7 +87,7 @@ type ctx = {
   nnodes : int;
   committed : int array;
   homes : int array;
-  home_mask : int; (* bit t set when tile t hosts a committed symbol home *)
+  hosts_home : bool array; (* tile -> hosts a committed symbol home *)
   tally : tally; (* binding attempts — the deterministic effort counter *)
   routes : int list list array;
       (* (row-first, column-first) path per (src, dst), flattened
@@ -114,7 +114,7 @@ let cm_of ctx t = ctx.cgra.Cgra.tiles.(t).cm_words
    later blocks. *)
 let binding_cm ctx p t =
   let hosts_home =
-    ctx.home_mask land (1 lsl t) <> 0
+    ctx.hosts_home.(t)
     || List.exists (fun (_, h) -> h = t) p.homes_new
   in
   if hosts_home then cm_of ctx t - ctx.config.Flow_config.home_reserve
@@ -124,8 +124,7 @@ let initial_pstate ctx =
   let nt = ntiles ctx in
   let nvals = ctx.nnodes + ctx.cdfg.Cdfg.sym_count in
   {
-    occ = Occupancy.Flat.create nt;
-    instr = Array.make nt 0;
+    occ = Occupancy.create nt;
     avail = Array.make (max 1 nvals) [];
     place_cycle = Array.make (max 1 ctx.nnodes) (-1);
     slots = [];
@@ -139,8 +138,7 @@ let initial_pstate ctx =
 let copy_pstate p =
   {
     p with
-    occ = Occupancy.Flat.copy p.occ;
-    instr = Array.copy p.instr;
+    occ = Occupancy.copy p.occ;
     avail = Array.copy p.avail;
     place_cycle = Array.copy p.place_cycle;
     cost_memo = -1;
@@ -182,9 +180,7 @@ let bump_horizon p c = if c + 1 > p.horizon then { p with horizon = c + 1 } else
 (* Current exact context estimate of a tile inside this block (used by CAB
    and ECMAP): committed words + instructions so far + pnops of the current
    occupancy over the current horizon. *)
-let words_now ctx p t =
-  ctx.committed.(t) + p.instr.(t)
-  + Occupancy.Flat.pnops p.occ t
+let words_now ctx p t = ctx.committed.(t) + Occupancy.words p.occ t
 
 let blacklisted ctx p t =
   ctx.config.Flow_config.cab && words_now ctx p t + 1 > binding_cm ctx p t
@@ -198,8 +194,8 @@ let blacklisted ctx p t =
 let acmap_ok ctx p =
   let ok = ref true in
   for t = 0 to ntiles ctx - 1 do
-    let gap = min 1 (Occupancy.Flat.pnops_optimistic p.occ t) in
-    let est = ctx.committed.(t) + p.instr.(t) + gap in
+    let gap = min 1 (Occupancy.pnops_optimistic p.occ t) in
+    let est = ctx.committed.(t) + Occupancy.busy_count p.occ t + gap in
     if est > binding_cm ctx p t then ok := false
   done;
   !ok
@@ -226,7 +222,7 @@ let probe_path p ~ready path =
   let rec go ready = function
     | [] -> ready
     | hop :: rest ->
-      let c = Occupancy.Flat.first_free_at_or_after p.occ hop ready in
+      let c = Occupancy.first_free_at_or_after p.occ hop ready in
       go (c + 1) rest
   in
   go ready path
@@ -237,9 +233,8 @@ let apply_path ctx p ~value ~src ~ready path =
   let rec go p prev ready = function
     | [] -> (p, ready)
     | hop :: rest ->
-      let c = Occupancy.Flat.first_free_at_or_after p.occ hop ready in
-      Occupancy.Flat.occupy p.occ hop c;
-      p.instr.(hop) <- p.instr.(hop) + 1;
+      let c = Occupancy.first_free_at_or_after p.occ hop ready in
+      Occupancy.occupy p.occ hop c;
       add_avail ctx p value hop (c + 1);
       let slot =
         {
@@ -422,9 +417,8 @@ let place_node ctx p ~node_id ~tile =
     let earliest =
       List.fold_left (fun acc (r, _) -> max acc r) dep_ready operand_info
     in
-    let c = Occupancy.Flat.first_free_at_or_after p.occ tile earliest in
-    Occupancy.Flat.occupy p.occ tile c;
-    p.instr.(tile) <- p.instr.(tile) + 1;
+    let c = Occupancy.first_free_at_or_after p.occ tile earliest in
+    Occupancy.occupy p.occ tile c;
     let operand_tiles = List.map snd operand_info in
     let slot =
       {
@@ -601,7 +595,7 @@ let least_loaded_tile ctx p =
   let best = ref (-1) and best_headroom = ref min_int and best_load = ref max_int in
   for t = 0 to ntiles ctx - 1 do
     if Cgra.alive ctx.cgra t then begin
-      let load = ctx.committed.(t) + p.instr.(t) in
+      let load = ctx.committed.(t) + Occupancy.busy_count p.occ t in
       let headroom = cm_of ctx t - load in
       if headroom > !best_headroom
          || (headroom = !best_headroom && load < !best_load)
@@ -666,9 +660,8 @@ let add_copy ctx p ~tile ~value ~min_cycle ?sym ?(set_cond = false) () =
       | [] -> raise (Finalize_failed "add_copy: value not local")
       | locs -> List.fold_left (fun acc (_, r) -> min acc r) max_int locs)
   in
-  let c = Occupancy.Flat.first_free_at_or_after p.occ tile (max ready min_cycle) in
-  Occupancy.Flat.occupy p.occ tile c;
-  p.instr.(tile) <- p.instr.(tile) + 1;
+  let c = Occupancy.first_free_at_or_after p.occ tile (max ready min_cycle) in
+  Occupancy.occupy p.occ tile c;
   let slot =
     {
       Mapping.tile;
@@ -819,10 +812,9 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
   let t_start = Cgra_util.Clock.now () in
   let alloc_start = Gc.allocated_bytes () in
   let block = cdfg.Cdfg.blocks.(bi) in
-  let home_mask =
-    Array.fold_left (fun m h -> if h >= 0 then m lor (1 lsl h) else m) 0 homes
-  in
   let nt = Cgra.tile_count cgra in
+  let hosts_home = Array.make nt false in
+  Array.iter (fun h -> if h >= 0 then hosts_home.(h) <- true) homes;
   let all_tiles = List.init nt Fun.id in
   let able =
     Array.map
@@ -861,7 +853,7 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
       nnodes = Array.length block.Cdfg.nodes;
       committed;
       homes;
-      home_mask;
+      hosts_home;
       tally = fresh_tally ();
       routes = (match routes with Some r -> r | None -> build_routes cgra);
       able;

@@ -27,6 +27,7 @@ type params = {
   repair_mode : Cgra_verify.Repair.mode;
   protection : Cgra_arch.Protection.profile;
   quick : bool;
+  jobs : int option;
 }
 
 let default =
@@ -38,6 +39,7 @@ let default =
     repair_mode = Cgra_verify.Repair.Full;
     protection = Cgra_arch.Protection.none;
     quick = false;
+    jobs = None;
   }
 
 let table1 (_ : params) =
@@ -80,27 +82,25 @@ let fig2 p =
 (* ---- Fig 5: traversal study on FFT ---------------------------------- *)
 
 let per_block_moves_pnops (m : M.t) =
-  Array.mapi
-    (fun bi _ ->
-      let usage = M.block_tile_usage m bi in
+  Array.map
+    (fun bm ->
       Array.fold_left
         (fun (mv, pn) u -> (mv + u.M.moves, pn + u.M.pnops))
-        (0, 0) usage)
+        (0, 0) (M.block_usage m.M.cgra bm))
     m.M.bbs
 
 let fig5 (_ : params) =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "fft") in
   let cdfg = K.cdfg k in
   let cgra = Config.cgra Config.HOM64 in
-  let forward_cfg = Cgra_core.Flow_config.basic in
-  let weighted_cfg =
-    { forward_cfg with Cgra_core.Flow_config.traversal = Cgra_core.Flow_config.Weighted }
-  in
+  let forward_cfg = FC.basic in
+  let weighted_cfg = { forward_cfg with FC.traversal = FC.Weighted } in
   let map_with cfg =
-    match Cgra_core.Flow.run ~config:cfg cgra cdfg with
-    | Ok (m, _) -> m
-    | Error f ->
-      artifact_error "fig5" "FFT should map on HOM64: %s" f.Cgra_core.Flow.reason
+    match Toolchain.map ~config:cfg cgra cdfg with
+    | Ok r -> r.Toolchain.mapping
+    | Error e ->
+      artifact_error "fig5" "FFT should map on HOM64: %s"
+        (Toolchain.error_to_string e)
   in
   let fwd = per_block_moves_pnops (map_with forward_cfg) in
   let wt = per_block_moves_pnops (map_with weighted_cfg) in
@@ -522,7 +522,8 @@ let fault_report p =
             ^ FC.preset_label flow ^ "/fault"
           in
           let c =
-            F.run_campaign ~protect:prot ~seed:fault_seed ~trials ~key
+            F.run_campaign ?jobs:p.jobs ~protect:prot ~seed:fault_seed
+              ~trials ~key
               ~fresh_mem:(fun () -> K.fresh_mem k)
               r.Runner.program
           in
@@ -613,7 +614,7 @@ let protection_report p =
                 ^ FC.preset_label flow ^ "/protect"
               in
               let campaign level =
-                F.run_campaign ~protect:level ~cm_only:true
+                F.run_campaign ?jobs:p.jobs ~protect:level ~cm_only:true
                   ~seed:protection_seed ~trials ~key
                   ~fresh_mem:(fun () -> K.fresh_mem k)
                   program
@@ -746,7 +747,8 @@ let repair_report p =
               in
               let t0 = Cgra_util.Clock.now () in
               let c =
-                R.run_campaign ~seed:repair_seed ~trials ~faults ~key ~mode
+                R.run_campaign ?jobs:p.jobs ~seed:repair_seed ~trials ~faults
+                  ~key ~mode
                   ~config:config_flow
                   ~fresh_mem:(fun () -> K.fresh_mem k)
                   r.Runner.mapping

@@ -20,12 +20,17 @@ type params = {
   protection : Cgra_arch.Protection.profile;
       (** context-memory protection of the {!fault_report} campaigns *)
   quick : bool;  (** shrink the {!optimality_report} grid *)
+  jobs : int option;
+      (** domains of the fault, protection and repair campaigns' trial
+          pools — the bench [--jobs] flag; [None] is
+          {!Cgra_util.Pool.default_jobs}.  Tables are identical at any
+          value. *)
 }
 
 val default : params
 (** The bench driver's defaults: [Default] lowering, 120 fault trials, 30
     repair trials of 2 faults, [Full] remaps, no protection, the full
-    optimality grid. *)
+    optimality grid, the default pool width. *)
 
 val table1 : params -> string
 (** Table I — the four context-memory configurations. *)

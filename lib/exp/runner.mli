@@ -134,8 +134,7 @@ val compute_count : unit -> int
     this by exactly 1. *)
 
 val clear_caches : unit -> unit
-(** Drop both caches and reset {!compute_count} to 0 — the code path the
-    daemon's [clear] admin request shares.  Safe under concurrent
+(** Drop both caches and reset {!compute_count} to 0.  Safe under concurrent
     computes: in-flight cells publish into the {e old} generation and are
     discarded (see {!Memo.reset}), so a cleared cache never revives a
     poisoned computation. *)

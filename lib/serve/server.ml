@@ -228,9 +228,9 @@ let handle_request t ~client = function
   | Protocol.Ping -> (Protocol.Pong, true)
   | Protocol.Stats -> (Protocol.Stats_r (snapshot_stats t), true)
   | Protocol.Clear ->
-    (* the same code path the in-process harness uses: both the run
-       cache and the cross-request flights are generation-reset *)
-    Cgra_exp.Runner.clear_caches ();
+    (* the cross-request flights are the daemon's only in-process cache:
+       [Compute.run] goes through [Toolchain], never the harness's run
+       cache *)
     Memo.reset t.flights;
     let evicted = Store.clear t.store in
     log t "client %d: cleared %d stored artifacts" client evicted;

@@ -14,88 +14,126 @@ module Config = Cgra_arch.Config
 (* ---- occupancy ----------------------------------------------------- *)
 
 let test_occupancy_basics () =
-  let o = Occ.create () in
-  Alcotest.(check int) "idle last" (-1) (Occ.last_busy o);
-  Alcotest.(check int) "idle pnops" 0 (Occ.pnops o);
-  Occ.occupy o 3;
-  Occ.occupy o 5;
-  Alcotest.(check bool) "3 busy" false (Occ.is_free o 3);
-  Alcotest.(check int) "first free after 3" 4 (Occ.first_free_at_or_after o 3);
-  Alcotest.(check int) "busy count" 2 (Occ.busy_count o);
+  let g = Occ.create 4 in
+  Alcotest.(check int) "idle pnops" 0 (Occ.pnops g 1);
+  Occ.occupy g 1 3;
+  Occ.occupy g 1 5;
+  Alcotest.(check int) "first free after 3" 4 (Occ.first_free_at_or_after g 1 3);
+  Alcotest.(check int) "other rows free" 3 (Occ.first_free_at_or_after g 2 3);
+  Alcotest.(check int) "busy count" 2 (Occ.busy_count g 1);
   (* idle runs before the last busy cycle: [0-2] and [4] *)
-  Alcotest.(check int) "pnops" 2 (Occ.pnops o);
+  Alcotest.(check int) "pnops" 2 (Occ.pnops g 1);
   (* optimistic drops the leading run *)
-  Alcotest.(check int) "optimistic" 1 (Occ.pnops_optimistic o);
-  Alcotest.(check (list int)) "busy cycles" [ 3; 5 ] (Occ.busy_cycles o)
+  Alcotest.(check int) "optimistic" 1 (Occ.pnops_optimistic g 1);
+  Alcotest.(check int) "words" 4 (Occ.words g 1);
+  Alcotest.(check int) "other rows idle" 0 (Occ.words g 0 + Occ.words g 2);
+  (* a copy is independent of its source *)
+  let g' = Occ.copy g in
+  Occ.occupy g' 1 4;
+  Alcotest.(check int) "copy fills the gap" 1 (Occ.pnops g' 1);
+  Alcotest.(check int) "source keeps its gap" 2 (Occ.pnops g 1)
 
 let test_occupancy_dense () =
-  let o = Occ.create () in
+  let g = Occ.create 3 in
   for c = 0 to 9 do
-    Occ.occupy o c
+    Occ.occupy g 2 c
   done;
-  Alcotest.(check int) "no gaps" 0 (Occ.pnops o);
-  Alcotest.(check int) "optimistic too" 0 (Occ.pnops_optimistic o)
+  Alcotest.(check int) "no gaps" 0 (Occ.pnops g 2);
+  Alcotest.(check int) "optimistic too" 0 (Occ.pnops_optimistic g 2);
+  Alcotest.(check int) "one word per cycle" 10 (Occ.words g 2)
 
 let test_occupancy_double_book () =
-  let o = Occ.create () in
-  Occ.occupy o 2;
+  let g = Occ.create 2 in
+  Occ.occupy g 1 2;
   Alcotest.(check bool) "double booking rejected" true
     (try
-       Occ.occupy o 2;
+       Occ.occupy g 1 2;
        false
      with Invalid_argument _ -> true)
 
-(* Reference implementation of the counters that [occupy] now maintains
-   incrementally: rescan the busy-cycle list and count maximal gaps in
-   [0, last_busy] the slow, obviously-correct way. *)
-let reference_counts o =
-  let cycles = Occ.busy_cycles o in
-  let busy = List.length cycles in
-  let runs =
-    match cycles with
+(* The rescan oracle, computed from the cycles a test occupied (ascending),
+   not from the grid under test: busy count, maximal idle runs before the
+   last busy cycle, and the same runs without the leading one. *)
+let oracle cycles =
+  let rec gaps prev = function
     | [] -> 0
-    | first :: rest ->
-      let lead = if first > 0 then 1 else 0 in
-      let rec gaps prev = function
-        | [] -> 0
-        | c :: tl -> (if c > prev + 1 then 1 else 0) + gaps c tl
-      in
-      lead + gaps first rest
+    | c :: tl -> (if c > prev + 1 then 1 else 0) + gaps c tl
   in
-  (busy, runs)
+  match cycles with
+  | [] -> (0, 0, 0)
+  | first :: rest ->
+    let interior = gaps first rest in
+    (List.length cycles, (if first > 0 then 1 else 0) + interior, interior)
+
+let tiles = 4
+
+(* Occupy the (tile, cycle) pairs that are still free, in order, on one
+   grid of [tiles] tiles; [check] sees the grid and every tile's occupied
+   cycles (ascending) after each occupy. *)
+let fill_grid pairs check =
+  let g = Occ.create tiles in
+  let occupied = Array.make tiles [] in
+  List.for_all
+    (fun (t, c) ->
+      List.mem c occupied.(t)
+      || begin
+        Occ.occupy g t c;
+        occupied.(t) <- List.sort compare (c :: occupied.(t));
+        check g occupied
+      end)
+    pairs
+
+(* Cycles run to 99, past the grid's initial 32-cycle rows, so the row
+   re-blit of a growing grid is exercised mid-sequence. *)
+let gen_pairs n =
+  QCheck.(
+    list_of_size Gen.(int_range 0 n)
+      (pair (int_bound (tiles - 1)) (int_bound 99)))
 
 let prop_incremental_counts =
   QCheck.Test.make
     ~name:"incremental busy/pnop counts match a full rescan" ~count:500
-    QCheck.(list_of_size Gen.(int_range 0 40) (int_bound 63))
-    (fun cycles ->
-      let o = Occ.create () in
-      List.for_all
-        (fun c ->
-          if Occ.is_free o c then Occ.occupy o c;
-          (* the invariant must hold after *every* occupy, not just at the
-             end: interior splits, run merges and appends all occur mid-
-             sequence *)
-          let busy, runs = reference_counts o in
-          Occ.busy_count o = busy && Occ.pnops o = runs)
-        cycles)
+    (gen_pairs 80)
+    (fun pairs ->
+      (* every row must match after *every* occupy, not just at the end:
+         interior splits, run merges, appends and the re-blit all occur
+         mid-sequence, and a write to one row must leave the others be *)
+      fill_grid pairs (fun g occupied ->
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun t cycles ->
+                 let busy, runs, optimistic = oracle cycles in
+                 Occ.busy_count g t = busy
+                 && Occ.pnops g t = runs
+                 && Occ.pnops_optimistic g t = optimistic
+                 && Occ.words g t = busy + runs
+                 &&
+                 let rec free c =
+                   if List.mem c cycles then free (c + 1) else c
+                 in
+                 List.for_all
+                   (fun c -> Occ.first_free_at_or_after g t c = free c)
+                   (0 :: cycles))
+               occupied)))
 
 let prop_optimistic_le_exact =
   QCheck.Test.make ~name:"optimistic pnops <= exact pnops" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 30) (int_bound 63))
-    (fun cycles ->
-      let o = Occ.create () in
-      List.iter (fun c -> if Occ.is_free o c then Occ.occupy o c) cycles;
-      Occ.pnops_optimistic o <= Occ.pnops o)
+    (gen_pairs 40)
+    (fun pairs ->
+      fill_grid pairs (fun g _ ->
+          List.for_all
+            (fun t -> Occ.pnops_optimistic g t <= Occ.pnops g t)
+            (List.init tiles Fun.id)))
 
 let prop_pnops_bounded_by_busy =
   QCheck.Test.make ~name:"pnop runs bounded by busy count" ~count:300
-    QCheck.(list_of_size Gen.(int_range 1 30) (int_bound 63))
-    (fun cycles ->
-      let o = Occ.create () in
-      List.iter (fun c -> if Occ.is_free o c then Occ.occupy o c) cycles;
+    (gen_pairs 40)
+    (fun pairs ->
       (* every interior idle run is delimited by busy cycles *)
-      Occ.pnops o <= Occ.busy_count o)
+      fill_grid pairs (fun g _ ->
+          List.for_all
+            (fun t -> Occ.pnops g t <= Occ.busy_count g t)
+            (List.init tiles Fun.id)))
 
 (* ---- scheduling ------------------------------------------------------ *)
 
@@ -371,6 +409,40 @@ let test_commit_homes_conflict () =
      Alcotest.(check int) "re-pin to the same tile is fine" 3 homes.(0);
      Alcotest.(check int) "fresh pin committed" 9 homes.(1))
 
+(* Regression: the home-tile reservation was an [int] bitmask, so on an
+   array of 64 or more tiles a home on tile 64 also reserved words on tile
+   0 ([1 lsl 64 = 1]), and a home on tile 63 reserved none.  Here tile 0
+   of a 9x8 array is the only load-store tile and has exactly the three
+   words its load, its store and the add or pnop between them need; a
+   home on tile 64 must leave them be. *)
+let test_home_reserve_wide_array () =
+  let module C = Cgra_arch.Cgra in
+  let cgra =
+    C.degrade
+      (C.make ~rows:9 ~cols:8 ~lsu_rows:1
+         ~cm_of_tile:(fun t -> if t = 0 then 3 else 64)
+         ())
+      (List.init 7 (fun i -> C.No_lsu { tile = i + 1 }))
+  in
+  let b = B.create "wide" in
+  let _ = B.fresh_sym b "s" in
+  let blk = B.add_block b "only" in
+  let x = B.add_node b blk Op.Load [ Cdfg.Imm 0 ] in
+  let y = B.add_node b blk Op.Add [ x; Cdfg.Imm 1 ] in
+  let _ = B.add_node b blk Op.Store [ Cdfg.Imm 1; y ] in
+  B.set_terminator b blk Cdfg.Return;
+  let cdfg = B.finish b in
+  match
+    Cgra_core.Search.map_block
+      ~config:{ FC.context_aware with FC.home_reserve = 3 }
+      ~cgra ~committed:(Array.make (C.tile_count cgra) 0) ~homes:[| 64 |]
+      ~rng:(Cgra_util.Rng.create 1) ~work:(ref 0) cdfg 0
+  with
+  | Error reason -> Alcotest.fail reason
+  | Ok o ->
+    Alcotest.(check int) "the load-store tile uses its three words" 3
+      (M.usage_total (M.block_usage cgra o.Cgra_core.Search.bb_mapping).(0))
+
 let test_search_stats_consistency () =
   let module S = Cgra_core.Search in
   let cdfg = loop_cdfg () in
@@ -427,6 +499,8 @@ let suite =
           test_least_loaded_headroom;
         Alcotest.test_case "home conflict is a typed error" `Quick
           test_commit_homes_conflict;
+        Alcotest.test_case "home reserve on 64+ tiles" `Quick
+          test_home_reserve_wide_array;
         Alcotest.test_case "search telemetry consistent" `Quick
           test_search_stats_consistency;
         Alcotest.test_case "flow labels" `Quick test_steps_labels ] ) ]
