@@ -15,9 +15,10 @@
     maintained {e incrementally} on {!occupy}, so {!pnops},
     {!pnops_optimistic}, {!busy_count} and {!words} are O(1) — they sit on
     the mapper's hot path (every ACMAP/ECMAP filter and cost evaluation)
-    and must not rescan the cycles.  A copy is a handful of flat-array
-    allocations whatever the tile count: the search duplicates its state
-    on every binding attempt. *)
+    and must not rescan the cycles.  The search tries each binding on its
+    parent's grid in place, between a {!checkpoint} and a {!rollback}, and
+    {!copy}s a grid (a handful of flat-array allocations whatever the tile
+    count) only for the partial mappings that survive pruning. *)
 
 type t
 (** The occupancy of every tile of one array. *)
@@ -26,10 +27,28 @@ val create : int -> t
 (** [create nt] is an all-free grid for [nt] tiles. *)
 
 val copy : t -> t
+(** [copy g] is a grid equal to [g] that records nothing, whether or not
+    [g] does. *)
 
 val occupy : t -> int -> int -> unit
 (** [occupy g t c] marks cycle [c] of tile [t] busy.  Raises
     [Invalid_argument] if already busy or negative. *)
+
+val checkpoint : t -> unit
+(** Start recording: every later {!occupy} is journaled until the next
+    {!rollback}.  A second [checkpoint] discards the journal so far. *)
+
+val changes : t -> int
+(** The number of {!occupy} calls recorded since the {!checkpoint}; 0 when
+    not recording. *)
+
+val changed_tile : t -> int -> int
+(** [changed_tile g i] is the tile of the [i]-th recorded {!occupy},
+    [0 <= i < changes g].  A tile occupied twice is listed twice. *)
+
+val rollback : t -> unit
+(** Undo every {!occupy} since the last {!checkpoint} and stop recording:
+    every query below answers as it did at the checkpoint. *)
 
 val first_free_at_or_after : t -> int -> int -> int
 (** [first_free_at_or_after g t c] is tile [t]'s earliest free cycle

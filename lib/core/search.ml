@@ -53,27 +53,36 @@ let merge_tally ~into t =
   into.attempts <- into.attempts + t.attempts;
   into.route_failures <- into.route_failures + t.route_failures
 
-(* A partial mapping.  [avail.(v)] lists the (tile, ready-cycle) pairs where
-   value [v] can be read; value ids are node ids, then [nnodes + sym].
-   Copies share the immutable lists, so duplicating a state is cheap: the
-   occupancy of all tiles lives in one grid ([Occupancy.t]), which also
-   counts each tile's instructions, so the whole copy is a handful of
-   flat-array allocations, not one per tile. *)
+(* A partial mapping, updated in place.  [avail.(v)] lists the (tile,
+   ready-cycle) pairs where value [v] can be read; value ids are node ids,
+   then [nnodes + sym].  A binding attempt is tried on its parent in place
+   and undone ([trial]); [copy_pstate], which shares the immutable lists
+   and copies a handful of flat arrays (the occupancy of all tiles lives in
+   one [Occupancy.t]), runs only for the partial mappings that survive
+   pruning and for finalisation. *)
 type pstate = {
   occ : Occupancy.t;
   avail : (int * int) list array;
   place_cycle : int array; (* node -> latest cycle it executes at, -1 unplaced *)
-  slots : Mapping.slot list; (* reversed *)
-  homes_new : (int * int) list;
-  sym_read : (int * int) list; (* sym -> latest read cycle of its home slot *)
-  n_moves : int;
-  horizon : int;
-  mutable cost_memo : int;
-      (* [cost] of this state, or -1 when not yet evaluated.  States are
-         mutated only between their creation ([copy_pstate] resets the
-         memo) and their first cost query (sorting/pruning), so the first
-         computed value stays valid for the state's lifetime. *)
+  mutable slots : Mapping.slot list; (* reversed *)
+  mutable homes_new : (int * int) list;
+  mutable sym_read : (int * int) list;
+      (* sym -> latest read cycle of its home slot *)
+  mutable n_moves : int;
+  mutable horizon : int;
+  mutable pushed : int list;
+      (* value ids whose [avail] list the running trial extended, newest
+         first; [] outside a trial *)
 }
+
+(* One candidate path of a (src, dst) pair.  An operation reads its
+   operands from its own RF or a torus neighbour's, so the moves that
+   bring an operand stop one hop short: [prefix] is [path] without its
+   last hop, [hops] its length and [landing] its last tile, where the value
+   lands (-1 when [hops = 0]). *)
+type route = { path : int list; prefix : int list; hops : int; landing : int }
+
+type routes = route list array
 
 exception Timed_out of { at_block : int; where : string }
 
@@ -87,14 +96,14 @@ type ctx = {
   nnodes : int;
   committed : int array;
   homes : int array;
-  hosts_home : bool array; (* tile -> hosts a committed symbol home *)
+  hosts_home : Bytes.t; (* tile -> hosts a committed symbol home ('\001') *)
   tally : tally; (* binding attempts — the deterministic effort counter *)
-  routes : int list list array;
-      (* (row-first, column-first) path per (src, dst), flattened
-         [src * ntiles + dst]: routing is queried for the same few pairs on
-         every binding attempt of the block, so the paths are interned once
-         per flow run ([Flow] precomputes the table and hands it to every
-         block) instead of per block or per probe *)
+  routes : routes;
+      (* candidate paths per (src, dst), flattened [src * ntiles + dst]:
+         routing is queried for the same few pairs on every binding attempt
+         of the block, so the paths are interned once per flow run ([Flow]
+         precomputes the table and hands it to every block) instead of per
+         block or per probe *)
   able : int list array;
       (* per node, the tiles able to execute its opcode, in id order (the
          re-computation transformation enumerates in this neutral order) *)
@@ -109,15 +118,20 @@ let ntiles ctx = Cgra.tile_count ctx.cgra
 
 let cm_of ctx t = ctx.cgra.Cgra.tiles.(t).cm_words
 
-(* Capacity seen during binding: tiles hosting a symbol home keep
+(* The tiles that host a symbol home — committed, or among [homes] (a
+   state's [homes_new]) — as a byte per tile.  During binding they keep
    [home_reserve] words free for the mandatory live-out writes of this and
-   later blocks. *)
-let binding_cm ctx p t =
-  let hosts_home =
-    ctx.hosts_home.(t)
-    || List.exists (fun (_, h) -> h = t) p.homes_new
-  in
-  if hosts_home then cm_of ctx t - ctx.config.Flow_config.home_reserve
+   later blocks.  Built once per expansion: a binding adds at most the tile
+   it binds, because a first-touched symbol is homed there. *)
+let reserved_tiles ctx homes =
+  let r = Bytes.copy ctx.hosts_home in
+  List.iter (fun (_, h) -> Bytes.set r h '\001') homes;
+  r
+
+(* Capacity seen during binding, with [r] from [reserved_tiles]. *)
+let binding_cm ctx r t =
+  if Bytes.get r t <> '\000' then
+    cm_of ctx t - ctx.config.Flow_config.home_reserve
   else cm_of ctx t
 
 let initial_pstate ctx =
@@ -132,7 +146,7 @@ let initial_pstate ctx =
     sym_read = [];
     n_moves = 0;
     horizon = 0;
-    cost_memo = -1;
+    pushed = [];
   }
 
 let copy_pstate p =
@@ -141,21 +155,23 @@ let copy_pstate p =
     occ = Occupancy.copy p.occ;
     avail = Array.copy p.avail;
     place_cycle = Array.copy p.place_cycle;
-    cost_memo = -1;
+    pushed = [];
   }
 
-let home_of ctx p s =
-  match List.assoc_opt s p.homes_new with
-  | Some h -> Some h
-  | None -> if ctx.homes.(s) >= 0 then Some ctx.homes.(s) else None
+(* Home tile of symbol [s], or -1 while it has none. *)
+let home_tile ctx p s =
+  let rec find = function
+    | [] -> ctx.homes.(s)
+    | (s', h) :: rest -> if s' = s then h else find rest
+  in
+  find p.homes_new
 
 let sym_read_cycle p s =
   match List.assoc_opt s p.sym_read with Some c -> c | None -> -1
 
 let note_sym_read p s cycle =
   if cycle > sym_read_cycle p s then
-    { p with sym_read = (s, cycle) :: List.remove_assoc s p.sym_read }
-  else p
+    p.sym_read <- (s, cycle) :: List.remove_assoc s p.sym_read
 
 (* Locations where a value can currently be read, lazily seeding symbol
    values at their home tile (available since block entry, cycle 0). *)
@@ -163,7 +179,8 @@ let locations ctx p = function
   | Mapping.Vimm _ -> []
   | Mapping.Vnode i -> p.avail.(i)
   | Mapping.Vsym s ->
-    let base = match home_of ctx p s with Some h -> [ (h, 0) ] | None -> [] in
+    let h = home_tile ctx p s in
+    let base = if h >= 0 then [ (h, 0) ] else [] in
     base @ p.avail.(ctx.nnodes + s)
 
 let vid ctx = function
@@ -171,19 +188,48 @@ let vid ctx = function
   | Mapping.Vsym s -> ctx.nnodes + s
   | Mapping.Vimm _ -> invalid_arg "Search.vid: immediates have no id"
 
-let add_avail ctx p value tile cycle =
+(* [value] becomes readable on [tile] from [cycle].  A trial journals the
+   push, so that [trial] can pop it again. *)
+let add_avail ctx ~trial p value tile cycle =
   let id = vid ctx value in
-  p.avail.(id) <- (tile, cycle) :: p.avail.(id)
+  p.avail.(id) <- (tile, cycle) :: p.avail.(id);
+  if trial then p.pushed <- id :: p.pushed
 
-let bump_horizon p c = if c + 1 > p.horizon then { p with horizon = c + 1 } else p
+let bump_horizon p c = if c + 1 > p.horizon then p.horizon <- c + 1
 
 (* Current exact context estimate of a tile inside this block (used by CAB
    and ECMAP): committed words + instructions so far + pnops of the current
    occupancy over the current horizon. *)
 let words_now ctx p t = ctx.committed.(t) + Occupancy.words p.occ t
 
-let blacklisted ctx p t =
-  ctx.config.Flow_config.cab && words_now ctx p t + 1 > binding_cm ctx p t
+let blacklisted ctx r p t =
+  ctx.config.Flow_config.cab && words_now ctx p t + 1 > binding_cm ctx r t
+
+(* ---- scoring --------------------------------------------------------- *)
+
+(* What pruning reads of one binding: its (cycle, moves) key, the cost of
+   the partial mapping it yields and the ACMAP and ECMAP verdicts on that
+   mapping.  [parent] and [tile] name the binding, which is replayed on a
+   copy of [parent] only if the candidate survives pruning
+   ([materialise]); [tile = -1] marks a partial mapping that is already
+   built — [parent] itself, as for the re-computation children. *)
+type candidate = {
+  parent : pstate;
+  tile : int;
+  cycle : int;
+  moves : int;
+  cost : int;
+  acmap_ok : bool;
+  ecmap_ok : bool;
+}
+
+(* Quadratic penalty once a tile's context memory fills beyond 3/4 — the
+   exploration bias of the context-aware flow: among latency-equivalent
+   partial mappings, prefer those that keep headroom on small-CM tiles for
+   the blocks still to come. *)
+let pressure ctx p t =
+  let over = (4 * words_now ctx p t) - (3 * cm_of ctx t) in
+  if over > 0 then over * over else 0
 
 (* ACMAP (Section III-D-2): the approximate, cheap estimate — instruction
    count plus at most one pnop (a single gap indicator).  Deliberately
@@ -191,23 +237,122 @@ let blacklisted ctx p t =
    (they die at the final validation — the paper's "abundance of invalid
    mappings" for ACMAP-only) and can drop fitting ones whose gaps would
    have been filled. *)
-let acmap_ok ctx p =
-  let ok = ref true in
-  for t = 0 to ntiles ctx - 1 do
-    let gap = min 1 (Occupancy.pnops_optimistic p.occ t) in
-    let est = ctx.committed.(t) + Occupancy.busy_count p.occ t + gap in
-    if est > binding_cm ctx p t then ok := false
-  done;
-  !ok
+let acmap_over ctx p t ~cap =
+  let gap = min 1 (Occupancy.pnops_optimistic p.occ t) in
+  ctx.committed.(t) + Occupancy.busy_count p.occ t + gap > cap
 
 (* ECMAP (Section III-D-3): exact pnop count over the cycles mapped so
-   far.  During binding rounds the home-tile reserve applies; the final
-   check after live-out placement uses the true capacity. *)
-let ecmap_ok ?(reserve = true) ctx p =
+   far.  During binding rounds, like ACMAP, it sees the home-tile reserve;
+   the final check after live-out placement uses the true capacity
+   ([fits]). *)
+let ecmap_over ctx p t ~cap = words_now ctx p t > cap
+
+let count b = if b then 1 else 0
+
+(* The scoring terms of a partial mapping, tile by tile and summed: the
+   memory pressure and the tiles over ACMAP's and ECMAP's capacity.  A
+   trial changes only the tiles it occupies, so the terms of its parent,
+   taken once per expansion, are corrected on those tiles alone. *)
+type terms = {
+  pressure_of : int array;
+  acmap_of : bool array;
+  ecmap_of : bool array;
+  pressure_sum : int;
+  acmap_count : int;
+  ecmap_count : int;
+}
+
+let terms ctx r p =
+  let nt = ntiles ctx in
+  let pressure_of = Array.make nt 0 in
+  let acmap_of = Array.make nt false and ecmap_of = Array.make nt false in
+  let sum = ref 0 and acmap = ref 0 and ecmap = ref 0 in
+  for t = 0 to nt - 1 do
+    let cap = binding_cm ctx r t in
+    pressure_of.(t) <- pressure ctx p t;
+    acmap_of.(t) <- acmap_over ctx p t ~cap;
+    ecmap_of.(t) <- ecmap_over ctx p t ~cap;
+    sum := !sum + pressure_of.(t);
+    acmap := !acmap + count acmap_of.(t);
+    ecmap := !ecmap + count ecmap_of.(t)
+  done;
+  {
+    pressure_of;
+    acmap_of;
+    ecmap_of;
+    pressure_sum = !sum;
+    acmap_count = !acmap;
+    ecmap_count = !ecmap;
+  }
+
+(* The cost is schedule length, then routing moves, plus the memory
+   pressure when ECMAP or CAB is on: the basic flow of [1] is not
+   memory-aware.  A verdict passes when no tile is over. *)
+let candidate ctx p ~tile ~cycle ~moves ~pressure ~acmap ~ecmap =
+  let config = ctx.config in
+  let base =
+    (p.horizon * 256) + (config.Flow_config.move_weight * p.n_moves)
+  in
+  {
+    parent = p;
+    tile;
+    cycle;
+    moves;
+    cost =
+      (if config.Flow_config.ecmap || config.Flow_config.cab then
+         base + pressure
+       else base);
+    acmap_ok = acmap = 0;
+    ecmap_ok = ecmap = 0;
+  }
+
+(* A partial mapping that is already built, as a candidate. *)
+let built ctx p =
+  let b = terms ctx (reserved_tiles ctx p.homes_new) p in
+  candidate ctx p ~tile:(-1) ~cycle:0 ~moves:0 ~pressure:b.pressure_sum
+    ~acmap:b.acmap_count ~ecmap:b.ecmap_count
+
+(* Whether the [i]-th occupancy change since the checkpoint is the first
+   one on its tile. *)
+let first_change g i t =
+  let rec go j = j >= i || (Occupancy.changed_tile g j <> t && go (j + 1)) in
+  go 0
+
+(* Score a trial binding on [tile], applied in place to the parent whose
+   terms are [b]: the parent's terms corrected on every tile the trial
+   occupied, under the binding capacities of [r] plus [pinned] (the bound
+   tile when a first-touched symbol was homed there, or -1).  The terms
+   matter only in the memory-aware flows and to ACMAP. *)
+let score ctx r b ~pinned p ~tile ~cycle ~moves =
+  let config = ctx.config in
+  let sum = ref b.pressure_sum in
+  let acmap = ref b.acmap_count and ecmap = ref b.ecmap_count in
+  if
+    config.Flow_config.ecmap || config.Flow_config.cab
+    || config.Flow_config.acmap
+  then
+    for i = 0 to Occupancy.changes p.occ - 1 do
+      let t = Occupancy.changed_tile p.occ i in
+      if first_change p.occ i t then begin
+        let cap =
+          if t = pinned then cm_of ctx t - config.Flow_config.home_reserve
+          else binding_cm ctx r t
+        in
+        sum := !sum - b.pressure_of.(t) + pressure ctx p t;
+        acmap :=
+          !acmap - count b.acmap_of.(t) + count (acmap_over ctx p t ~cap);
+        ecmap :=
+          !ecmap - count b.ecmap_of.(t) + count (ecmap_over ctx p t ~cap)
+      end
+    done;
+  candidate ctx p ~tile ~cycle ~moves ~pressure:!sum ~acmap:!acmap
+    ~ecmap:!ecmap
+
+(* ECMAP after live-out placement: every tile within its true capacity. *)
+let fits ctx p =
   let ok = ref true in
   for t = 0 to ntiles ctx - 1 do
-    let cap = if reserve then binding_cm ctx p t else cm_of ctx t in
-    if words_now ctx p t > cap then ok := false
+    if ecmap_over ctx p t ~cap:(cm_of ctx t) then ok := false
   done;
   !ok
 
@@ -227,34 +372,37 @@ let probe_path p ~ready path =
   in
   go ready path
 
-(* Materialise the chosen path: mutates [p]'s arrays in place (caller owns a
-   fresh copy) and returns the functional fields threaded through. *)
-let apply_path ctx p ~value ~src ~ready path =
-  let rec go p prev ready = function
-    | [] -> (p, ready)
+(* Move [value] from [src] along [path], each hop's move in the earliest
+   free slot of that hop tile, in place; returns the arrival cycle.  A
+   trial books only what scoring and the later operands read — the
+   occupancy, the value's new locations, the move count and the horizon —
+   and leaves the slots and the symbol reads to the replay. *)
+let apply_path ctx ~trial p ~value ~src ~ready path =
+  let rec go prev ready = function
+    | [] -> ready
     | hop :: rest ->
       let c = Occupancy.first_free_at_or_after p.occ hop ready in
       Occupancy.occupy p.occ hop c;
-      add_avail ctx p value hop (c + 1);
-      let slot =
-        {
-          Mapping.tile = hop;
-          cycle = c;
-          action = Mapping.Amove { value; from_tile = prev };
-          writes_sym = None;
-          set_cond = false;
-        }
-      in
-      let p = { p with slots = slot :: p.slots; n_moves = p.n_moves + 1 } in
-      let p = bump_horizon p c in
-      let p =
+      add_avail ctx ~trial p value hop (c + 1);
+      p.n_moves <- p.n_moves + 1;
+      bump_horizon p c;
+      if not trial then begin
+        p.slots <-
+          {
+            Mapping.tile = hop;
+            cycle = c;
+            action = Mapping.Amove { value; from_tile = prev };
+            writes_sym = None;
+            set_cond = false;
+          }
+          :: p.slots;
         match value with
-        | Mapping.Vsym s when Some prev = home_of ctx p s -> note_sym_read p s c
-        | Mapping.Vsym _ | Mapping.Vnode _ | Mapping.Vimm _ -> p
-      in
-      go p hop (c + 1) rest
+        | Mapping.Vsym s when home_tile ctx p s = prev -> note_sym_read p s c
+        | Mapping.Vsym _ | Mapping.Vnode _ | Mapping.Vimm _ -> ()
+      end;
+      go hop (c + 1) rest
   in
-  go p src ready path
+  go src ready path
 
 (* Column-first variant of Cgra.route_geometric (which is row-first):
    route on the transposed problem by chaining the two half-routes. *)
@@ -269,107 +417,162 @@ let route_col_first cgra ~src ~dst =
     Cgra.route_geometric cgra ~src ~dst:corner_id
     @ Cgra.route_geometric cgra ~src:corner_id ~dst
 
-(* Candidate paths per (src, dst) pair.  Pristine arrays keep exactly the
-   two deterministic shapes (row-first, column-first).  On degraded arrays
-   each shape survives only if it avoids dead tiles and severed links; when
-   both are broken the deterministic BFS detour is the sole candidate, and
-   a partitioned pair has no candidates at all — the binding that needs it
-   then fails routing, which the beam search treats like any other
-   infeasible placement. *)
+let route_of_path path =
+  match List.rev path with
+  | [] | [ _ ] -> { path; prefix = []; hops = 0; landing = -1 }
+  | _last :: (landing :: _ as rev_prefix) ->
+    let prefix = List.rev rev_prefix in
+    { path; prefix; hops = List.length prefix; landing }
+
+(* Candidate paths per (src, dst) pair.  Pristine arrays keep the two
+   deterministic shapes (row-first, column-first), once when they
+   coincide.  On degraded arrays each shape survives only if it avoids
+   dead tiles and severed links; when both are broken the deterministic
+   BFS detour is the sole candidate, and a partitioned pair has no
+   candidates at all — the binding that needs it then fails routing, which
+   the beam search treats like any other infeasible placement. *)
 let build_routes cgra =
   let nt = Cgra.tile_count cgra in
   Array.init (nt * nt) (fun i ->
       let src = i / nt and dst = i mod nt in
       let row = Cgra.route_geometric cgra ~src ~dst
       and col = route_col_first cgra ~src ~dst in
-      if Cgra.pristine cgra then [ row; col ]
-      else
-        match
-          List.filter (Cgra.path_ok cgra ~src)
-            (if row = col then [ row ] else [ row; col ])
-        with
-        | [] -> (
-          match Cgra.route_opt cgra ~src ~dst with
-          | Some p -> [ p ]
-          | None -> [])
-        | ps -> ps)
+      let shapes = if row = col then [ row ] else [ row; col ] in
+      let paths =
+        if Cgra.pristine cgra then shapes
+        else
+          match List.filter (Cgra.path_ok cgra ~src) shapes with
+          | [] -> (
+            match Cgra.route_opt cgra ~src ~dst with
+            | Some p -> [ p ]
+            | None -> [])
+          | ps -> ps
+      in
+      List.map route_of_path paths)
 
 let paths_of ctx ~src ~dst = ctx.routes.((src * ntiles ctx) + dst)
 
-(* Land [value] in [dst]'s own register file: Some (state, ready cycle).
-   Used for the mandatory live-out writes, whose destination is a fixed RF
-   slot.  Chooses, over the value's current locations and the two
-   deterministic path shapes, the option with the earliest arrival, fewest
-   hops. *)
+(* Land [value] in [dst]'s own register file, unless it is already there:
+   the mandatory live-out writes, whose destination is a fixed RF slot.
+   Chooses, over the value's current locations and their paths to [dst],
+   the option with the earliest arrival, fewest hops.  False when no path
+   reaches [dst]. *)
 let route_into ctx p ~value ~dst =
-  match value with
-  | Mapping.Vimm _ -> Some (p, 0)
-  | Mapping.Vnode _ | Mapping.Vsym _ -> (
-    let locs = locations ctx p value in
-    match List.filter (fun (t, _) -> t = dst) locs with
-    | (_, ready) :: more ->
-      let ready = List.fold_left (fun acc (_, r) -> min acc r) ready more in
-      Some (p, ready)
-    | [] ->
-      let options =
-        List.concat_map
-          (fun (src, ready) ->
-            List.map
-              (fun path ->
-                let arrival = probe_path p ~ready path in
-                (arrival, List.length path, src, ready, path))
-              (paths_of ctx ~src ~dst))
-          locs
+  let locs = locations ctx p value in
+  List.exists (fun (t, _) -> t = dst) locs
+  ||
+  let options =
+    List.concat_map
+      (fun (src, ready) ->
+        List.map
+          (fun r ->
+            let arrival = probe_path p ~ready r.path in
+            (arrival, List.length r.path, src, ready, r.path))
+          (paths_of ctx ~src ~dst))
+      locs
+  in
+  match List.sort compare options with
+  | [] -> false
+  | (_, _, src, ready, path) :: _ ->
+    ignore (apply_path ctx ~trial:false p ~value ~src ~ready path : int);
+    true
+
+(* The best move route [route_usable] has seen so far. *)
+type pick = {
+  mutable arrival : int;
+  mutable src : int;
+  mutable ready : int;
+  mutable route : route; (* [hops = 0]: none yet *)
+}
+
+(* [compare] on two int lists of equal length. *)
+let rec compare_prefix a b =
+  match a, b with
+  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_prefix a' b'
+  | _ -> 0
+
+(* Weigh the move routes from [src] (where the value is ready at [ready])
+   against [best], in the order of [compare] on (arrival, hops, src, ready,
+   prefix) tuples. *)
+let rec pick_route p best ~src ~ready = function
+  | [] -> ()
+  | r :: rest ->
+    if r.hops > 0 then begin
+      let arrival = probe_path p ~ready r.prefix in
+      let b = best.route in
+      let better =
+        b.hops = 0
+        || arrival < best.arrival
+        || arrival = best.arrival
+           && (r.hops < b.hops
+              || r.hops = b.hops
+                 && (src < best.src
+                    || src = best.src
+                       && (ready < best.ready
+                          || ready = best.ready
+                             && compare_prefix r.prefix b.prefix < 0)))
       in
-      (match List.sort compare options with
-       | [] -> None
-       | (_, _, src, ready, path) :: _ ->
-         let p, arrival = apply_path ctx p ~value ~src ~ready path in
-         Some (p, arrival)))
+      if better then begin
+        best.arrival <- arrival;
+        best.src <- src;
+        best.ready <- ready;
+        best.route <- r
+      end
+    end;
+    pick_route p best ~src ~ready rest
+
+let no_route = { path = []; prefix = []; hops = 0; landing = -1 }
 
 (* Make [value] readable by an operation on [dst]: the PE input muxes read
    the local RF or any torus neighbour's RF directly (Fig 1), so only
    routes longer than one hop insert moves — and those stop at a neighbour
-   of [dst].  Some (state, ready cycle, source tile). *)
-let route_usable ctx p ~value ~dst =
+   of [dst].  Some (ready cycle, source tile), or None when no location of
+   the value reaches [dst].  A direct read takes the least (ready,
+   distance, tile) over the locations on [dst] or a neighbour; otherwise
+   the least (arrival, hops, src, ready, prefix) over the locations' move
+   routes is applied.  Both are folds over the locations, with the home
+   tile of a symbol first, as [locations] lists them. *)
+let route_usable ctx ~trial p ~value ~dst =
   match value with
-  | Mapping.Vimm _ -> Some (p, 0, dst)
+  | Mapping.Vimm _ -> Some (0, dst)
   | Mapping.Vnode _ | Mapping.Vsym _ -> (
-    let locs = locations ctx p value in
-    let direct =
-      List.filter_map
-        (fun (t, ready) ->
-          if t = dst then Some (ready, 0, t)
-          else if Cgra.distance ctx.cgra t dst = 1 then Some (ready, 1, t)
-          else None)
-        locs
+    let home =
+      match value with
+      | Mapping.Vsym s -> home_tile ctx p s
+      | Mapping.Vnode _ | Mapping.Vimm _ -> -1
     in
-    match List.sort compare direct with
-    | (ready, _, t) :: _ -> Some (p, ready, t)
-    | [] ->
-      let options =
-        List.concat_map
-          (fun (src, ready) ->
-            List.filter_map
-              (fun path ->
-                (* stop one hop short: the op reads the neighbour's RF *)
-                match List.rev path with
-                | [] | [ _ ] -> None
-                | _last :: rev_prefix ->
-                  let prefix = List.rev rev_prefix in
-                  let arrival = probe_path p ~ready prefix in
-                  Some (arrival, List.length prefix, src, ready, prefix))
-              (paths_of ctx ~src ~dst))
-          locs
-      in
-      (match List.sort compare options with
-       | [] -> None
-       | (_, _, src, ready, path) :: _ ->
-         let p, arrival = apply_path ctx p ~value ~src ~ready path in
-         let land_tile =
-           match List.rev path with t :: _ -> t | [] -> assert false
-         in
-         Some (p, arrival, land_tile)))
+    let avail = p.avail.(vid ctx value) in
+    let dist t =
+      if t = dst then 0 else if Cgra.distance ctx.cgra t dst = 1 then 1 else 2
+    in
+    (* (ready, distance, tile) of the best direct read; distance 2: none *)
+    let rec direct br bd bt = function
+      | [] -> if bd <= 1 then Some (br, bt) else None
+      | (t, r) :: rest ->
+        let d = dist t in
+        if d <= 1
+           && (bd > 1 || r < br || r = br && (d < bd || d = bd && t < bt))
+        then direct r d t rest
+        else direct br bd bt rest
+    in
+    let hd = if home >= 0 then dist home else 2 in
+    match direct 0 hd home avail with
+    | Some _ as read -> read
+    | None ->
+      let best = { arrival = 0; src = 0; ready = 0; route = no_route } in
+      if home >= 0 then
+        pick_route p best ~src:home ~ready:0 (paths_of ctx ~src:home ~dst);
+      List.iter
+        (fun (src, ready) ->
+          pick_route p best ~src ~ready (paths_of ctx ~src ~dst))
+        avail;
+      if best.route.hops = 0 then None
+      else
+        let arrival =
+          apply_path ctx ~trial p ~value ~src:best.src ~ready:best.ready
+            best.route.prefix
+        in
+        Some (arrival, best.route.landing))
 
 (* ---- binding one operation ----------------------------------------- *)
 
@@ -378,35 +581,36 @@ let operand_value = function
   | Cdfg.Sym s -> Mapping.Vsym s
   | Cdfg.Imm k -> Mapping.Vimm k
 
-(* Place DFG node [node_id] on [tile]: routes every operand, fixes pending
-   symbol homes, books the cycle.  Returns None when routing fails (CAB
-   blocked every path). *)
-let place_node ctx p ~node_id ~tile =
-  ctx.tally.attempts <- ctx.tally.attempts + 1;
+(* Bind DFG node [node_id] on [tile] in [p], in place: route every operand,
+   pin first-touched symbol homes here, book the cycle.  Returns the cycle,
+   or -1 when routing fails — [p] is then half-bound, and the caller undoes
+   or drops it.  A [trial] binding books only what scoring reads (see
+   [apply_path]) and skips the op's slot, its symbol reads, its result's
+   location and [place_cycle]: none of them steers this binding. *)
+let bind ctx ~trial p ~node_id ~tile =
   let node = ctx.block.Cdfg.nodes.(node_id) in
-  let p = copy_pstate p in
   (* [acc] collects (ready, source tile) per operand, reversed. *)
-  let rec bring p acc = function
-    | [] -> Some (p, List.rev acc)
+  let rec bring acc = function
+    | [] -> Some (List.rev acc)
     | operand :: rest -> (
       match operand with
-      | Cdfg.Imm _ -> bring p ((0, tile) :: acc) rest
-      | Cdfg.Sym s when home_of ctx p s = None ->
+      | Cdfg.Imm _ -> bring ((0, tile) :: acc) rest
+      | Cdfg.Sym s when home_tile ctx p s < 0 ->
         (* First touch of an undefined symbol: pin its home here — the
            location-constraint choice that distinguishes partial
            mappings. *)
-        let p = { p with homes_new = (s, tile) :: p.homes_new } in
-        bring p ((0, tile) :: acc) rest
+        p.homes_new <- (s, tile) :: p.homes_new;
+        bring ((0, tile) :: acc) rest
       | Cdfg.Sym _ | Cdfg.Node _ -> (
-        match route_usable ctx p ~value:(operand_value operand) ~dst:tile with
+        match
+          route_usable ctx ~trial p ~value:(operand_value operand) ~dst:tile
+        with
         | None -> None
-        | Some (p, ready, src) -> bring p ((ready, src) :: acc) rest))
+        | Some (ready, src) -> bring ((ready, src) :: acc) rest))
   in
-  match bring p [] node.Cdfg.operands with
-  | None ->
-    ctx.tally.route_failures <- ctx.tally.route_failures + 1;
-    None
-  | Some (p, operand_info) ->
+  match bring [] node.Cdfg.operands with
+  | None -> -1
+  | Some operand_info ->
     (* Memory-dependence edges order this node after its predecessors'
        execution cycles, wherever they were placed. *)
     let dep_ready =
@@ -419,32 +623,82 @@ let place_node ctx p ~node_id ~tile =
     in
     let c = Occupancy.first_free_at_or_after p.occ tile earliest in
     Occupancy.occupy p.occ tile c;
-    let operand_tiles = List.map snd operand_info in
-    let slot =
-      {
-        Mapping.tile;
-        cycle = c;
-        action = Mapping.Aop { node = node_id; operand_tiles };
-        writes_sym = None;
-        set_cond = false;
-      }
-    in
-    let p = { p with slots = slot :: p.slots } in
-    let p = bump_horizon p c in
-    (* A symbol operand read out of its home RF slot — locally or through
-       the neighbour mux — constrains the slot's overwrite cycle. *)
-    let p =
-      List.fold_left2
-        (fun p operand (_, srct) ->
+    bump_horizon p c;
+    if not trial then begin
+      let operand_tiles = List.map snd operand_info in
+      p.slots <-
+        {
+          Mapping.tile;
+          cycle = c;
+          action = Mapping.Aop { node = node_id; operand_tiles };
+          writes_sym = None;
+          set_cond = false;
+        }
+        :: p.slots;
+      (* A symbol operand read out of its home RF slot — locally or through
+         the neighbour mux — constrains the slot's overwrite cycle. *)
+      List.iter2
+        (fun operand (_, srct) ->
           match operand with
-          | Cdfg.Sym s when home_of ctx p s = Some srct -> note_sym_read p s c
-          | Cdfg.Sym _ | Cdfg.Node _ | Cdfg.Imm _ -> p)
-        p node.Cdfg.operands operand_info
-    in
-    if Opcode.has_result node.Cdfg.opcode then
-      add_avail ctx p (Mapping.Vnode node_id) tile (c + 1);
-    if c > p.place_cycle.(node_id) then p.place_cycle.(node_id) <- c;
-    Some (p, c)
+          | Cdfg.Sym s when home_tile ctx p s = srct -> note_sym_read p s c
+          | Cdfg.Sym _ | Cdfg.Node _ | Cdfg.Imm _ -> ())
+        node.Cdfg.operands operand_info;
+      if Opcode.has_result node.Cdfg.opcode then
+        add_avail ctx ~trial:false p (Mapping.Vnode node_id) tile (c + 1);
+      if c > p.place_cycle.(node_id) then p.place_cycle.(node_id) <- c
+    end;
+    c
+
+(* One binding attempt: bind [node_id] on [tile] in the parent [p] itself,
+   score the result, then undo it — the occupancy journal, the journaled
+   location pushes and the saved scalar fields restore [p] exactly.  None
+   when routing fails.  [r] and [b] are [p]'s [reserved_tiles] and
+   [terms]. *)
+let trial ctx r b p ~node_id ~tile =
+  ctx.tally.attempts <- ctx.tally.attempts + 1;
+  let n_moves = p.n_moves and horizon = p.horizon and homes = p.homes_new in
+  Occupancy.checkpoint p.occ;
+  let cycle = bind ctx ~trial:true p ~node_id ~tile in
+  let candidate =
+    if cycle < 0 then begin
+      ctx.tally.route_failures <- ctx.tally.route_failures + 1;
+      None
+    end
+    else
+      let pinned = if p.homes_new == homes then -1 else tile in
+      Some (score ctx r b ~pinned p ~tile ~cycle ~moves:(p.n_moves - n_moves))
+  in
+  Occupancy.rollback p.occ;
+  List.iter (fun id -> p.avail.(id) <- List.tl p.avail.(id)) p.pushed;
+  p.pushed <- [];
+  p.n_moves <- n_moves;
+  p.horizon <- horizon;
+  p.homes_new <- homes;
+  candidate
+
+(* The partial mapping a surviving candidate stands for: a copy of its
+   parent with the binding replayed in full.  The replay routes exactly as
+   the trial did (same state, same choices) and is not a binding
+   attempt. *)
+let materialise ctx node_id c =
+  if c.tile < 0 then c.parent
+  else begin
+    let p = copy_pstate c.parent in
+    ignore (bind ctx ~trial:false p ~node_id ~tile:c.tile : int);
+    p
+  end
+
+(* A binding attempt built eagerly on a copy of [p] — the re-computation
+   transformation's, which chains two bindings.  None when routing
+   fails. *)
+let place_node ctx p ~node_id ~tile =
+  ctx.tally.attempts <- ctx.tally.attempts + 1;
+  let p = copy_pstate p in
+  if bind ctx ~trial:false p ~node_id ~tile < 0 then begin
+    ctx.tally.route_failures <- ctx.tally.route_failures + 1;
+    None
+  end
+  else Some p
 
 (* Keep the non-blacklisted candidates, or everything when CAB blocks them
    all: binding somewhere beats dying here — the exact pruning and final
@@ -452,30 +706,35 @@ let place_node ctx p ~node_id ~tile =
    energy-bias sort of the context-aware flows) is pstate-independent, so
    it is precomputed per node in [ctx.able_sorted]; only this cheap filter
    runs per expansion. *)
-let candidate_tiles ctx p tiles =
-  match List.filter (fun t -> not (blacklisted ctx p t)) tiles with
+let candidate_tiles ctx r p tiles =
+  match List.filter (fun t -> not (blacklisted ctx r p t)) tiles with
   | [] -> tiles
   | unblocked -> unblocked
 
+let by_key a b =
+  if a.cycle <> b.cycle then Int.compare a.cycle b.cycle
+  else Int.compare a.moves b.moves
+
 (* Expand one partial mapping with the feasible bindings of [node_id],
-   keeping the [expand_per_state] locally-best children. *)
+   keeping the [expand_per_state] locally-best candidates. *)
 let expand_state ctx p node_id =
-  let children =
+  let r = reserved_tiles ctx p.homes_new in
+  let b = terms ctx r p in
+  let candidates =
     List.filter_map
-      (fun tile ->
-        match place_node ctx p ~node_id ~tile with
-        | Some (p', cycle) -> Some ((cycle, p'.n_moves - p.n_moves), p')
-        | None -> None)
-      (candidate_tiles ctx p ctx.able_sorted.(node_id))
+      (fun tile -> trial ctx r b p ~node_id ~tile)
+      (candidate_tiles ctx r p ctx.able_sorted.(node_id))
   in
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) children in
-  List.map snd (take ctx.config.Flow_config.expand_per_state sorted)
+  take ctx.config.Flow_config.expand_per_state
+    (List.stable_sort by_key candidates)
 
 (* Expand the whole population for one round.  Expansion is RNG-free (only
-   the stochastic pruning consumes the random stream) and every task works
-   on its own copies, so fanning the states out over [expand_jobs] domains
-   returns the exact sequential result; the per-task tallies are merged on
-   the main domain afterwards. *)
+   the stochastic pruning consumes the random stream), so fanning the
+   states out over [expand_jobs] domains returns the exact sequential
+   result; the per-task tallies are merged on the main domain afterwards.
+   A trial binds in its parent and undoes itself, so a parent must be
+   expanded by exactly one task: there is one task per state, and the
+   population holds distinct states. *)
 let expand_population ctx pop node_id =
   (* Expansion boundary: the last poll before the all-OCaml hot path. *)
   if Cgra_util.Deadline.expired ctx.deadline then
@@ -515,65 +774,31 @@ let expand_with_recompute ctx p node_id =
         else
           match place_node ctx p ~node_id:j ~tile with
           | None -> None
-          | Some (p1, _) -> (
-            match place_node ctx p1 ~node_id ~tile with
-            | None -> None
-            | Some (p2, _) -> Some p2))
+          | Some p1 -> place_node ctx p1 ~node_id ~tile)
       producers
   in
-  List.find_map try_tile (candidate_tiles ctx p ctx.able.(node_id))
+  List.find_map try_tile
+    (candidate_tiles ctx (reserved_tiles ctx p.homes_new) p ctx.able.(node_id))
 
 (* ---- pruning -------------------------------------------------------- *)
 
-(* Quadratic penalty once a tile's context memory fills beyond 3/4 — the
-   exploration bias of the context-aware flow: among latency-equivalent
-   partial mappings, prefer those that keep headroom on small-CM tiles for
-   the blocks still to come.  The basic flow of [1] is not memory-aware, so
-   the term is active only when one of the aware steps is enabled. *)
-let memory_pressure ctx p =
-  let total = ref 0 in
-  for t = 0 to ntiles ctx - 1 do
-    let cm = cm_of ctx t in
-    let over = (4 * words_now ctx p t) - (3 * cm) in
-    if over > 0 then total := !total + (over * over)
-  done;
-  !total
-
-(* Memoized per state: the sort comparators and prune filters below query
-   the cost of the same state many times, and each evaluation is O(tiles).
-   Valid because states are immutable from their first cost query onwards
-   (see [cost_memo]) and always costed under the same config. *)
-let cost ctx p =
-  if p.cost_memo >= 0 then p.cost_memo
-  else begin
-    let base =
-      (p.horizon * 256) + (ctx.config.Flow_config.move_weight * p.n_moves)
-    in
-    let c =
-      if ctx.config.Flow_config.ecmap || ctx.config.Flow_config.cab then
-        base + memory_pressure ctx p
-      else base
-    in
-    p.cost_memo <- c;
-    c
-  end
+let by_cost a b = Int.compare a.cost b.cost
 
 (* Stochastic threshold pruning of the basic flow: children within the
    slack of the best cost survive; the rest survive with [keep_prob]; the
    population is finally capped at [beam_width]. *)
-let stochastic_prune ctx rng pop =
-  let sorted = List.sort (fun a b -> compare (cost ctx a) (cost ctx b)) pop in
-  match sorted with
+let stochastic_prune ctx rng candidates =
+  match List.stable_sort by_cost candidates with
   | [] -> []
-  | best :: _ ->
+  | best :: _ as sorted ->
     let threshold =
       int_of_float
-        (float_of_int (cost ctx best) *. (1.0 +. ctx.config.Flow_config.prune_slack))
+        (float_of_int best.cost *. (1.0 +. ctx.config.Flow_config.prune_slack))
     in
     let survivors =
       List.filter
-        (fun p ->
-          cost ctx p <= threshold
+        (fun c ->
+          c.cost <= threshold
           || Rng.float rng < ctx.config.Flow_config.keep_prob)
         sorted
     in
@@ -629,7 +854,7 @@ let mark_slot p ~tile ~cycle ?sym ?(set_cond = false) () =
       p.slots
   in
   if not !updated then raise (Finalize_failed "mark_slot: slot not found");
-  { p with slots }
+  p.slots <- slots
 
 (* A slot at [home] that already produces [value] and can absorb the symbol
    write for free (its destination becomes the symbol's RF slot). *)
@@ -651,6 +876,8 @@ let free_writer_slot p ~home ~value ~min_cycle =
   | [] -> None
   | sl :: _ -> Some sl
 
+(* Copy [value] into [tile]'s RF at or after [min_cycle], in place; returns
+   the copy's cycle. *)
 let add_copy ctx p ~tile ~value ~min_cycle ?sym ?(set_cond = false) () =
   let ready =
     match value with
@@ -662,7 +889,7 @@ let add_copy ctx p ~tile ~value ~min_cycle ?sym ?(set_cond = false) () =
   in
   let c = Occupancy.first_free_at_or_after p.occ tile (max ready min_cycle) in
   Occupancy.occupy p.occ tile c;
-  let slot =
+  p.slots <-
     {
       Mapping.tile;
       cycle = c;
@@ -670,15 +897,13 @@ let add_copy ctx p ~tile ~value ~min_cycle ?sym ?(set_cond = false) () =
       writes_sym = sym;
       set_cond;
     }
-  in
-  let p = { p with slots = slot :: p.slots; n_moves = p.n_moves + 1 } in
-  let p = bump_horizon p c in
-  let p =
-    match value with
-    | Mapping.Vsym s when home_of ctx p s = Some tile -> note_sym_read p s c
-    | Mapping.Vsym _ | Mapping.Vnode _ | Mapping.Vimm _ -> p
-  in
-  (p, c)
+    :: p.slots;
+  p.n_moves <- p.n_moves + 1;
+  bump_horizon p c;
+  (match value with
+   | Mapping.Vsym s when home_tile ctx p s = tile -> note_sym_read p s c
+   | Mapping.Vsym _ | Mapping.Vnode _ | Mapping.Vimm _ -> ());
+  c
 
 (* Order live-out items so that an item reading symbol [s'] is processed
    before the item writing [s'] (read-before-write on the home RF slot).
@@ -712,96 +937,83 @@ let order_live_outs items =
   in
   go [] items
 
+(* Place the block's live-out writes and condition export on a copy of
+   [p]; None when that fails. *)
 let finalize ctx p =
   try
     let p = copy_pstate p in
     let items = order_live_outs ctx.block.Cdfg.live_out in
     let write_cycle = Hashtbl.create 4 in
-    let p =
-      List.fold_left
-        (fun p (s, operand) ->
-          let value = operand_value operand in
-          let p, home =
-            match home_of ctx p s with
-            | Some h -> (p, h)
-            | None ->
-              let h =
-                match value with
-                | Mapping.Vnode _ | Mapping.Vsym _ -> (
-                  match locations ctx p value with
-                  | (t, _) :: _ -> t
-                  | [] -> least_loaded_tile ctx p)
-                | Mapping.Vimm _ -> least_loaded_tile ctx p
-              in
-              ({ p with homes_new = (s, h) :: p.homes_new }, h)
-          in
-          let min_cycle = max 0 (sym_read_cycle p s) in
-          let p, cw =
-            match value with
-            | Mapping.Vimm _ ->
-              add_copy ctx p ~tile:home ~value ~min_cycle ~sym:s ()
-            | Mapping.Vnode _ | Mapping.Vsym _ -> (
-              (* Self-assignment to the same slot is a no-op. *)
+    List.iter
+      (fun (s, operand) ->
+        let value = operand_value operand in
+        let home =
+          match home_tile ctx p s with
+          | h when h >= 0 -> h
+          | _ ->
+            let h =
               match value with
-              | Mapping.Vsym s' when s' = s ->
-                (p, max 0 (sym_read_cycle p s))
-              | _ ->
-                let p =
-                  if List.exists (fun (t, _) -> t = home) (locations ctx p value)
-                  then p
-                  else
-                    match route_into ctx p ~value ~dst:home with
-                    | Some (p, _) -> p
-                    | None ->
-                      raise (Finalize_failed "live-out routing blocked")
-                in
-                (match free_writer_slot p ~home ~value ~min_cycle with
-                 | Some sl ->
-                   ( mark_slot p ~tile:sl.Mapping.tile ~cycle:sl.Mapping.cycle
-                       ~sym:s (),
-                     sl.Mapping.cycle )
-                 | None -> add_copy ctx p ~tile:home ~value ~min_cycle ~sym:s ()))
-          in
-          Hashtbl.replace write_cycle s cw;
-          p)
-        p items
-    in
+              | Mapping.Vnode _ | Mapping.Vsym _ -> (
+                match locations ctx p value with
+                | (t, _) :: _ -> t
+                | [] -> least_loaded_tile ctx p)
+              | Mapping.Vimm _ -> least_loaded_tile ctx p
+            in
+            p.homes_new <- (s, h) :: p.homes_new;
+            h
+        in
+        let min_cycle = max 0 (sym_read_cycle p s) in
+        let cw =
+          match value with
+          | Mapping.Vimm _ ->
+            add_copy ctx p ~tile:home ~value ~min_cycle ~sym:s ()
+          (* Self-assignment to the same slot is a no-op. *)
+          | Mapping.Vsym s' when s' = s -> min_cycle
+          | Mapping.Vnode _ | Mapping.Vsym _ -> (
+            if not (route_into ctx p ~value ~dst:home) then
+              raise (Finalize_failed "live-out routing blocked");
+            match free_writer_slot p ~home ~value ~min_cycle with
+            | Some sl ->
+              mark_slot p ~tile:sl.Mapping.tile ~cycle:sl.Mapping.cycle ~sym:s
+                ();
+              sl.Mapping.cycle
+            | None -> add_copy ctx p ~tile:home ~value ~min_cycle ~sym:s ())
+        in
+        Hashtbl.replace write_cycle s cw)
+      items;
     (* Condition export for conditional terminators. *)
-    let p =
-      match ctx.block.Cdfg.terminator with
-      | Cdfg.Jump _ | Cdfg.Return -> p
-      | Cdfg.Branch (cond, _, _) -> (
-        match cond with
-        | Cdfg.Node j ->
-          let op_slot =
-            List.find
-              (fun sl ->
-                match sl.Mapping.action with
-                | Mapping.Aop { node; _ } -> node = j
-                | Mapping.Amove _ | Mapping.Acopy _ -> false)
-              p.slots
-          in
-          mark_slot p ~tile:op_slot.Mapping.tile ~cycle:op_slot.Mapping.cycle
-            ~set_cond:true ()
-        | Cdfg.Sym s ->
-          let home =
-            match home_of ctx p s with
-            | Some h -> h
-            | None -> raise (Finalize_failed "branch on undefined symbol")
-          in
-          let min_cycle =
-            match Hashtbl.find_opt write_cycle s with
-            | Some cw -> cw + 1 (* read the freshly written value *)
-            | None -> 0
-          in
-          let value = Mapping.Vsym s in
-          fst (add_copy ctx p ~tile:home ~value ~min_cycle ~set_cond:true ())
-        | Cdfg.Imm k ->
-          let tile = least_loaded_tile ctx p in
-          fst
-            (add_copy ctx p ~tile ~value:(Mapping.Vimm k) ~min_cycle:0
-               ~set_cond:true ()))
-    in
+    (match ctx.block.Cdfg.terminator with
+     | Cdfg.Jump _ | Cdfg.Return -> ()
+     | Cdfg.Branch (cond, _, _) -> (
+       match cond with
+       | Cdfg.Node j ->
+         let op_slot =
+           List.find
+             (fun sl ->
+               match sl.Mapping.action with
+               | Mapping.Aop { node; _ } -> node = j
+               | Mapping.Amove _ | Mapping.Acopy _ -> false)
+             p.slots
+         in
+         mark_slot p ~tile:op_slot.Mapping.tile ~cycle:op_slot.Mapping.cycle
+           ~set_cond:true ()
+       | Cdfg.Sym s ->
+         let home = home_tile ctx p s in
+         if home < 0 then raise (Finalize_failed "branch on undefined symbol");
+         let min_cycle =
+           match Hashtbl.find_opt write_cycle s with
+           | Some cw -> cw + 1 (* read the freshly written value *)
+           | None -> 0
+         in
+         let value = Mapping.Vsym s in
+         ignore
+           (add_copy ctx p ~tile:home ~value ~min_cycle ~set_cond:true () : int)
+       | Cdfg.Imm k ->
+         let tile = least_loaded_tile ctx p in
+         ignore
+           (add_copy ctx p ~tile ~value:(Mapping.Vimm k) ~min_cycle:0
+              ~set_cond:true ()
+             : int)));
     Some p
   with Finalize_failed _ -> None
 
@@ -813,8 +1025,8 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
   let alloc_start = Gc.allocated_bytes () in
   let block = cdfg.Cdfg.blocks.(bi) in
   let nt = Cgra.tile_count cgra in
-  let hosts_home = Array.make nt false in
-  Array.iter (fun h -> if h >= 0 then hosts_home.(h) <- true) homes;
+  let hosts_home = Bytes.make nt '\000' in
+  Array.iter (fun h -> if h >= 0 then Bytes.set hosts_home h '\001') homes;
   let all_tiles = List.init nt Fun.id in
   let able =
     Array.map
@@ -892,12 +1104,15 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
   in
   let acmap_filter children =
     if config.Flow_config.acmap then begin
-      let kept = List.filter (acmap_ok ctx) children in
+      let kept = List.filter (fun c -> c.acmap_ok) children in
       acmap_kills := !acmap_kills + List.length children - List.length kept;
       kept
     end
     else children
   in
+  (* Each round prunes candidates, not states: only the survivors of the
+     top-K selection, ACMAP, the stochastic pruning and ECMAP become
+     partial mappings. *)
   let rec rounds pop = function
     | [] -> Ok pop
     | node_id :: rest ->
@@ -909,10 +1124,10 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
       incr rounds_done;
       let children = expand_population ctx pop node_id in
       children_total := !children_total + List.length children;
-      let children = acmap_filter children in
       let children =
-        if children <> [] then children
-        else begin
+        match acmap_filter children with
+        | _ :: _ as kept -> kept
+        | [] ->
           (* Graph transformation: re-computation. *)
           let rec_children =
             if !budget <= 0 then []
@@ -923,13 +1138,12 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
                   | Some p' ->
                     decr budget;
                     incr recomputes;
-                    Some p'
+                    Some (built ctx p')
                   | None -> None)
                 pop
           in
           children_total := !children_total + List.length rec_children;
           acmap_filter rec_children
-        end
       in
       if children = [] then
         Error
@@ -938,23 +1152,23 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
              (Opcode.to_string block.Cdfg.nodes.(node_id).Cdfg.opcode))
       else begin
         peak := max !peak (List.length children);
-        let pop = stochastic_prune ctx rng children in
-        prune_survivors := !prune_survivors + List.length pop;
-        let pop =
+        let kept = stochastic_prune ctx rng children in
+        prune_survivors := !prune_survivors + List.length kept;
+        let kept =
           if config.Flow_config.ecmap then begin
-            let kept = List.filter (ecmap_ok ctx) pop in
-            ecmap_kills := !ecmap_kills + List.length pop - List.length kept;
-            kept
+            let fit = List.filter (fun c -> c.ecmap_ok) kept in
+            ecmap_kills := !ecmap_kills + List.length kept - List.length fit;
+            fit
           end
-          else pop
+          else kept
         in
-        if pop = [] then
+        if kept = [] then
           Error
             (Printf.sprintf
                "block %s: exact context-memory pruning emptied the population \
                 at node %d"
                block.Cdfg.name node_id)
-        else rounds pop rest
+        else rounds (List.map (materialise ctx node_id) kept) rest
       end
   in
   let result =
@@ -972,20 +1186,18 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
       finalize_failures := List.length pop - List.length finalized;
       let finalized =
         if config.Flow_config.ecmap then begin
-          let kept = List.filter (ecmap_ok ~reserve:false ctx) finalized in
+          let kept = List.filter (fits ctx) finalized in
           ecmap_kills := !ecmap_kills + List.length finalized - List.length kept;
           kept
         end
         else finalized
       in
-      (match
-         List.sort (fun a b -> compare (cost ctx a) (cost ctx b)) finalized
-       with
+      (match List.stable_sort by_cost (List.map (built ctx) finalized) with
        | [] ->
          Error
            (Printf.sprintf "block %s: no partial mapping survived finalisation"
               block.Cdfg.name)
-       | best :: _ ->
+       | { parent = best; _ } :: _ ->
          let length =
            (* at least one cycle so the controller has a section to run *)
            max best.horizon 1

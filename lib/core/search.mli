@@ -9,6 +9,10 @@
     the stochastic threshold pruning of the basic flow, and the exact
     context-memory filter (ECMAP).  With constraint-aware binding (CAB)
     enabled, context-memory-full tiles are blacklisted before binding.
+    Each binding is tried and scored in its parent partial mapping in
+    place, then undone; pruning runs on those scores, and only the
+    bindings that survive it are built into partial mappings of their
+    own.
 
     When an operation cannot be bound in any partial mapping the binder
     applies the graph transformations of Section III-B: re-routing is
@@ -76,13 +80,17 @@ type verdict =
           boundary that observed it.  Not a verdict about the kernel:
           never retried, cached or reported as unmappable *)
 
-val build_routes : Cgra_arch.Cgra.t -> int list list array
-(** Candidate route paths per (src, dst) pair, flattened
-    [src * tiles + dst]: the deterministic row-first and column-first
-    shapes on pristine arrays, the surviving shapes (or the BFS detour, or
-    nothing) on degraded ones.  The table depends only on the array, so
-    callers mapping several blocks should build it once and pass it to
-    every {!map_block} — [Flow] interns one table per flow run. *)
+type routes
+(** Candidate route paths per (src, dst) pair, each with the prefix that
+    stops one hop short of the destination precomputed. *)
+
+val build_routes : Cgra_arch.Cgra.t -> routes
+(** The route table of an array: the deterministic row-first and
+    column-first shapes on pristine arrays (one when they coincide), the
+    surviving shapes (or the BFS detour, or nothing) on degraded ones.
+    The table depends only on the array, so callers mapping several blocks
+    should build it once and pass it to every {!map_block} — [Flow]
+    interns one table per flow run. *)
 
 exception Timed_out of { at_block : int; where : string }
 (** Raised (out of {!map_block}, and out of the exact backend's probes)
@@ -93,7 +101,7 @@ exception Timed_out of { at_block : int; where : string }
     converts it into a failure with verdict {!Expired}. *)
 
 val map_block :
-  ?routes:int list list array ->
+  ?routes:routes ->
   ?deadline:Cgra_util.Deadline.t ->
   config:Flow_config.t ->
   cgra:Cgra_arch.Cgra.t ->

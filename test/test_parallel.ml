@@ -260,16 +260,19 @@ let test_clear_resets_compute_count () =
 (* [expand_jobs] fans each search round's population out over domains; the
    expansion is RNG-free, so the mapping AND every deterministic telemetry
    counter must be identical at any job count — wall-clock is the only
-   thing allowed to differ. *)
+   thing allowed to differ.  Each binding attempt is tried in its parent
+   state and undone, so this also checks that no two tasks share a parent:
+   on FFT and on MatM (the largest blocks) under the full flow, and on FFT
+   under ACMAP only. *)
 let test_expand_jobs_invariant () =
   let module S = Cgra_core.Search in
-  let k = Option.get (Cgra_kernels.Kernels.by_slug "fft") in
-  let cdfg = Cgra_kernels.Kernel_def.cdfg k in
   let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET2 in
-  let run jobs =
-    let config =
-      { Cgra_core.Flow_config.context_aware with expand_jobs = jobs }
+  let run slug preset jobs =
+    let cdfg =
+      Cgra_kernels.Kernel_def.cdfg
+        (Option.get (Cgra_kernels.Kernels.by_slug slug))
     in
+    let config = { (FC.of_preset preset) with expand_jobs = jobs } in
     match Cgra_core.Flow.run ~config cgra cdfg with
     | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
     | Ok (m, stats) ->
@@ -280,14 +283,24 @@ let test_expand_jobs_invariant () =
           bs.S.prune_survivors bs.S.finalize_failures bs.S.recomputes
           bs.S.population_peak
       in
-      Printf.sprintf "moves %d, work %d, retries %d | %s"
-        (Cgra_core.Mapping.total_moves m)
-        stats.Cgra_core.Flow.work stats.Cgra_core.Flow.retries_used
-        (String.concat "; " (List.map block_sig stats.Cgra_core.Flow.search))
+      ( Printf.sprintf "moves %d, work %d, retries %d | %s"
+          (Cgra_core.Mapping.total_moves m)
+          stats.Cgra_core.Flow.work stats.Cgra_core.Flow.retries_used
+          (String.concat "; " (List.map block_sig stats.Cgra_core.Flow.search)),
+        m.Cgra_core.Mapping.bbs )
   in
-  let seq = run 1 in
-  Alcotest.(check string) "jobs 2 byte-identical" seq (run 2);
-  Alcotest.(check string) "jobs 8 byte-identical" seq (run 8)
+  List.iter
+    (fun (slug, preset) ->
+      let seq, seq_bbs = run slug preset 1 in
+      let what = slug ^ " " ^ FC.preset_label preset in
+      List.iter
+        (fun jobs ->
+          let par, par_bbs = run slug preset jobs in
+          let what = Printf.sprintf "%s: jobs %d" what jobs in
+          Alcotest.(check string) (what ^ " counters") seq par;
+          Alcotest.(check bool) (what ^ " mapping") true (seq_bbs = par_bbs))
+        [ 2; 8 ])
+    [ ("fft", FC.Full); ("matm", FC.Full); ("fft", FC.With_acmap) ]
 
 (* The search_report artifact is built from those counters only, so the
    rendered report must also be byte-identical however the grid cells are
