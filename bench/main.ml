@@ -229,8 +229,8 @@ let run_ablations () =
 
 (* ---- allocation-budget smoke check ----------------------------------- *)
 
-(* Budgets for the search, in allocated words per binding attempt
-   ([expand_jobs = 1]): FIR @ HOM64 under the basic flow, and MatM @ HET2
+(* Budgets for the search, in allocated words per binding attempt:
+   FIR @ HOM64 under the basic flow, and MatM @ HET2
    under the paper's context-aware flow, the largest block.  A binding
    attempt is scored on its parent state in place and undone; only the
    partial mappings that survive pruning are copied.  The copy's cost

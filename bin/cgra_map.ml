@@ -1,7 +1,7 @@
 (* Command-line driver for the mapping tool-chain.
 
    cgra_map list
-   cgra_map map -k <kernel> [-c <config>] [-f <flow>] [--opt] [--jobs N]
+   cgra_map map -k <kernel> [-c <config>] [-f <flow>] [--opt]
                 [--trace FILE] [--dump-dfg before|after] [--asm] [--simulate]
                 [--degrade] [--max-attempts N] [--faults FILE]
                 [--protect none|parity|secded]
@@ -147,15 +147,6 @@ let list_cmd =
 
 let map_cmd =
   let doc = "Map a kernel onto a CGRA configuration and report the result." in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ]
-             ~doc:"Expand the search population with $(docv) domains per \
-                   round.  Expansion is RNG-free, so the mapping and every \
-                   reported counter are byte-identical at any value; only \
-                   wall-clock time changes."
-             ~docv:"N")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ]
@@ -251,15 +242,15 @@ let map_cmd =
       stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
     write_file_or_die ~what:"--trace" file (Buffer.contents buf)
   in
-  let run slug config flow opt jobs degrade max_attempts faults_file trace
+  let run slug config flow opt degrade max_attempts faults_file trace
       dump_dfg emit dump_asm schedule simulate backend protection =
     let k = kernel_of_slug slug in
     let opt = if opt then Toolchain.Optimized else Toolchain.Default in
     let faults = load_faults faults_file in
     let flow =
       { flow with
-        FC.expand_jobs = max 1 jobs; degrade; max_attempts = max 1 max_attempts;
-        faults; backend; protection }
+        FC.degrade; max_attempts = max 1 max_attempts; faults; backend;
+        protection }
     in
     let cgra = Cgra_arch.Config.cgra config in
     (if faults <> [] then
@@ -346,7 +337,7 @@ let map_cmd =
       end
   in
   Cmd.v (Cmd.info "map" ~doc)
-    Term.(const run $ Arg.required kernel_arg $ config_arg $ flow_arg $ opt $ jobs
+    Term.(const run $ Arg.required kernel_arg $ config_arg $ flow_arg $ opt
           $ degrade $ max_attempts $ faults_arg $ trace $ dump_dfg $ emit $ dump_asm
           $ schedule $ simulate $ backend_arg $ protect_arg)
 

@@ -14,8 +14,6 @@ type fault =
   | Dead_link of { tile : int; dir : direction }
   | No_lsu of { tile : int }
 
-exception Unroutable of { src : int; dst : int }
-
 type t = {
   rows : int;
   cols : int;
@@ -26,25 +24,14 @@ type t = {
   pristine_tiles : tile array;
   dead : bool array;
   severed : (int * int) list;
-  apsp : int array option;
+  apsp : int array;
 }
-
-let make ?(rows = 4) ?(cols = 4) ?(lsu_rows = 2) ?(rf_words = 32)
-    ?(crf_words = 32) ~cm_of_tile () =
-  if rows <= 0 || cols <= 0 then invalid_arg "Cgra.make: empty grid";
-  let tile id =
-    let row = id / cols and col = id mod cols in
-    { id; row; col; has_lsu = row < lsu_rows; cm_words = cm_of_tile id }
-  in
-  let tiles = Array.init (rows * cols) tile in
-  { rows; cols; tiles; rf_words; crf_words; faults = [];
-    pristine_tiles = tiles; dead = [||]; severed = []; apsp = None }
 
 let tile_count c = Array.length c.tiles
 
 let pristine c = c.faults = []
 let faults c = c.faults
-let alive c id = pristine c || not c.dead.(id)
+let alive c id = not c.dead.(id)
 let base_cm c id = c.pristine_tiles.(id).cm_words
 let link_severed c a b = List.mem (a, b) c.severed
 
@@ -81,8 +68,7 @@ let neighbors c id =
       id_of c ~row:t.row ~col:(t.col + 1) ]
   in
   let base = List.filter (fun n -> n <> id) (List.sort_uniq compare cand) in
-  if pristine c then base
-  else if not (alive c id) then []
+  if not (alive c id) then []
   else List.filter (fun n -> alive c n && not (link_severed c id n)) base
 
 (* Signed wrap-around delta with the smallest magnitude; ties (exactly half
@@ -93,17 +79,9 @@ let ring_delta size a b =
 
 let unreachable c = Array.length c.tiles
 
-let torus_distance c a b =
-  let ta = c.tiles.(a) and tb = c.tiles.(b) in
-  abs (ring_delta c.rows ta.row tb.row) + abs (ring_delta c.cols ta.col tb.col)
-
 let distance c a b =
-  match c.apsp with
-  | None -> torus_distance c a b
-  | Some d ->
-      let n = Array.length c.tiles in
-      let v = d.((a * n) + b) in
-      if v < 0 then unreachable c else v
+  let v = c.apsp.((a * Array.length c.tiles) + b) in
+  if v < 0 then unreachable c else v
 
 let route_geometric c ~src ~dst =
   let td = c.tiles.(dst) in
@@ -122,15 +100,13 @@ let route_geometric c ~src ~dst =
   go ts.row ts.col []
 
 let path_ok c ~src path =
-  pristine c
-  || (alive c src
-     &&
-     let rec go prev = function
-       | [] -> true
-       | hop :: rest ->
-           alive c hop && not (link_severed c prev hop) && go hop rest
-     in
-     go src path)
+  alive c src
+  &&
+  let rec go prev = function
+    | [] -> true
+    | hop :: rest -> alive c hop && not (link_severed c prev hop) && go hop rest
+  in
+  go src path
 
 let bfs_route c ~src ~dst =
   if src = dst then Some []
@@ -161,17 +137,11 @@ let bfs_route c ~src ~dst =
       Some (build dst [])
 
 let route_opt c ~src ~dst =
-  if pristine c then Some (route_geometric c ~src ~dst)
-  else if src = dst then Some []
+  if src = dst then Some []
   else if not (alive c src && alive c dst) then None
   else
     let g = route_geometric c ~src ~dst in
     if path_ok c ~src g then Some g else bfs_route c ~src ~dst
-
-let route c ~src ~dst =
-  match route_opt c ~src ~dst with
-  | Some p -> p
-  | None -> raise (Unroutable { src; dst })
 
 let compute_apsp c =
   let n = Array.length c.tiles in
@@ -194,6 +164,59 @@ let compute_apsp c =
   done;
   d
 
+(* The effective array of [c]'s fabric under the normalised fault map
+   [faults].  Pristine ([faults = []]) and degraded arrays alike are built
+   here, so every query reads one model: per-tile death, severed links and
+   all-pairs BFS distances.  On a fault-free torus the BFS distance is the
+   ring-delta Manhattan distance, a torus being a product of cycles. *)
+let build c faults =
+  let n = Array.length c.pristine_tiles in
+  let dead = Array.make n false in
+  let cm_cut = Array.make n 0 in
+  let no_lsu = Array.make n false in
+  let severed = ref [] in
+  List.iter
+    (function
+      | Dead_tile { tile } -> dead.(tile) <- true
+      | Cm_rows_stuck { tile; rows } -> cm_cut.(tile) <- cm_cut.(tile) + rows
+      | No_lsu { tile } -> no_lsu.(tile) <- true
+      | Dead_link { tile; dir } ->
+          let nb = dir_neighbor c tile dir in
+          if nb <> tile then severed := (tile, nb) :: (nb, tile) :: !severed)
+    faults;
+  let tiles =
+    Array.map
+      (fun t ->
+        if dead.(t.id) then { t with has_lsu = false; cm_words = 0 }
+        else
+          { t with
+            has_lsu = t.has_lsu && not no_lsu.(t.id);
+            cm_words = max 0 (t.cm_words - cm_cut.(t.id)) })
+      c.pristine_tiles
+  in
+  let c' =
+    { c with
+      tiles;
+      faults;
+      dead;
+      severed = List.sort_uniq compare !severed;
+      apsp = [||] }
+  in
+  { c' with apsp = compute_apsp c' }
+
+let make ?(rows = 4) ?(cols = 4) ?(lsu_rows = 2) ?(rf_words = 32)
+    ?(crf_words = 32) ~cm_of_tile () =
+  if rows <= 0 || cols <= 0 then invalid_arg "Cgra.make: empty grid";
+  let tile id =
+    let row = id / cols and col = id mod cols in
+    { id; row; col; has_lsu = row < lsu_rows; cm_words = cm_of_tile id }
+  in
+  let tiles = Array.init (rows * cols) tile in
+  build
+    { rows; cols; tiles; rf_words; crf_words; faults = [];
+      pristine_tiles = tiles; dead = [||]; severed = []; apsp = [||] }
+    []
+
 let degrade c fs =
   let n = Array.length c.pristine_tiles in
   let check_tile ctx tile =
@@ -213,41 +236,7 @@ let degrade c fs =
       | No_lsu { tile } -> check_tile "no_lsu" tile)
     fs;
   let faults = List.sort_uniq compare (c.faults @ fs) in
-  if faults = c.faults then c
-  else begin
-    let dead = Array.make n false in
-    let cm_cut = Array.make n 0 in
-    let no_lsu = Array.make n false in
-    let severed = ref [] in
-    List.iter
-      (function
-        | Dead_tile { tile } -> dead.(tile) <- true
-        | Cm_rows_stuck { tile; rows } -> cm_cut.(tile) <- cm_cut.(tile) + rows
-        | No_lsu { tile } -> no_lsu.(tile) <- true
-        | Dead_link { tile; dir } ->
-            let nb = dir_neighbor c tile dir in
-            if nb <> tile then severed := (tile, nb) :: (nb, tile) :: !severed)
-      faults;
-    let tiles =
-      Array.map
-        (fun t ->
-          if dead.(t.id) then { t with has_lsu = false; cm_words = 0 }
-          else
-            { t with
-              has_lsu = t.has_lsu && not no_lsu.(t.id);
-              cm_words = max 0 (t.cm_words - cm_cut.(t.id)) })
-        c.pristine_tiles
-    in
-    let c' =
-      { c with
-        tiles;
-        faults;
-        dead;
-        severed = List.sort_uniq compare !severed;
-        apsp = None }
-    in
-    { c' with apsp = Some (compute_apsp c') }
-  end
+  if faults = c.faults then c else build c faults
 
 let direction_to_string = function
   | North -> "north"

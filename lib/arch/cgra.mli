@@ -9,9 +9,10 @@
     paper's numbering, ids 0..7 here) are load-store tiles.
 
     The model also carries a typed {e permanent-fault map}: [degrade]
-    yields a well-formed reduced array on which [neighbors], [route] and
-    [distance] respect dead tiles and severed links.  A pristine array
-    (empty fault list) behaves byte-identically to the fault-free model. *)
+    yields a well-formed reduced array on which [neighbors], [route_opt]
+    and [distance] respect dead tiles and severed links.  A pristine array
+    is a degraded array with no faults: [make] and [degrade] build through
+    one constructor, so every query runs the same code on both. *)
 
 type tile = {
   id : int;           (** dense id, row-major from 0 *)
@@ -37,10 +38,6 @@ type fault =
   | No_lsu of { tile : int }
       (** The load-store unit is broken; the tile still computes. *)
 
-exception Unroutable of { src : int; dst : int }
-(** Raised by [route] when faults partition the array between the two
-    tiles. *)
-
 type t = {
   rows : int;
   cols : int;
@@ -49,10 +46,10 @@ type t = {
   crf_words : int;     (** constant register file: 32 x 16-bit *)
   faults : fault list; (** normalised (sorted, deduplicated) fault map *)
   pristine_tiles : tile array;  (** the fabric as built *)
-  dead : bool array;   (** per-tile death; [[||]] on pristine arrays *)
+  dead : bool array;   (** per-tile death *)
   severed : (int * int) list;   (** dead links, both orientations, sorted *)
-  apsp : int array option;
-      (** flattened all-pairs BFS distances; [None] on pristine arrays *)
+  apsp : int array;
+      (** flattened all-pairs BFS distances, [-1] for partitioned pairs *)
 }
 
 val make :
@@ -102,25 +99,22 @@ val unreachable : t -> int
     larger than any simple path. *)
 
 val distance : t -> int -> int -> int
-(** Torus Manhattan distance in hops on pristine arrays; BFS hop count on
-    degraded arrays ([unreachable c] when no path exists). *)
-
-val route : t -> src:int -> dst:int -> int list
-(** Deterministic shortest path, row direction first: the successive tiles
-    {e after} [src], ending with [dst].  [route ~src ~dst:src] is [].
-    On degraded arrays the geometric path is kept when intact, otherwise a
-    deterministic BFS detour is taken; raises [Unroutable] when the fault
-    map partitions the pair. *)
+(** BFS hop count over [neighbors] ([unreachable c] when no path exists);
+    on a pristine array, the torus Manhattan distance. *)
 
 val route_opt : t -> src:int -> dst:int -> int list option
-(** [route] without the exception. *)
+(** Deterministic shortest path, row direction first: the successive tiles
+    {e after} [src], ending with [dst].  [route_opt ~src ~dst:src] is
+    [Some []].  The geometric path is kept when intact, otherwise a
+    deterministic BFS detour is taken; [None] when the fault map
+    partitions the pair. *)
 
 val route_geometric : t -> src:int -> dst:int -> int list
 (** The pristine-geometry row-first path, ignoring faults. *)
 
 val path_ok : t -> src:int -> int list -> bool
-(** Whether a path (as returned by [route]) avoids every dead tile and
-    severed link.  Always [true] on pristine arrays. *)
+(** Whether a path (as returned by [route_opt]) avoids every dead tile and
+    severed link. *)
 
 val degrade : t -> fault list -> t
 (** [degrade c fs] applies [fs] on top of [c]'s existing fault map and

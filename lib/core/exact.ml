@@ -39,14 +39,6 @@ module Cnf = Cgra_sat.Cnf
 
 let conflict_budget = 20_000
 
-(* Set CGRA_EXACT_DEBUG=1 to trace per-attempt instance sizes and
-   verdicts on stderr (diagnostics only; never touches stdout, so
-   artifact bytes stay clean). *)
-let debug =
-  match Sys.getenv_opt "CGRA_EXACT_DEBUG" with
-  | Some ("1" | "true") -> true
-  | _ -> false
-
 type item =
   | Op of int
   | Wcopy of { sym : int; value : Mapping.value }
@@ -693,19 +685,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
           free_syms)
     alive_tiles;
   (* Solve and extract. *)
-  if debug then
-    Printf.eprintf "exact: block %s h=%d items=%d vars=%d clauses=%d...\n%!"
-      blk.Cdfg.name h n_items (S.nvars solver) (S.stats_clauses solver);
-  let verdict = S.solve ~conflict_budget ~deadline solver in
-  if debug then
-    Printf.eprintf "exact: block %s h=%d -> %s (%d conflicts)\n%!"
-      blk.Cdfg.name h
-      (match verdict with
-      | S.Sat -> "SAT"
-      | S.Unsat -> "UNSAT"
-      | S.Unknown -> "unknown")
-      (S.stats_conflicts solver);
-  match verdict with
+  match S.solve ~conflict_budget ~deadline solver with
   | S.Unsat -> (`Unsat, S.stats_conflicts solver)
   | S.Unknown when Deadline.expired deadline ->
     (* A deadline-induced [Unknown] must not masquerade as budget
@@ -853,7 +833,7 @@ let decode ~ctx ~homes (model : model) =
   in
   (slots, length)
 
-let map_block ?budget ?future ?(deadline = Deadline.never) ~config:_ ~cgra
+let map_block ?budget ?future ?(deadline = Deadline.never) ~cgra
     ~committed ~homes ~work cdfg bi =
   let t0 = Clock.now () in
   let ctx = build_ctx cdfg bi in

@@ -24,7 +24,6 @@ val map_block :
   ?budget:int array ->
   ?future:int array ->
   ?deadline:Cgra_util.Deadline.t ->
-  config:Flow_config.t ->
   cgra:Cgra_arch.Cgra.t ->
   committed:int array ->
   homes:int array ->

@@ -192,17 +192,16 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
             match config.Flow_config.backend with
             | Flow_config.Exact -> (
               if not spread then
-                Exact.map_block ~deadline ~config ~cgra ~committed ~homes
-                  ~work cdfg bi
+                Exact.map_block ~deadline ~cgra ~committed ~homes ~work cdfg bi
               else
                 let future = future_writes rest in
                 match spread_budget bi rest with
                 | None ->
-                  Exact.map_block ~future ~deadline ~config ~cgra ~committed
-                    ~homes ~work cdfg bi
+                  Exact.map_block ~future ~deadline ~cgra ~committed ~homes
+                    ~work cdfg bi
                 | Some budget -> (
                   match
-                    Exact.map_block ~budget ~future ~deadline ~config ~cgra
+                    Exact.map_block ~budget ~future ~deadline ~cgra
                       ~committed ~homes ~work cdfg bi
                   with
                   | Ok _ as ok -> ok
@@ -210,8 +209,8 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
                     (* The share was too tight for this block: fall back
                        to its full remaining capacity (reserves kept)
                        and keep going. *)
-                    Exact.map_block ~future ~deadline ~config ~cgra
-                      ~committed ~homes ~work cdfg bi))
+                    Exact.map_block ~future ~deadline ~cgra ~committed
+                      ~homes ~work cdfg bi))
             | Flow_config.Beam | Flow_config.Portfolio ->
               (* [Portfolio] is resolved in [drive]; a portfolio config
                  reaching a single run maps with the beam.  Every beam

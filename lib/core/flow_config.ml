@@ -169,8 +169,8 @@ let knob name s get set =
           Error (Printf.sprintf "knob %s: %S (expected %s)" name v s.expected)) }
 
 (* Every semantic field, i.e. every field that can change an artifact's
-   bytes.  The others stay out: [expand_jobs] (RNG-free expansion, so
-   bytes-neutral) and [faults] (keyed on their own). *)
+   bytes.  The others stay out: [expand_jobs] (read by nothing) and
+   [faults] (keyed on their own). *)
 let knobs =
   [ knob "acmap" bool_s (fun t -> t.acmap) (fun t v -> { t with acmap = v });
     knob "backend" backend_s (fun t -> t.backend)

@@ -61,12 +61,9 @@ type t = {
           which always makes one attempt. *)
   seed : int;
   expand_jobs : int;
-      (** domains used to expand the partial-mapping population each
-          search round (default 1 = sequential).  Expansion is RNG-free —
-          only the stochastic pruning consumes the random stream — so the
-          mapping, the search telemetry and the deterministic [work]
-          counter are byte-identical at any value; only wall-clock time
-          changes. *)
+      (** read by nothing: the search expands its population on the
+          calling domain.  Kept only until the benchmark's workload
+          definitions stop setting it. *)
   degrade : bool;
       (** graceful degradation: the rungs of the flow's retry ladder
           escalate — wider beam, reseeded stochastic pruning, relaxed
@@ -158,8 +155,8 @@ type knob = {
 
 val knobs : knob list
 (** One entry per semantic field — every field that can change an
-    artifact's bytes — in name order.  Not knobs: [expand_jobs]
-    (bytes-neutral) and [faults] (keyed on their own).  Which lowering
+    artifact's bytes — in name order.  Not knobs: [expand_jobs] (read
+    by nothing) and [faults] (keyed on their own).  Which lowering
     is mapped, and whether [cgra_opt] runs on it, is not a flow setting
     at all: it is the opt mode of [Cgra_exp.Toolchain], keyed on its
     own by the serve key. *)

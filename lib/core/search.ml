@@ -2,7 +2,6 @@ module Cdfg = Cgra_ir.Cdfg
 module Opcode = Cgra_ir.Opcode
 module Cgra = Cgra_arch.Cgra
 module Rng = Cgra_util.Rng
-module Pool = Cgra_util.Pool
 
 type block_stats = {
   block : int;
@@ -41,17 +40,7 @@ let take n l =
   in
   go n l
 
-(* Per-expansion effort counters.  Each parallel expansion task mutates its
-   own private tally; the driver folds them into the block tally (and the
-   flow's [work] ref) on the main domain, so the totals are race-free and
-   identical at any [expand_jobs]. *)
 type tally = { mutable attempts : int; mutable route_failures : int }
-
-let fresh_tally () = { attempts = 0; route_failures = 0 }
-
-let merge_tally ~into t =
-  into.attempts <- into.attempts + t.attempts;
-  into.route_failures <- into.route_failures + t.route_failures
 
 (* A partial mapping, updated in place.  [avail.(v)] lists the (tile,
    ready-cycle) pairs where value [v] can be read; value ids are node ids,
@@ -424,13 +413,13 @@ let route_of_path path =
     let prefix = List.rev rev_prefix in
     { path; prefix; hops = List.length prefix; landing }
 
-(* Candidate paths per (src, dst) pair.  Pristine arrays keep the two
-   deterministic shapes (row-first, column-first), once when they
-   coincide.  On degraded arrays each shape survives only if it avoids
-   dead tiles and severed links; when both are broken the deterministic
-   BFS detour is the sole candidate, and a partitioned pair has no
-   candidates at all — the binding that needs it then fails routing, which
-   the beam search treats like any other infeasible placement. *)
+(* Candidate paths per (src, dst) pair: the two deterministic shapes
+   (row-first, column-first), once when they coincide, each kept only if
+   it avoids dead tiles and severed links — on a pristine array both
+   always do.  When both are broken the deterministic BFS detour is the
+   sole candidate, and a partitioned pair has no candidates at all — the
+   binding that needs it then fails routing, which the beam search treats
+   like any other infeasible placement. *)
 let build_routes cgra =
   let nt = Cgra.tile_count cgra in
   Array.init (nt * nt) (fun i ->
@@ -439,18 +428,65 @@ let build_routes cgra =
       and col = route_col_first cgra ~src ~dst in
       let shapes = if row = col then [ row ] else [ row; col ] in
       let paths =
-        if Cgra.pristine cgra then shapes
-        else
-          match List.filter (Cgra.path_ok cgra ~src) shapes with
-          | [] -> (
-            match Cgra.route_opt cgra ~src ~dst with
-            | Some p -> [ p ]
-            | None -> [])
-          | ps -> ps
+        match List.filter (Cgra.path_ok cgra ~src) shapes with
+        | [] -> Option.to_list (Cgra.route_opt cgra ~src ~dst)
+        | ps -> ps
       in
       List.map route_of_path paths)
 
 let paths_of ctx ~src ~dst = ctx.routes.((src * ntiles ctx) + dst)
+
+let no_route = { path = []; prefix = []; hops = 0; landing = -1 }
+
+(* The best route [pick_route] has seen so far. *)
+type pick = {
+  mutable arrival : int;
+  mutable src : int;
+  mutable ready : int;
+  mutable route : route; (* [no_route]: none yet *)
+}
+
+(* [compare] on two int lists of equal length. *)
+let rec compare_prefix a b =
+  match a, b with
+  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_prefix a' b'
+  | _ -> 0
+
+(* Weigh the routes from [src] (where the value is ready at [ready])
+   against [best], in the order of [compare] on (arrival, hops, src, ready,
+   moves) tuples.  The moves are each route's [prefix], and routes without
+   one are skipped; with [~into] they are its whole [path], zero-hop paths
+   included.  A path is one hop longer than its prefix, so [hops] orders
+   whole paths as well. *)
+let rec pick_route ~into p best ~src ~ready = function
+  | [] -> ()
+  | r :: rest ->
+    if into || r.hops > 0 then begin
+      let moves = if into then r.path else r.prefix in
+      let arrival = probe_path p ~ready moves in
+      let b = best.route in
+      let better =
+        b == no_route
+        || arrival < best.arrival
+        || arrival = best.arrival
+           && (r.hops < b.hops
+              || r.hops = b.hops
+                 && (src < best.src
+                    || src = best.src
+                       && (ready < best.ready
+                          || ready = best.ready
+                             && compare_prefix moves
+                                  (if into then b.path else b.prefix)
+                                < 0)))
+      in
+      if better then begin
+        best.arrival <- arrival;
+        best.src <- src;
+        best.ready <- ready;
+        best.route <- r
+      end
+    end;
+    pick_route ~into p best ~src ~ready rest
 
 (* Land [value] in [dst]'s own register file, unless it is already there:
    the mandatory live-out writes, whose destination is a fixed RF slot.
@@ -461,67 +497,19 @@ let route_into ctx p ~value ~dst =
   let locs = locations ctx p value in
   List.exists (fun (t, _) -> t = dst) locs
   ||
-  let options =
-    List.concat_map
-      (fun (src, ready) ->
-        List.map
-          (fun r ->
-            let arrival = probe_path p ~ready r.path in
-            (arrival, List.length r.path, src, ready, r.path))
-          (paths_of ctx ~src ~dst))
-      locs
-  in
-  match List.sort compare options with
-  | [] -> false
-  | (_, _, src, ready, path) :: _ ->
-    ignore (apply_path ctx ~trial:false p ~value ~src ~ready path : int);
+  let best = { arrival = 0; src = 0; ready = 0; route = no_route } in
+  List.iter
+    (fun (src, ready) ->
+      pick_route ~into:true p best ~src ~ready (paths_of ctx ~src ~dst))
+    locs;
+  best.route != no_route
+  && begin
+    ignore
+      (apply_path ctx ~trial:false p ~value ~src:best.src ~ready:best.ready
+         best.route.path
+        : int);
     true
-
-(* The best move route [route_usable] has seen so far. *)
-type pick = {
-  mutable arrival : int;
-  mutable src : int;
-  mutable ready : int;
-  mutable route : route; (* [hops = 0]: none yet *)
-}
-
-(* [compare] on two int lists of equal length. *)
-let rec compare_prefix a b =
-  match a, b with
-  | x :: a', y :: b' -> if x <> y then Int.compare x y else compare_prefix a' b'
-  | _ -> 0
-
-(* Weigh the move routes from [src] (where the value is ready at [ready])
-   against [best], in the order of [compare] on (arrival, hops, src, ready,
-   prefix) tuples. *)
-let rec pick_route p best ~src ~ready = function
-  | [] -> ()
-  | r :: rest ->
-    if r.hops > 0 then begin
-      let arrival = probe_path p ~ready r.prefix in
-      let b = best.route in
-      let better =
-        b.hops = 0
-        || arrival < best.arrival
-        || arrival = best.arrival
-           && (r.hops < b.hops
-              || r.hops = b.hops
-                 && (src < best.src
-                    || src = best.src
-                       && (ready < best.ready
-                          || ready = best.ready
-                             && compare_prefix r.prefix b.prefix < 0)))
-      in
-      if better then begin
-        best.arrival <- arrival;
-        best.src <- src;
-        best.ready <- ready;
-        best.route <- r
-      end
-    end;
-    pick_route p best ~src ~ready rest
-
-let no_route = { path = []; prefix = []; hops = 0; landing = -1 }
+  end
 
 (* Make [value] readable by an operation on [dst]: the PE input muxes read
    the local RF or any torus neighbour's RF directly (Fig 1), so only
@@ -561,12 +549,13 @@ let route_usable ctx ~trial p ~value ~dst =
     | None ->
       let best = { arrival = 0; src = 0; ready = 0; route = no_route } in
       if home >= 0 then
-        pick_route p best ~src:home ~ready:0 (paths_of ctx ~src:home ~dst);
+        pick_route ~into:false p best ~src:home ~ready:0
+          (paths_of ctx ~src:home ~dst);
       List.iter
         (fun (src, ready) ->
-          pick_route p best ~src ~ready (paths_of ctx ~src ~dst))
+          pick_route ~into:false p best ~src ~ready (paths_of ctx ~src ~dst))
         avail;
-      if best.route.hops = 0 then None
+      if best.route == no_route then None
       else
         let arrival =
           apply_path ctx ~trial p ~value ~src:best.src ~ready:best.ready
@@ -728,33 +717,16 @@ let expand_state ctx p node_id =
   take ctx.config.Flow_config.expand_per_state
     (List.stable_sort by_key candidates)
 
-(* Expand the whole population for one round.  Expansion is RNG-free (only
-   the stochastic pruning consumes the random stream), so fanning the
-   states out over [expand_jobs] domains returns the exact sequential
-   result; the per-task tallies are merged on the main domain afterwards.
-   A trial binds in its parent and undoes itself, so a parent must be
-   expanded by exactly one task: there is one task per state, and the
-   population holds distinct states. *)
+(* Expand the whole population for one round, on the calling domain: a
+   trial binds in its parent and undoes itself, so the states are expanded
+   one after the other. *)
 let expand_population ctx pop node_id =
   (* Expansion boundary: the last poll before the all-OCaml hot path. *)
   if Cgra_util.Deadline.expired ctx.deadline then
     raise
       (Timed_out
          { at_block = ctx.bi; where = "search expansion " ^ ctx.block.Cdfg.name });
-  let jobs = ctx.config.Flow_config.expand_jobs in
-  let small = match pop with [] | [ _ ] -> true | _ :: _ :: _ -> false in
-  if jobs <= 1 || small then
-    List.concat_map (fun p -> expand_state ctx p node_id) pop
-  else begin
-    let tasks = List.map (fun p -> (p, fresh_tally ())) pop in
-    let results =
-      Pool.map ~jobs
-        (fun (p, tally) -> expand_state { ctx with tally } p node_id)
-        tasks
-    in
-    List.iter (fun (_, t) -> merge_tally ~into:ctx.tally t) tasks;
-    List.concat results
-  end
+  List.concat_map (fun p -> expand_state ctx p node_id) pop
 
 (* Re-computation graph transformation: duplicate one already-placed
    producer of [node_id] onto a candidate tile, then retry the binding
@@ -1066,7 +1038,7 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
       committed;
       homes;
       hosts_home;
-      tally = fresh_tally ();
+      tally = { attempts = 0; route_failures = 0 };
       routes = (match routes with Some r -> r | None -> build_routes cgra);
       able;
       able_sorted;

@@ -43,18 +43,17 @@ type block_stats = {
                                non-deterministic field — excluded from the
                                [search_report] artifact, included in the
                                [--trace] dump *)
-  alloc_words : float;     (** words allocated on the calling domain while
-                               mapping this block ([Gc.allocated_bytes]
-                               delta).  Stable for a fixed build at
-                               [expand_jobs = 1], but host/compiler
-                               dependent like [wall_seconds] — excluded
+  alloc_words : float;     (** words allocated while mapping this block
+                               ([Gc.allocated_bytes] delta).  Stable for a
+                               fixed build, but host/compiler dependent
+                               like [wall_seconds] — excluded
                                from byte-reproducible artifacts; the bench
                                [alloc_check] smoke guards it against
                                regression *)
 }
 (** Per-block search telemetry.  Every counter except [wall_seconds] and
     [alloc_words] is a deterministic function of (CDFG, CGRA, config):
-    identical across hosts, load and [expand_jobs]. *)
+    identical across hosts and load. *)
 
 type outcome = {
   bb_mapping : Mapping.bb_mapping;
@@ -120,10 +119,8 @@ val map_block :
     here when omitted).  [work] is incremented once per binding attempt —
     a deterministic search-effort counter (unlike wall-clock time it is
     identical across hosts, load and parallelism, so figures derived from
-    it are reproducible byte-for-byte).  With [config.expand_jobs > 1] the
-    population is expanded on that many domains per round; expansion is
-    RNG-free, so the outcome (mapping, telemetry, [work]) is byte-identical
-    at any job count.
+    it are reproducible byte-for-byte).  The search runs on the calling
+    domain.
 
     [deadline] is polled at every round and expansion boundary; expiry
     raises {!Timed_out}.  An armed deadline that does not fire leaves

@@ -9,10 +9,9 @@
     artifacts, which is what makes the on-disk store and the daemon's
     single-flight dedup sound.
 
-    Deliberately excluded from the key: [expand_jobs], which is
-    bytes-neutral (RNG-free parallel expansion).  The {!opt} mode is
-    keyed on its own; it is the only spelling of whether [cgra_opt]
-    runs. *)
+    Deliberately excluded from the key: [expand_jobs], which nothing
+    reads.  The {!opt} mode is keyed on its own; it is the only spelling
+    of whether [cgra_opt] runs. *)
 
 type opt = Cgra_exp.Toolchain.opt = Default | Raw | Optimized
 (** Which CDFG the flow maps — the tool chain's own type, re-exported. *)

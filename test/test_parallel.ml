@@ -255,56 +255,9 @@ let test_clear_resets_compute_count () =
   Alcotest.(check int) "exactly one compute after the clear" 1
     (Runner.compute_count ())
 
-(* ---- parallel population expansion ------------------------------------ *)
-
-(* [expand_jobs] fans each search round's population out over domains; the
-   expansion is RNG-free, so the mapping AND every deterministic telemetry
-   counter must be identical at any job count — wall-clock is the only
-   thing allowed to differ.  Each binding attempt is tried in its parent
-   state and undone, so this also checks that no two tasks share a parent:
-   on FFT and on MatM (the largest blocks) under the full flow, and on FFT
-   under ACMAP only. *)
-let test_expand_jobs_invariant () =
-  let module S = Cgra_core.Search in
-  let cgra = Cgra_arch.Config.cgra Cgra_arch.Config.HET2 in
-  let run slug preset jobs =
-    let cdfg =
-      Cgra_kernels.Kernel_def.cdfg
-        (Option.get (Cgra_kernels.Kernels.by_slug slug))
-    in
-    let config = { (FC.of_preset preset) with expand_jobs = jobs } in
-    match Cgra_core.Flow.run ~config cgra cdfg with
-    | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
-    | Ok (m, stats) ->
-      let block_sig (bs : S.block_stats) =
-        Printf.sprintf "%s: r%d a%d c%d nr%d ak%d ek%d ps%d ff%d rc%d pk%d"
-          bs.S.block_name bs.S.rounds bs.S.attempts bs.S.children
-          bs.S.route_failures bs.S.acmap_kills bs.S.ecmap_kills
-          bs.S.prune_survivors bs.S.finalize_failures bs.S.recomputes
-          bs.S.population_peak
-      in
-      ( Printf.sprintf "moves %d, work %d, retries %d | %s"
-          (Cgra_core.Mapping.total_moves m)
-          stats.Cgra_core.Flow.work stats.Cgra_core.Flow.retries_used
-          (String.concat "; " (List.map block_sig stats.Cgra_core.Flow.search)),
-        m.Cgra_core.Mapping.bbs )
-  in
-  List.iter
-    (fun (slug, preset) ->
-      let seq, seq_bbs = run slug preset 1 in
-      let what = slug ^ " " ^ FC.preset_label preset in
-      List.iter
-        (fun jobs ->
-          let par, par_bbs = run slug preset jobs in
-          let what = Printf.sprintf "%s: jobs %d" what jobs in
-          Alcotest.(check string) (what ^ " counters") seq par;
-          Alcotest.(check bool) (what ^ " mapping") true (seq_bbs = par_bbs))
-        [ 2; 8 ])
-    [ ("fft", FC.Full); ("matm", FC.Full); ("fft", FC.With_acmap) ]
-
-(* The search_report artifact is built from those counters only, so the
-   rendered report must also be byte-identical however the grid cells are
-   evaluated. *)
+(* The search_report artifact is built from the search's deterministic
+   counters only, so the rendered report must be byte-identical however
+   the grid cells are evaluated. *)
 let test_search_report_jobs_invariant () =
   let report jobs =
     Runner.clear_caches ();
@@ -357,8 +310,6 @@ let suite =
           test_persistent_pool_drains;
         Alcotest.test_case "cell reproducible in isolation" `Quick
           test_cell_reproducible_in_isolation;
-        Alcotest.test_case "expand_jobs invariant" `Slow
-          test_expand_jobs_invariant;
         Alcotest.test_case "search_report jobs-invariant" `Slow
           test_search_report_jobs_invariant;
         Alcotest.test_case "artifacts jobs-invariant" `Slow test_jobs_invariant ] ) ]

@@ -172,7 +172,7 @@ let test_key_sensitivity () =
     }
 
 let test_key_excluded_knobs () =
-  (* expand_jobs is bytes-neutral and must not appear *)
+  (* expand_jobs is read by nothing and must not appear *)
   let flow = { Cgra_core.Flow_config.basic with expand_jobs = 7 } in
   Alcotest.(check string) "bytes-neutral fields are not keyed"
     (Key.digest (fir_spec ()))
