@@ -215,7 +215,7 @@ let map_cmd =
           (Cgra_graph.Digraph.to_dot ~label (Cgra_ir.Cdfg.dfg_graph b)))
       cdfg.Cgra_ir.Cdfg.blocks
   in
-  let write_trace file slug config stats =
+  let write_trace file slug config stats ~recomputes ~peak =
     let module S = Cgra_core.Search in
     let buf = Buffer.create 4096 in
     List.iter
@@ -238,8 +238,8 @@ let map_cmd =
        \"retries_used\":%d,\"recomputes\":%d,\"population_peak\":%d}\n"
       slug
       (Cgra_arch.Config.to_string config)
-      stats.Cgra_core.Flow.work stats.Cgra_core.Flow.retries_used
-      stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
+      stats.Cgra_core.Flow.work stats.Cgra_core.Flow.retries_used recomputes
+      peak;
     write_file_or_die ~what:"--trace" file (Buffer.contents buf)
   in
   let run slug config flow opt degrade max_attempts faults_file trace
@@ -284,22 +284,31 @@ let map_cmd =
     | Ok ( { Toolchain.mapping = m; stats; program = prog; opt_report },
            { Toolchain.sim = r; energy = e } ) ->
       let seconds = Cgra_util.Clock.elapsed_s t0 in
+      let module S = Cgra_core.Search in
+      let search = stats.Cgra_core.Flow.search in
+      let recomputes =
+        List.fold_left (fun a bs -> a + bs.S.recomputes) 0 search
+      and peak =
+        List.fold_left (fun a bs -> max a bs.S.population_peak) 1 search
+      in
       print_escalations stats.Cgra_core.Flow.escalations;
       (match trace with
        | Some file ->
-         write_trace file slug config stats;
+         write_trace file slug config stats ~recomputes ~peak;
          Printf.printf "search trace written to %s\n" file
        | None -> ());
       (match opt_report with
        | Some report -> print_string (Cgra_opt.Pipeline.render_report report)
        | None -> ());
       if dump_dfg = Some `After then dump_dfg_of m.Cgra_core.Mapping.cdfg;
-      Format.printf "mapping of %s via %s (%.3fs)@.%a@."
+      Format.printf "mapping of %s via %s@.%a@."
         m.Cgra_core.Mapping.cdfg.Cgra_ir.Cdfg.kernel_name
         (FC.steps_of flow ^ Toolchain.opt_label opt)
-        seconds Cgra_core.Mapping.pp_summary m;
-      Format.printf "recomputes: %d, population peak: %d@."
-        stats.Cgra_core.Flow.recomputes stats.Cgra_core.Flow.population_peak;
+        Cgra_core.Mapping.pp_summary m;
+      (* Wall-clock time goes to stderr so that stdout is a pure function
+         of the inputs. *)
+      Printf.eprintf "mapped in %.3fs\n%!" seconds;
+      Format.printf "recomputes: %d, population peak: %d@." recomputes peak;
       if schedule then
         Array.iteri
           (fun bi _ -> Format.printf "%a@." Cgra_core.Mapping.pp_schedule (m, bi))

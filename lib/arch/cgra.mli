@@ -123,7 +123,6 @@ val degrade : t -> fault list -> t
     and order-insensitive.  Raises [Invalid_argument] for out-of-range
     tile ids or negative row counts. *)
 
-val direction_to_string : direction -> string
 val direction_of_string : string -> direction option
 
 val fault_to_string : fault -> string

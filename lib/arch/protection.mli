@@ -41,9 +41,6 @@ val check_bits_of_kind : kind -> int
 val default_scrub_interval : int
 (** Global cycles between background scrub passes (1024). *)
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
 val profile_to_string : profile -> string
 (** Canonical spelling: a uniform kind name ("none", "parity", "secded")
     or "cm64=K,cm32=K,cm16=K" — the serve-key knob value. *)

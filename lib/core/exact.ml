@@ -275,7 +275,7 @@ let build_ctx cdfg bi =
 let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
   let solver = S.create () in
   let nt = Cgra.tile_count cgra in
-  (* Future-write reserves (spread-retry pass only; [future] is all
+  (* Future-write reserves (spread pass only; [future] is all
      zeros otherwise): every remaining block that writes symbol [s]
      must later place at least one context word on [s]'s home tile, so
      that many words are held back from pinned homes up front — and,
@@ -643,7 +643,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
       done;
       (* busy and ps are disjoint per cycle, so at most [h] words can
          accrue: tiles with cap >= h cannot overflow.  A spread budget
-         (flow retry pass) tightens the bound below the remaining
+         (spread pass) tightens the bound below the remaining
          capacity to leave headroom for later blocks; a free symbol
          homing here with future writers pads the counter with that
          many copies of its hv literal, charging the reserve the
@@ -833,8 +833,11 @@ let decode ~ctx ~homes (model : model) =
   in
   (slots, length)
 
-let map_block ?budget ?future ?(deadline = Deadline.never) ~cgra
-    ~committed ~homes ~work cdfg bi =
+(* One block under the committed context, at most [budget.(t)] of its
+   own words on tile [t] when a budget is given, [future.(s)] words
+   reserved on [s]'s home tile. *)
+let map_within ~budget ~future ~deadline ~cgra ~committed ~homes ~work cdfg
+    bi =
   let t0 = Clock.now () in
   let ctx = build_ctx cdfg bi in
   let stats ~rounds ~attempts =
@@ -863,11 +866,6 @@ let map_block ?budget ?future ?(deadline = Deadline.never) ~cgra
         stats = stats ~rounds:0 ~attempts:0;
       }
   else begin
-    let future =
-      match future with
-      | Some f -> f
-      | None -> Array.make (Array.length homes) 0
-    in
     let result, conflicts, solves =
       solve_block ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline
     in
@@ -931,3 +929,54 @@ let map_block ?budget ?future ?(deadline = Deadline.never) ~cgra
                committed context (isolation probe hit the conflict budget)"
               bi ctx.blk.Cdfg.name ))
   end
+
+(* The spread pass's two heuristics, for a flow pass that follows a
+   greedy one which dead-ended on the committed context.  The budget
+   caps the block's own context words per tile at its proportional
+   share of the remaining free capacity (weight = nodes + 1 against the
+   blocks still to map), so early blocks leave headroom instead of
+   clustering on the solver's favourite tiles; [None] when no block is
+   left to share with. *)
+let spread_budget ~cgra ~committed cdfg bi rest =
+  let weight b = Array.length cdfg.Cdfg.blocks.(b).Cdfg.nodes + 1 in
+  let w = weight bi in
+  let rest_w = List.fold_left (fun a b -> a + weight b) 0 rest in
+  if rest_w = 0 then None
+  else
+    Some
+      (Array.init (Cgra.tile_count cgra) (fun t ->
+           let free = cgra.Cgra.tiles.(t).Cgra.cm_words - committed.(t) in
+           if free <= 0 then 0
+           else ((free * w) + w + rest_w - 1) / (w + rest_w)))
+
+(* The reserves: how many of the blocks still to map write each symbol —
+   that many context words are held back on the symbol's home tile. *)
+let future_writes cdfg ~homes rest =
+  let fw = Array.make (Array.length homes) 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (s, _) -> fw.(s) <- fw.(s) + 1)
+        cdfg.Cdfg.blocks.(b).Cdfg.live_out)
+    rest;
+  fw
+
+let map_block ?spread ?(deadline = Deadline.never) ~cgra ~committed ~homes
+    ~work cdfg bi =
+  let map ~budget ~future =
+    map_within ~budget ~future ~deadline ~cgra ~committed ~homes ~work cdfg
+      bi
+  in
+  match spread with
+  | None -> map ~budget:None ~future:(Array.make (Array.length homes) 0)
+  | Some rest -> (
+    let future = future_writes cdfg ~homes rest in
+    match spread_budget ~cgra ~committed cdfg bi rest with
+    | None -> map ~budget:None ~future
+    | Some _ as budget -> (
+      match map ~budget ~future with
+      | Ok _ as ok -> ok
+      | Error _ ->
+        (* The share was too tight for this block: fall back to its full
+           remaining capacity, reserves kept. *)
+        map ~budget:None ~future))

@@ -21,8 +21,7 @@ val conflict_budget : int
     a budget failure is reproducible too). *)
 
 val map_block :
-  ?budget:int array ->
-  ?future:int array ->
+  ?spread:int list ->
   ?deadline:Cgra_util.Deadline.t ->
   cgra:Cgra_arch.Cgra.t ->
   committed:int array ->
@@ -34,17 +33,22 @@ val map_block :
 (** Drop-in counterpart of {!Search.map_block} (no RNG, no route
     table: the encoding enumerates the neighbour reads itself).
     [committed.(t)] context words are subtracted from tile [t]'s
-    capacity; [budget], when given, additionally caps the words this
-    block may itself place on each tile; [future.(s)], when given,
-    counts the still-unmapped blocks that write symbol [s] — one
-    context word per writer is reserved on [s]'s home tile, whether
-    the home is already pinned or chosen by this very model.  Both are
-    the flow's spread-retry heuristics; the isolation probe behind the
-    UNSAT proof never applies them.  [homes.(s) >= 0] pins symbol
-    [s]'s home.  On success the
-    outcome carries the decoded [bb_mapping], the homes newly pinned by
-    the model, and search telemetry whose [attempts] field counts
-    solver conflicts ([work] is advanced by the same amount).  The
+    capacity; [homes.(s) >= 0] pins symbol [s]'s home.
+
+    [spread], when given, lists the blocks still to map after this one
+    and turns on the spread heuristics of the flow's second pass.  For
+    every symbol one context word per remaining writer is reserved on
+    its home tile, whether the home is already pinned or chosen by this
+    very model.  The block's own words per tile are first capped at its
+    share of the free capacity, weighted by node count against the
+    remaining blocks; when that budgeted solve fails the block is
+    solved again with the reserves alone.  The isolation probe behind
+    the UNSAT proof never applies either heuristic.
+
+    On success the outcome carries the decoded [bb_mapping], the homes
+    newly pinned by the model, and search telemetry whose [attempts]
+    field counts solver conflicts ([work] is advanced by the same
+    amount, and by the conflicts of a failed budgeted solve too).  The
     schedule length is the shortest the probes found, not a proven
     minimum: the refinement step counts a probe that spent its conflict
     budget as infeasible, so the length is minimal only when every

@@ -4,11 +4,7 @@ module Rng = Cgra_util.Rng
 
 type escalation = {
   e_attempt : int;
-  e_seed : int;
-  e_beam_width : int;
-  e_expand_per_state : int;
-  e_keep_prob : float;
-  e_prune_slack : float;
+  e_config : Flow_config.t;
   e_reason : string;
   e_at_block : int option;
 }
@@ -27,9 +23,6 @@ let fail ?(verdict = Search.Dead_end) ?at_block ~work reason =
   { verdict; reason; at_block; work; gave_up = [] }
 
 type stats = {
-  recomputes : int;
-  population_peak : int;
-  traversal_order : int list;
   work : int;
   retries_used : int;
   search : Search.block_stats list;
@@ -39,10 +32,12 @@ type stats = {
 type result = (Mapping.t * stats, failure) Stdlib.result
 
 let escalation_to_string e =
+  let c = e.e_config in
   Printf.sprintf
     "attempt %d: seed=%d beam=%d expand=%d keep_prob=%.3f slack=%.3f -> %s%s"
-    e.e_attempt e.e_seed e.e_beam_width e.e_expand_per_state e.e_keep_prob
-    e.e_prune_slack e.e_reason
+    e.e_attempt c.Flow_config.seed c.Flow_config.beam_width
+    c.Flow_config.expand_per_state c.Flow_config.keep_prob
+    c.Flow_config.prune_slack e.e_reason
     (match e.e_at_block with
      | None -> ""
      | Some b -> Printf.sprintf " (at block %d)" b)
@@ -99,11 +94,82 @@ let commit_words cgra committed bm =
     (fun t u -> committed.(t) <- committed.(t) + Mapping.usage_total u)
     (Mapping.block_usage cgra bm)
 
-(* [base = Some (m, dirty, kept_homes)] switches one mapping attempt into
-   partial mode: blocks with [dirty.(b) = false] reuse [m]'s placements
-   verbatim — their exact context words are pre-committed and their home
-   pins pre-applied — and only dirty blocks are searched, in the usual
-   traversal order.  [None] is the ordinary full flow. *)
+(* One pass over [order]: map each block, commit its home pins and its
+   context words, and return the block mappings and their search stats
+   in traversal order, with the final [committed] words and [homes].
+   The pass starts from its own state.  [base = Some (m, dirty,
+   kept_homes)] is partial mode: blocks with [dirty.(b) = false] reuse
+   [m]'s placements verbatim — their exact context words are charged
+   and their home pins applied up front, so the dirty-block search sees
+   the same CM pressure a full flow would have accumulated — and
+   [order] lists the dirty blocks only.  [spread] turns on the exact
+   backend's spread heuristics. *)
+let pass ~work ~config ~routes ~deadline ~rng ?base ~spread cgra cdfg order =
+  let committed = Array.make (Cgra.tile_count cgra) 0 in
+  let homes =
+    match base with
+    | Some (_, _, kept) -> Array.copy kept
+    | None -> Array.make (max 1 cdfg.Cdfg.sym_count) (-1)
+  in
+  (match base with
+  | None -> ()
+  | Some (m, dirty, _) ->
+    Array.iteri
+      (fun bi bm -> if not dirty.(bi) then commit_words cgra committed bm)
+      m.Mapping.bbs);
+  let rec go mapped stats = function
+    | [] -> Ok (List.rev mapped, List.rev stats, committed, homes)
+    | bi :: rest -> (
+      (* Per-block boundary of the pass: committed words and home
+         pins are consistent here, so aborting between blocks never
+         leaves a torn intermediate state behind. *)
+      if Cgra_util.Deadline.expired deadline then
+        raise
+          (Search.Timed_out { at_block = bi; where = "flow block loop" });
+      match
+        match config.Flow_config.backend with
+        | Flow_config.Exact ->
+          Exact.map_block
+            ?spread:(if spread then Some rest else None)
+            ~deadline ~cgra ~committed ~homes ~work cdfg bi
+        | Flow_config.Beam | Flow_config.Portfolio ->
+          (* [Portfolio] is resolved in [drive]; a portfolio config
+             reaching a single run maps with the beam.  Every beam
+             failure is a dead end. *)
+          Search.map_block ~routes ~deadline ~config ~cgra ~committed ~homes
+            ~rng ~work cdfg bi
+          |> Result.map_error (fun reason -> (Search.Dead_end, reason))
+      with
+      | exception Cgra_graph.Digraph.Cycle ids ->
+        (* A cyclic per-block DFG that slipped past validation (e.g. a
+           hand-built CDFG mutated after [Builder.finish]) must not crash
+           the harness: surface it as an ordinary mapping failure. *)
+        Error
+          (fail ~at_block:bi ~work:!work
+             (Printf.sprintf "block %d: cyclic DFG through nodes %s" bi
+                (String.concat ", " (List.map string_of_int ids))))
+      | Error (verdict, reason) ->
+        Error (fail ~verdict ~at_block:bi ~work:!work reason)
+      | Ok outcome -> (
+        match
+          commit_homes ~homes ~at_block:bi ~work:!work
+            outcome.Search.new_homes
+        with
+        | Error _ as e -> e
+        | Ok () ->
+          commit_words cgra committed outcome.Search.bb_mapping;
+          go
+            (outcome.Search.bb_mapping :: mapped)
+            (outcome.Search.stats :: stats)
+            rest))
+  in
+  go [] [] order
+
+(* One mapping attempt.  The exact backend gets a second, spread pass
+   when the greedy one dead-ended on the committed context — not on a
+   kernel-level UNSAT proof, which no pass can beat — and the first
+   failure stays canonical.  Both passes share [rng]; only the beam
+   reads it, and the beam gets one pass. *)
 let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
   match Cdfg.validate cdfg with
   | Error msg -> Error (fail ~work:!work ("invalid CDFG: " ^ msg))
@@ -121,153 +187,22 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
         | None -> order
         | Some (_, dirty, _) -> List.filter (fun b -> dirty.(b)) order
       in
-      let nt = Cgra.tile_count cgra in
-      let committed = Array.make nt 0 in
-      let homes =
-        match base with
-        | Some (_, _, kept) -> Array.copy kept
-        | None -> Array.make (max 1 cdfg.Cdfg.sym_count) (-1)
-      in
-      (match base with
-      | None -> ()
-      | Some (m, dirty, _) ->
-        (* Surviving blocks keep their placements: charge their exact
-           context words up front so the dirty-block search sees the same
-           CM pressure a full flow would have accumulated. *)
-        Array.iteri
-          (fun bi bm ->
-            if not dirty.(bi) then commit_words cgra committed bm)
-          m.Mapping.bbs);
       let rng = Rng.create config.Flow_config.seed in
-      let recomputes = ref 0 in
-      let peak = ref 1 in
-      let block_stats = ref [] in
-      (* Spread-retry budgets (exact backend, second pass only): cap the
-         block's own context words per tile at its proportional share of
-         the remaining free capacity, so early blocks leave headroom
-         instead of clustering on the solver's favourite tiles.  The
-         share is a heuristic — when a block genuinely needs more than
-         its share the budgeted solve fails and the block retries
-         unbudgeted (greedy), exactly like the first pass. *)
-      let spread_budget bi rest =
-        let weight b =
-          Array.length cdfg.Cdfg.blocks.(b).Cdfg.nodes + 1
-        in
-        let w = weight bi in
-        let rest_w = List.fold_left (fun a b -> a + weight b) 0 rest in
-        if rest_w = 0 then None
-        else
-          Some
-            (Array.init nt (fun t ->
-                 let free =
-                   cgra.Cgra.tiles.(t).Cgra.cm_words - committed.(t)
-                 in
-                 if free <= 0 then 0
-                 else ((free * w) + w + rest_w - 1) / (w + rest_w)))
+      let pass ~spread =
+        pass ~work ~config ~routes ~deadline ~rng ?base ~spread cgra cdfg
+          order
       in
-      (* Future-write counts for the spread pass: how many of the
-         still-unmapped blocks write each symbol — the exact backend
-         reserves that many context words on the symbol's home tile. *)
-      let future_writes rest =
-        let fw = Array.make (Array.length homes) 0 in
-        List.iter
-          (fun b ->
-            List.iter
-              (fun (s, _) -> fw.(s) <- fw.(s) + 1)
-              cdfg.Cdfg.blocks.(b).Cdfg.live_out)
-          rest;
-        fw
-      in
-      let rec map_blocks ~spread acc = function
-        | [] -> Ok (List.rev acc)
-        | bi :: rest -> (
-          (* Per-block boundary of the drive loop: committed words and
-             home pins are consistent here, so aborting between blocks
-             never leaves a torn intermediate state behind. *)
-          if Cgra_util.Deadline.expired deadline then
-            raise
-              (Search.Timed_out
-                 { at_block = bi; where = "flow block loop" });
-          match
-            match config.Flow_config.backend with
-            | Flow_config.Exact -> (
-              if not spread then
-                Exact.map_block ~deadline ~cgra ~committed ~homes ~work cdfg bi
-              else
-                let future = future_writes rest in
-                match spread_budget bi rest with
-                | None ->
-                  Exact.map_block ~future ~deadline ~cgra ~committed ~homes
-                    ~work cdfg bi
-                | Some budget -> (
-                  match
-                    Exact.map_block ~budget ~future ~deadline ~cgra
-                      ~committed ~homes ~work cdfg bi
-                  with
-                  | Ok _ as ok -> ok
-                  | Error _ ->
-                    (* The share was too tight for this block: fall back
-                       to its full remaining capacity (reserves kept)
-                       and keep going. *)
-                    Exact.map_block ~future ~deadline ~cgra ~committed
-                      ~homes ~work cdfg bi))
-            | Flow_config.Beam | Flow_config.Portfolio ->
-              (* [Portfolio] is resolved in [drive]; a portfolio config
-                 reaching a single run maps with the beam.  Every beam
-                 failure is a dead end. *)
-              Search.map_block ~routes ~deadline ~config ~cgra ~committed
-                ~homes ~rng ~work cdfg bi
-              |> Result.map_error (fun reason -> (Search.Dead_end, reason))
-          with
-          | exception Cgra_graph.Digraph.Cycle ids ->
-            (* A cyclic per-block DFG that slipped past validation (e.g. a
-               hand-built CDFG mutated after [Builder.finish]) must not
-               crash the harness: surface it as an ordinary mapping
-               failure. *)
-            Error
-              (fail ~at_block:bi ~work:!work
-                 (Printf.sprintf "block %d: cyclic DFG through nodes %s" bi
-                    (String.concat ", " (List.map string_of_int ids))))
-          | Error (verdict, reason) ->
-            Error (fail ~verdict ~at_block:bi ~work:!work reason)
-          | Ok outcome -> (
-            match
-              commit_homes ~homes ~at_block:bi ~work:!work
-                outcome.Search.new_homes
-            with
-            | Error _ as e -> e
-            | Ok () ->
-              commit_words cgra committed outcome.Search.bb_mapping;
-              let bs = outcome.Search.stats in
-              block_stats := bs :: !block_stats;
-              recomputes := !recomputes + bs.Search.recomputes;
-              peak := max !peak bs.Search.population_peak;
-              map_blocks ~spread (outcome.Search.bb_mapping :: acc) rest))
-      in
-      let committed0 = Array.copy committed in
-      let homes0 = Array.copy homes in
       let mapped =
-        match map_blocks ~spread:false [] order with
-        | Ok _ as ok -> ok
+        match pass ~spread:false with
         | Error f
           when config.Flow_config.backend = Flow_config.Exact
-               && f.verdict <> Search.Proved_unsat -> (
-          (* Greedy pass dead-ended on the committed context (not a
-             kernel-level UNSAT proof, which no retry can beat): one
-             deterministic second pass with spread budgets. *)
-          Array.blit committed0 0 committed 0 (Array.length committed);
-          Array.blit homes0 0 homes 0 (Array.length homes);
-          block_stats := [];
-          recomputes := 0;
-          peak := 1;
-          match map_blocks ~spread:true [] order with
-          | Ok _ as ok -> ok
-          | Error _ -> Error f (* the first failure stays canonical *))
-        | Error _ as e -> e
+               && f.verdict <> Search.Proved_unsat ->
+          Result.map_error (fun _ -> f) (pass ~spread:true)
+        | r -> r
       in
       match mapped with
       | Error f -> Error f
-      | Ok bbs_in_order ->
+      | Ok (bbs_in_order, search, committed, homes) ->
         let bbs =
           match base with
           | None -> Array.make (Array.length cdfg.Cdfg.blocks) None
@@ -298,37 +233,17 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
               if committed.(t) > cap then
                 Some (Printf.sprintf "T%02d %d/%d" t committed.(t) cap)
               else None)
-            (List.init nt Fun.id)
+            (List.init (Cgra.tile_count cgra) Fun.id)
         in
         if culprits = [] then
           Ok
             ( { Mapping.cdfg; cgra; bbs; homes },
-              {
-                recomputes = !recomputes;
-                population_peak = !peak;
-                traversal_order = order;
-                work = !work;
-                retries_used;
-                search = List.rev !block_stats;
-                escalations = [];
-              } )
+              { work = !work; retries_used; search; escalations = [] } )
         else
           Error
             (fail ~work:!work
                ("context memory overflow: " ^ String.concat ", " culprits))
     end
-
-let escalation_of ~attempt (c : Flow_config.t) (f : failure) =
-  {
-    e_attempt = attempt;
-    e_seed = c.Flow_config.seed;
-    e_beam_width = c.Flow_config.beam_width;
-    e_expand_per_state = c.Flow_config.expand_per_state;
-    e_keep_prob = c.Flow_config.keep_prob;
-    e_prune_slack = c.Flow_config.prune_slack;
-    e_reason = f.reason;
-    e_at_block = f.at_block;
-  }
 
 (* The one retry ladder over [run_once].  Rung k is an attempt with
    [retries_used = k]: without [degrade] the rungs reseed the stochastic
@@ -379,7 +294,11 @@ let drive_single ~work ~config ~deadline ?base cgra cdfg =
     with
     | Ok (m, s) -> Ok (m, { s with escalations = List.rev trace })
     | Error f ->
-      let trace = escalation_of ~attempt:k cfg_k f :: trace in
+      let trace =
+        { e_attempt = k; e_config = cfg_k; e_reason = f.reason;
+          e_at_block = f.at_block }
+        :: trace
+      in
       if k + 1 >= rungs then Error { f with gave_up = List.rev trace }
       else attempt (k + 1) trace
   in

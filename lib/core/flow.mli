@@ -16,19 +16,18 @@
 
 type escalation = {
   e_attempt : int;           (** 0 = the configuration as given *)
-  e_seed : int;              (** stochastic-pruning seed of this attempt *)
-  e_beam_width : int;
-  e_expand_per_state : int;
-  e_keep_prob : float;
-  e_prune_slack : float;
+  e_config : Flow_config.t;  (** the configuration this attempt ran with *)
   e_reason : string;         (** why this attempt failed *)
   e_at_block : int option;
 }
 (** One failed rung of the retry ladder — a reseeded retry, or with
-    [Flow_config.degrade] an escalation: the search knobs it ran with and
-    the failure it hit. *)
+    [Flow_config.degrade] an escalation: the configuration it ran with
+    and the failure it hit. *)
 
 val escalation_to_string : escalation -> string
+(** One line: the attempt, its seed and search knobs (beam width,
+    children per state, keep probability, threshold slack), the reason
+    and the block it died at. *)
 
 type failure = {
   verdict : Search.verdict;
@@ -53,9 +52,6 @@ type failure = {
 }
 
 type stats = {
-  recomputes : int;
-  population_peak : int;
-  traversal_order : int list;
   work : int;
       (** total binding attempts — the deterministic compile-effort
           counter used by Fig 9, identical across hosts and [--jobs]
@@ -64,10 +60,13 @@ type stats = {
       (** re-seeded retries consumed before the successful attempt; 0 when
           the first attempt mapped *)
   search : Search.block_stats list;
-      (** per-block search telemetry of the {e successful} attempt, in
-          traversal order.  Every counter except
-          [Search.block_stats.wall_seconds] is deterministic; when
-          [retries_used = 0] the per-block [attempts] sum to [work]. *)
+      (** per-block search telemetry of the {e successful} attempt, one
+          entry per block it searched, in traversal order (the run's
+          traversal order, re-computations and population peak derive
+          from it).  Every counter except
+          [Search.block_stats.wall_seconds] and [alloc_words] is
+          deterministic; when [retries_used = 0] and the first pass
+          mapped, the per-block [attempts] sum to [work]. *)
   escalations : escalation list;
       (** the failed rungs that preceded this success, in order; [[]]
           when the first attempt mapped *)
@@ -103,14 +102,13 @@ val run :
 (** Maps the kernel.  Deterministic for a fixed [config.seed].
 
     [deadline] arms cooperative cancellation: the flow polls it at every
-    block boundary, the beam search at every round and expansion
-    boundary, the exact backend before every probe and inside the
-    solver.  Expiry aborts the in-flight attempt in bounded time and
-    returns a {!failure} with verdict {!Search.Expired}; retries and the
-    escalation ladder never resume after one, and a portfolio race with
-    either side cut short is reported as timed out as a whole (keeping
-    the winner would make the bytes depend on where the deadline
-    landed).  An armed deadline that never fires leaves the result
+    block boundary, the beam search once per binding round, the exact
+    backend before every probe and inside the solver.  Expiry aborts the
+    in-flight attempt in bounded time and returns a {!failure} with
+    verdict {!Search.Expired}; retries and the escalation ladder never
+    resume after one, and a portfolio race with either side cut short is
+    reported as timed out as a whole (keeping the winner would make the
+    bytes depend on where the deadline landed).  An armed deadline that never fires leaves the result
     byte-identical to an un-deadlined run — the token is an observer,
     never an input.
 
@@ -121,7 +119,11 @@ val run :
     pruning, wider beam, relaxed thresholds; at most
     [config.max_attempts] rungs).  The exact backend is deterministic
     and reads none of those knobs, so it gets one rung whatever they
-    say. *)
+    say.  Within that rung it gets a second pass over the blocks, from
+    fresh state, with {!Exact.map_block}'s spread heuristics, unless the
+    first pass failed on a {!Search.Proved_unsat} proof.  When the
+    second pass fails too, the first failure is the one reported, as it
+    was recorded. *)
 
 val run_partial :
   ?config:Flow_config.t ->

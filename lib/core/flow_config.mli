@@ -143,8 +143,6 @@ val backend_to_string : backend -> string
 (** ["beam"] / ["exact"] / ["portfolio"] — the spelling used by the
     [--backend] CLI flag and the serve-key knob. *)
 
-val backend_of_string : string -> backend option
-
 type knob = {
   name : string;
   print : t -> string;  (** the knob's value in [t], round-trip exact *)

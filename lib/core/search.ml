@@ -80,7 +80,6 @@ type ctx = {
   cgra : Cgra.t;
   cdfg : Cdfg.t;
   bi : int;
-  deadline : Cgra_util.Deadline.t;
   block : Cdfg.block;
   nnodes : int;
   committed : int array;
@@ -717,17 +716,6 @@ let expand_state ctx p node_id =
   take ctx.config.Flow_config.expand_per_state
     (List.stable_sort by_key candidates)
 
-(* Expand the whole population for one round, on the calling domain: a
-   trial binds in its parent and undoes itself, so the states are expanded
-   one after the other. *)
-let expand_population ctx pop node_id =
-  (* Expansion boundary: the last poll before the all-OCaml hot path. *)
-  if Cgra_util.Deadline.expired ctx.deadline then
-    raise
-      (Timed_out
-         { at_block = ctx.bi; where = "search expansion " ^ ctx.block.Cdfg.name });
-  List.concat_map (fun p -> expand_state ctx p node_id) pop
-
 (* Re-computation graph transformation: duplicate one already-placed
    producer of [node_id] onto a candidate tile, then retry the binding
    there.  Used only when regular expansion yields nothing. *)
@@ -991,7 +979,7 @@ let finalize ctx p =
 
 (* ---- driver ---------------------------------------------------------- *)
 
-let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
+let map_block ~routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
     ~committed ~homes ~rng ~work cdfg bi =
   let t_start = Cgra_util.Clock.now () in
   let alloc_start = Gc.allocated_bytes () in
@@ -1032,14 +1020,13 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
       cgra;
       cdfg;
       bi;
-      deadline;
       block;
       nnodes = Array.length block.Cdfg.nodes;
       committed;
       homes;
       hosts_home;
       tally = { attempts = 0; route_failures = 0 };
-      routes = (match routes with Some r -> r | None -> build_routes cgra);
+      routes;
       able;
       able_sorted;
     }
@@ -1088,13 +1075,18 @@ let map_block ?routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
   let rec rounds pop = function
     | [] -> Ok pop
     | node_id :: rest ->
-      (* Round boundary: filters and pruning behind us, state consistent. *)
-      if Cgra_util.Deadline.expired ctx.deadline then
+      (* Round boundary, the search's one deadline poll: filters and
+         pruning behind us, state consistent. *)
+      if Cgra_util.Deadline.expired deadline then
         raise
           (Timed_out
              { at_block = bi; where = "search round " ^ block.Cdfg.name });
       incr rounds_done;
-      let children = expand_population ctx pop node_id in
+      (* A trial binds in its parent and undoes itself, so the states are
+         expanded one after the other. *)
+      let children =
+        List.concat_map (fun p -> expand_state ctx p node_id) pop
+      in
       children_total := !children_total + List.length children;
       let children =
         match acmap_filter children with

@@ -100,7 +100,7 @@ exception Timed_out of { at_block : int; where : string }
     converts it into a failure with verdict {!Expired}. *)
 
 val map_block :
-  ?routes:routes ->
+  routes:routes ->
   ?deadline:Cgra_util.Deadline.t ->
   config:Flow_config.t ->
   cgra:Cgra_arch.Cgra.t ->
@@ -115,14 +115,14 @@ val map_block :
     block [bi].  [committed.(t)] is the exact context-word usage of tile
     [t] by already-committed blocks; [homes.(s)] is the home tile of
     symbol [s] or [-1] when not yet fixed.  Neither array is mutated.
-    [routes] is the route table of {!build_routes} for [cgra] (rebuilt
-    here when omitted).  [work] is incremented once per binding attempt —
-    a deterministic search-effort counter (unlike wall-clock time it is
-    identical across hosts, load and parallelism, so figures derived from
-    it are reproducible byte-for-byte).  The search runs on the calling
+    [routes] is the route table of {!build_routes} for [cgra].  [work] is
+    incremented once per binding attempt — a deterministic search-effort
+    counter (unlike wall-clock time it is identical across hosts, load
+    and parallelism, so figures derived from it are reproducible
+    byte-for-byte).  The search runs on the calling
     domain.
 
-    [deadline] is polled at every round and expansion boundary; expiry
-    raises {!Timed_out}.  An armed deadline that does not fire leaves
-    the result byte-identical to a run without one — the token is
-    never an input to the search, only an observer. *)
+    [deadline] is polled once per binding round, before the population
+    is expanded; expiry raises {!Timed_out}.  An armed deadline that
+    does not fire leaves the result byte-identical to a run without one
+    — the token is never an input to the search, only an observer. *)

@@ -31,9 +31,6 @@ val in_degree : t -> int -> int
 val nodes : t -> int list
 (** All node ids, ascending. *)
 
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** [iter_edges g f] calls [f src dst] once per edge. *)
-
 exception Cycle of int list
 (** Raised by the [_exn] entry points on a cyclic graph; carries the ids of
     the nodes stuck on cycles. *)

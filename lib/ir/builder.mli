@@ -49,6 +49,3 @@ exception Build_error of error
 val finish : t -> Cdfg.t
 (** Freezes the CDFG and validates it; raises {!Build_error} on
     ill-formed input. *)
-
-val finish_result : t -> (Cdfg.t, error) result
-(** Like {!finish} but returns the error instead of raising. *)

@@ -66,13 +66,6 @@ val dfg_graph : block -> Cgra_graph.Digraph.t
     edges producer -> consumer).  [Sym] and [Imm] operands contribute no
     edges. *)
 
-val syms_in_block : t -> int -> (sym * int) list
-(** [(s, fanout)] for every symbol variable appearing in the block, where
-    fanout counts its uses as node operand, in [live_out] right-hand sides
-    and in the terminator condition.  A symbol only {e defined} (assigned in
-    [live_out]) has fanout 0 but is still listed: it is "present" in the
-    sense of Section III-D-1. *)
-
 val block_weight : t -> int -> int
 (** Wbb = n(s) + sum of fan-outs of each symbol variable (Section
     III-D-1). *)

@@ -34,10 +34,3 @@ val run :
     [mem] in place.  Symbol variables start at 0 unless overridden by
     [init_syms].  [max_steps] (default 1_000_000) bounds the number of
     executed blocks. *)
-
-val eval_block :
-  Cdfg.t -> int -> sym_env:int array -> mem:int array -> int option
-(** [eval_block cdfg bi ~sym_env ~mem] executes one block: evaluates its
-    nodes, applies [live_out] to [sym_env], and returns the successor block
-    (or [None] for [Return]).  Exposed for differential testing against the
-    CGRA simulator at block granularity. *)

@@ -19,5 +19,3 @@ val pos : t -> Ast.pos
 val next : t -> token
 (** Consumes and returns the next token.  Raises {!Ast.Syntax_error} on an
     invalid character or a malformed literal. *)
-
-val keywords : string list

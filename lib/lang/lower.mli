@@ -24,7 +24,3 @@ val lower : ?naive:bool -> Ast.kernel -> Cgra_ir.Cdfg.t
     frontend produces" baseline consumed by the [cgra_opt] pipeline;
     name resolution and the [mem_dep] ordering edges are kept because
     they are semantics, not optimization. *)
-
-val const_eval : (string -> int option) -> Ast.expr -> int option
-(** Compile-time evaluation used for [const] declarations and [unroll]
-    bounds; the callback resolves named constants. *)

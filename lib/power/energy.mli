@@ -22,9 +22,6 @@ type breakdown = {
   total_pj : float;
 }
 
-val clock_mhz : float
-(** Common clock of CGRA and CPU (default 50 MHz). *)
-
 val cgra :
   ?protect:Cgra_arch.Protection.profile ->
   Cgra_arch.Cgra.t ->

@@ -9,8 +9,6 @@ type endpoint =
   | Unix_socket of string
   | Tcp of string * int  (** host, port *)
 
-val endpoint_to_string : endpoint -> string
-
 val connect : endpoint -> (t, string) result
 (** One-line typed error on failure (daemon not running, stale socket,
     connection refused). *)

@@ -30,8 +30,5 @@ val expired : t -> bool
 (** One clock read and one compare ([never] short-circuits without the
     read). *)
 
-val is_never : t -> bool
-(** [true] iff the token is {!never}. *)
-
 val intersect : t -> t -> t
 (** The earlier of two deadlines; [never] is the identity. *)

@@ -213,24 +213,19 @@ let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
     | Error e -> Crash e
     | Ok p -> (
       let mem = fresh_mem () in
-      match protect with
-      | None -> (
-        match Sim.run ~max_blocks ~rf_faults p ~mem with
-        | exception Sim.Sim_error (Sim.Runaway _) -> Hang
-        | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
-        | _ -> if mem = golden then Masked else Wrong_output)
-      | Some pr -> (
-        let pr = { pr with Sim.upsets } in
-        match Sim.run ~max_blocks ~rf_faults ~protect:pr p ~mem with
-        | exception Sim.Sim_error (Sim.Runaway _) -> Hang
-        | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> Detected
-        | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
-        | r ->
-          if mem = golden then
-            match r.Sim.ecc with
-            | Some e when e.Sim.corrected > 0 -> Corrected
-            | _ -> Masked
-          else Wrong_output))
+      (* An unprotected run never raises [Uncorrectable_cm] and reports
+         no ECC counters, so it is never [Detected] or [Corrected]. *)
+      let protect = Option.map (fun pr -> { pr with Sim.upsets }) protect in
+      match Sim.run ~max_blocks ~rf_faults ?protect p ~mem with
+      | exception Sim.Sim_error (Sim.Runaway _) -> Hang
+      | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> Detected
+      | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
+      | r ->
+        if mem = golden then
+          match r.Sim.ecc with
+          | Some e when e.Sim.corrected > 0 -> Corrected
+          | _ -> Masked
+        else Wrong_output)
   in
   { index; injection; outcome }
 

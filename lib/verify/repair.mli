@@ -98,7 +98,6 @@ val repair :
     incremental remaps — both must converge to a golden-PASS repair,
     incremental just spends less search on it. *)
 
-val status_to_string : status -> string
 val trace_to_string : trace -> string
 (** Four-line rendering: injected / detected / diagnosed / result. *)
 

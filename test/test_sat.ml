@@ -676,6 +676,34 @@ let test_exact_one_rung () =
         f.Flow.reason)
     [ ("retries 2", exact); ("degrade", { exact with FC.degrade = true }) ]
 
+(* The cells whose greedy exact pass dead-ends on the committed context
+   and whose spread pass maps.  The second pass belongs to the one rung
+   the exact backend gets, so it reports no retry and no escalation.
+   [work] counts the conflicts of both passes (the recorded values pin
+   where the spread heuristics put their budgets and reserves), and the
+   mapping pass's own conflicts fall short of it. *)
+let test_exact_spread_pass () =
+  List.iter
+    (fun (slug, config, work) ->
+      let what = Printf.sprintf "%s@%s" slug (Config.to_string config) in
+      match run_cell slug config FC.Exact with
+      | Error f -> Alcotest.failf "%s: %s" what f.Flow.reason
+      | Ok (_, stats) ->
+        Alcotest.(check int) (what ^ ": no retry") 0 stats.Flow.retries_used;
+        Alcotest.(check int) (what ^ ": no escalation") 0
+          (List.length stats.Flow.escalations);
+        Alcotest.(check int) (what ^ ": conflicts of both passes") work
+          stats.Flow.work;
+        let mapping_pass =
+          List.fold_left
+            (fun a bs -> a + bs.Cgra_core.Search.attempts)
+            0 stats.Flow.search
+        in
+        Alcotest.(check bool) (what ^ ": the greedy pass failed first") true
+          (mapping_pass < work))
+    [ ("fft", Config.HOM32, 115); ("fft", Config.HET1, 33);
+      ("fft", Config.HET2, 161); ("sep_filter", Config.HET2, 19) ]
+
 (* The optimality report's two sides map the same lowering: under
    [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
    harness cell, and its exact columns are the exact backend run on the
@@ -769,6 +797,8 @@ let suite =
           test_typed_verdicts;
         Alcotest.test_case "exact backend climbs one rung" `Quick
           test_exact_one_rung;
+        Alcotest.test_case "spread pass maps after a greedy dead end" `Quick
+          test_exact_spread_pass;
         Alcotest.test_case "optimality report maps one lowering" `Slow
           test_optimality_report_opt;
       ] );

@@ -718,17 +718,29 @@ let test_degrade_gave_up_trace () =
       (fun i e -> Alcotest.(check int) "attempt numbering" i e.Flow.e_attempt)
       f.Flow.gave_up;
     (match f.Flow.gave_up with
-     | e0 :: e1 :: e2 :: _ ->
-       Alcotest.(check int) "attempt 0 is the base config"
-         config.FC.beam_width e0.Flow.e_beam_width;
+     | [ e0; e1; e2 ] ->
+       Alcotest.(check bool) "attempt 0 is the base config" true
+         (e0.Flow.e_config = config);
        Alcotest.(check int) "attempt 1 widens the beam"
          (min 128 (2 * config.FC.beam_width))
-         e1.Flow.e_beam_width;
+         e1.Flow.e_config.FC.beam_width;
        Alcotest.(check bool) "fresh seeds per attempt" true
-         (e1.Flow.e_seed <> e2.Flow.e_seed);
-       Alcotest.(check bool) "escalation renders" true
-         (String.length (Flow.escalation_to_string e1) > 0)
-     | _ -> Alcotest.fail "expected 3 escalations")
+         (e1.Flow.e_config.FC.seed <> e2.Flow.e_config.FC.seed)
+     | _ -> Alcotest.fail "expected 3 escalations");
+    (* The rendered ladder, byte for byte: each line reads its seed and
+       search knobs from the rung's config. *)
+    let overflow =
+      "context memory overflow: T00 10/2, T01 7/2, T02 6/2, T03 5/2, \
+       T04 4/2, T05 4/2, T06 4/2, T07 4/2"
+    in
+    Alcotest.(check (list string)) "escalation text"
+      [ "attempt 0: seed=42 beam=24 expand=4 keep_prob=0.250 slack=0.150 -> "
+        ^ overflow;
+        "attempt 1: seed=841703495 beam=48 expand=5 keep_prob=0.375 \
+         slack=0.225 -> " ^ overflow;
+        "attempt 2: seed=558080040 beam=96 expand=6 keep_prob=0.562 \
+         slack=0.300 -> " ^ overflow ]
+      (List.map Flow.escalation_to_string f.Flow.gave_up)
 
 let suite =
   [ ( "verify",
