@@ -252,8 +252,8 @@ let search_budgets_words_per_attempt =
    same kind of bound: ~1.5x the values measured at the time of recording
    (52.7 and 58.6 words/cycle, ~90 % of it operand lists and results). *)
 let sim_budget_words_per_cycle =
-  [ ("unprotected", None, 80.0);
-    ("secded", Some Cgra_arch.Protection.secded, 90.0) ]
+  [ ("unprotected", Cgra_arch.Protection.none, 80.0);
+    ("secded", Cgra_arch.Protection.secded, 90.0) ]
 
 (* Budget for the exact backend, in words allocated per SAT probe of
    [Flow.run] (FIR @ HOM64, basic flow, [backend = Exact]): building each
@@ -318,16 +318,7 @@ let sim_alloc_ok () =
   in
   List.map
     (fun (level, profile, budget) ->
-      let protect =
-        Option.map
-          (fun profile ->
-            {
-              Sim.profile;
-              upsets = [];
-              scrub_interval = Cgra_arch.Protection.default_scrub_interval;
-            })
-          profile
-      in
+      let protect = Sim.protect_of profile in
       let mem = Cgra_kernels.Kernel_def.fresh_mem fir in
       let before = Gc.minor_words () in
       let r = Sim.run ?protect program ~mem in

@@ -36,7 +36,8 @@ val map_block :
     capacity; [homes.(s) >= 0] pins symbol [s]'s home.
 
     [spread], when given, lists the blocks still to map after this one
-    and turns on the spread heuristics of the flow's second pass.  For
+    and turns on the spread heuristics; the flow gives it on the second
+    rung of the exact backend's retry ladder ({!Flow.run}).  For
     every symbol one context word per remaining writer is reserved on
     its home tile, whether the home is already pinned or chosen by this
     very model.  The block's own words per tile are first capped at its

@@ -165,12 +165,10 @@ let pass ~work ~config ~routes ~deadline ~rng ?base ~spread cgra cdfg order =
   in
   go [] [] order
 
-(* One mapping attempt.  The exact backend gets a second, spread pass
-   when the greedy one dead-ended on the committed context — not on a
-   kernel-level UNSAT proof, which no pass can beat — and the first
-   failure stays canonical.  Both passes share [rng]; only the beam
-   reads it, and the beam gets one pass. *)
-let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
+(* One mapping attempt: one pass over the blocks, with the exact
+   backend's spread heuristics when [spread] is set. *)
+let run_once ~work ~retries_used ~config ~routes ~deadline ~spread ?base cgra
+    cdfg =
   match Cdfg.validate cdfg with
   | Error msg -> Error (fail ~work:!work ("invalid CDFG: " ^ msg))
   | Ok () ->
@@ -187,20 +185,11 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
         | None -> order
         | Some (_, dirty, _) -> List.filter (fun b -> dirty.(b)) order
       in
-      let rng = Rng.create config.Flow_config.seed in
-      let pass ~spread =
-        pass ~work ~config ~routes ~deadline ~rng ?base ~spread cgra cdfg
-          order
-      in
-      let mapped =
-        match pass ~spread:false with
-        | Error f
-          when config.Flow_config.backend = Flow_config.Exact
-               && f.verdict <> Search.Proved_unsat ->
-          Result.map_error (fun _ -> f) (pass ~spread:true)
-        | r -> r
-      in
-      match mapped with
+      match
+        pass ~work ~config ~routes ~deadline
+          ~rng:(Rng.create config.Flow_config.seed)
+          ?base ~spread cgra cdfg order
+      with
       | Error f -> Error f
       | Ok (bbs_in_order, search, committed, homes) ->
         let bbs =
@@ -246,13 +235,16 @@ let run_once ~work ~retries_used ~config ~routes ~deadline ?base cgra cdfg =
     end
 
 (* The one retry ladder over [run_once].  Rung k is an attempt with
-   [retries_used = k]: without [degrade] the rungs reseed the stochastic
-   pruning (seed + 1000k, k <= [retries]); with it they escalate (see
-   [escalate]).  The exact backend reads neither the seed nor the search
-   knobs, so every further rung would repeat its solves: it gets one.
-   Every failed rung is recorded as an escalation.  The route table
-   depends only on the (already degraded) array, so it is interned here
-   once and reused by every rung and every block. *)
+   [retries_used = k].  On the beam, without [degrade] the rungs reseed
+   the stochastic pruning (seed + 1000k, k <= [retries]); with it they
+   escalate (see [escalate]).  The exact backend reads neither the seed
+   nor the search knobs, so it gets two rungs with the given
+   configuration: the greedy pass, then the spread pass.  A rung that
+   fails with a [Proved_unsat] proof ends the ladder, since no rung can
+   beat one (the beam never proves).  Every failed rung is recorded as
+   an escalation.  The route table depends only on the (already
+   degraded) array, so it is interned here once and reused by every
+   rung and every block. *)
 let drive_single ~work ~config ~deadline ?base cgra cdfg =
   let routes = Search.build_routes cgra in
   (* Graceful degradation: rung 0 is the configuration as given; each
@@ -277,20 +269,22 @@ let drive_single ~work ~config ~deadline ?base cgra cdfg =
           config.Flow_config.prune_slack *. (1.0 +. (0.5 *. float_of_int k));
       }
   in
+  let exact = config.Flow_config.backend = Flow_config.Exact in
   let rung k =
-    if config.Flow_config.degrade then escalate k
+    if exact then config
+    else if config.Flow_config.degrade then escalate k
     else { config with Flow_config.seed = config.Flow_config.seed + (1000 * k) }
   in
   let rungs =
-    if config.Flow_config.backend = Flow_config.Exact then 1
+    if exact then 2
     else if config.Flow_config.degrade then max 1 config.Flow_config.max_attempts
     else config.Flow_config.retries + 1
   in
   let rec attempt k trace =
     let cfg_k = rung k in
     match
-      run_once ~work ~retries_used:k ~config:cfg_k ~routes ~deadline ?base
-        cgra cdfg
+      run_once ~work ~retries_used:k ~config:cfg_k ~routes ~deadline
+        ~spread:(exact && k > 0) ?base cgra cdfg
     with
     | Ok (m, s) -> Ok (m, { s with escalations = List.rev trace })
     | Error f ->
@@ -299,7 +293,8 @@ let drive_single ~work ~config ~deadline ?base cgra cdfg =
           e_at_block = f.at_block }
         :: trace
       in
-      if k + 1 >= rungs then Error { f with gave_up = List.rev trace }
+      if k + 1 >= rungs || f.verdict = Search.Proved_unsat then
+        Error { f with gave_up = List.rev trace }
       else attempt (k + 1) trace
   in
   (* A fired deadline unwinds as [Search.Timed_out] from whatever boundary

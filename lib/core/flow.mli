@@ -20,9 +20,10 @@ type escalation = {
   e_reason : string;         (** why this attempt failed *)
   e_at_block : int option;
 }
-(** One failed rung of the retry ladder — a reseeded retry, or with
-    [Flow_config.degrade] an escalation: the configuration it ran with
-    and the failure it hit. *)
+(** One failed rung of the retry ladder — a reseeded retry, with
+    [Flow_config.degrade] an escalation, or the exact backend's greedy
+    or spread pass: the configuration it ran with and the failure it
+    hit. *)
 
 val escalation_to_string : escalation -> string
 (** One line: the attempt, its seed and search knobs (beam width,
@@ -45,7 +46,9 @@ type failure = {
           reports; code tells failures apart by [verdict], never by
           this wording *)
   at_block : int option;  (** block where the search died, if any *)
-  work : int;  (** binding attempts spent before giving up (all retries) *)
+  work : int;
+      (** binding attempts (solver conflicts on the exact backend) spent
+          before giving up, over every rung of the ladder *)
   gave_up : escalation list;
       (** the full ladder trace, one entry per exhausted rung; [[]] when
           the deadline cut the run short *)
@@ -57,16 +60,17 @@ type stats = {
           counter used by Fig 9, identical across hosts and [--jobs]
           values (wall-clock time is not) *)
   retries_used : int;
-      (** re-seeded retries consumed before the successful attempt; 0 when
-          the first attempt mapped *)
+      (** failed rungs before the successful one, [List.length
+          escalations]: 0 when the first attempt mapped, 1 when the exact
+          backend's spread pass mapped after its greedy pass failed *)
   search : Search.block_stats list;
       (** per-block search telemetry of the {e successful} attempt, one
           entry per block it searched, in traversal order (the run's
           traversal order, re-computations and population peak derive
           from it).  Every counter except
           [Search.block_stats.wall_seconds] and [alloc_words] is
-          deterministic; when [retries_used = 0] and the first pass
-          mapped, the per-block [attempts] sum to [work]. *)
+          deterministic; when [retries_used = 0], the per-block
+          [attempts] sum to [work]. *)
   escalations : escalation list;
       (** the failed rungs that preceded this success, in order; [[]]
           when the first attempt mapped *)
@@ -113,17 +117,17 @@ val run :
     never an input.
 
     A failed attempt climbs one retry ladder, recording each rung — see
-    {!stats.escalations} and {!failure.gave_up}.  Without
+    {!stats.escalations} and {!failure.gave_up}.  On the beam, without
     [config.degrade] the rungs reseed the stochastic pruning (seed +
     1000k for k <= [config.retries]); with it they escalate (reseeded
     pruning, wider beam, relaxed thresholds; at most
     [config.max_attempts] rungs).  The exact backend is deterministic
-    and reads none of those knobs, so it gets one rung whatever they
-    say.  Within that rung it gets a second pass over the blocks, from
-    fresh state, with {!Exact.map_block}'s spread heuristics, unless the
-    first pass failed on a {!Search.Proved_unsat} proof.  When the
-    second pass fails too, the first failure is the one reported, as it
-    was recorded. *)
+    and reads none of those knobs, so it gets two rungs with the given
+    configuration whatever they say: a greedy pass over the blocks,
+    then a pass from fresh state with {!Exact.map_block}'s spread
+    heuristics.  A rung that fails with a {!Search.Proved_unsat} proof
+    ends the ladder, since no further rung can beat it.  A failure
+    reports its last rung, with the [work] of every rung. *)
 
 val run_partial :
   ?config:Flow_config.t ->

@@ -58,7 +58,8 @@ type t = {
       (** extra attempts with reseeded stochastic pruning before giving up
           — only the context-aware flows retry.  Like the [degrade]
           ladder, it is ignored by the deterministic [Exact] backend,
-          which always makes one attempt. *)
+          whose ladder is always its greedy pass, then its spread pass
+          ({!Flow.run}). *)
   seed : int;
   expand_jobs : int;
       (** read by nothing: the search expands its population on the
@@ -68,7 +69,8 @@ type t = {
       (** graceful degradation: the rungs of the flow's retry ladder
           escalate — wider beam, reseeded stochastic pruning, relaxed
           pruning thresholds — instead of only reseeding [retries] times
-          (default false).  Every failed rung is recorded in
+          (default false; the [Exact] backend ignores it).  Every failed
+          rung is recorded in
           {!Flow.stats.escalations} (on success) or
           {!Flow.failure.gave_up} (on exhaustion). *)
   max_attempts : int;

@@ -865,44 +865,19 @@ let add_copy ctx p ~tile ~value ~min_cycle ?sym ?(set_cond = false) () =
    | Mapping.Vsym _ | Mapping.Vnode _ | Mapping.Vimm _ -> ());
   c
 
-(* Order live-out items so that an item reading symbol [s'] is processed
-   before the item writing [s'] (read-before-write on the home RF slot).
-   A dependency cycle (a swap) has no valid order; it is rejected — the
-   frontend never emits one. *)
-let order_live_outs items =
-  (* [other_reader_of s item] holds when [item] reads symbol [s]'s old value
-     (a self-assignment [s := s] constrains nothing). *)
-  let other_reader_of s (s_written, operand) =
-    match operand with
-    | Cdfg.Sym s' -> s' = s && s_written <> s
-    | Cdfg.Node _ | Cdfg.Imm _ -> false
-  in
-  let rec go acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      (* An item may be emitted once no remaining item still needs to read
-         the symbol it writes. *)
-      let ready, blocked =
-        List.partition
-          (fun (s, _) -> not (List.exists (other_reader_of s) remaining))
-          remaining
-      in
-      (match ready with
-       | [] ->
-         raise
-           (Finalize_failed
-              "live-out dependency cycle (symbol swap) is not supported")
-       | _ -> go (List.rev_append ready acc) blocked)
-  in
-  go [] items
-
 (* Place the block's live-out writes and condition export on a copy of
    [p]; None when that fails. *)
 let finalize ctx p =
   try
     let p = copy_pstate p in
-    let items = order_live_outs ctx.block.Cdfg.live_out in
+    let items =
+      match Cdfg.order_live_outs ctx.block.Cdfg.live_out with
+      | Some items -> items
+      | None ->
+        raise
+          (Finalize_failed
+             "live-out dependency cycle (symbol swap) is not supported")
+    in
     let write_cycle = Hashtbl.create 4 in
     List.iter
       (fun (s, operand) ->
@@ -1139,14 +1114,10 @@ let map_block ~routes ?(deadline = Cgra_util.Deadline.never) ~config ~cgra
     match rounds [ initial_pstate ctx ] info.Sched.order with
     | Error _ as e -> e
     | Ok pop ->
-      (* Live-out writes and condition export are mandatory: they must not be
-         blocked by CAB blacklisting (CAB constrains the *binding* step only),
-         so finalisation routes with the blacklist disabled and the exact
-         filter below judges the result. *)
-      let fctx =
-        { ctx with config = { config with Flow_config.cab = false } }
-      in
-      let finalized = List.filter_map (finalize fctx) pop in
+      (* Live-out writes and condition export are mandatory: CAB
+         blacklisting constrains the binding step only (finalisation never
+         consults it), and the exact filter below judges the result. *)
+      let finalized = List.filter_map (finalize ctx) pop in
       finalize_failures := List.length pop - List.length finalized;
       let finalized =
         if config.Flow_config.ecmap then begin

@@ -90,28 +90,6 @@ let last_uses (b : Cdfg.block) skip fold_of =
    | Cdfg.Jump _ | Cdfg.Return -> ());
   last
 
-(* Same reader-before-writer ordering as the mapper's finaliser. *)
-let order_live_outs items =
-  let other_reader_of s (s_written, operand) =
-    match operand with
-    | Cdfg.Sym s' -> s' = s && s_written <> s
-    | Cdfg.Node _ | Cdfg.Imm _ -> false
-  in
-  let rec go acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let ready, blocked =
-        List.partition
-          (fun (s, _) -> not (List.exists (other_reader_of s) remaining))
-          remaining
-      in
-      (match ready with
-       | [] -> error "live-out dependency cycle (symbol swap) is not supported"
-       | _ -> go (List.rev_append ready acc) blocked)
-  in
-  go [] items
-
 type balloc = {
   mutable code : Cpu_isa.instr list; (* reversed *)
   mutable free : int list;
@@ -271,7 +249,9 @@ let compile_block (cdfg : Cdfg.t) bi =
       | Cdfg.Imm k -> emit a (Cpu_isa.Movi (sym_reg s, k))
       | Cdfg.Sym s' -> emit a (Cpu_isa.Mov (sym_reg s, sym_reg s'))
       | Cdfg.Node j -> emit a (Cpu_isa.Mov (sym_reg s, node_reg a j)))
-    (order_live_outs b.Cdfg.live_out);
+    (match Cdfg.order_live_outs b.Cdfg.live_out with
+     | Some items -> items
+     | None -> error "live-out dependency cycle (symbol swap) is not supported");
   (match b.Cdfg.terminator with
    | Cdfg.Jump t -> emit a (Cpu_isa.Jmp t)
    | Cdfg.Return -> emit a Cpu_isa.Ret

@@ -80,16 +80,8 @@ let map ?deadline ~config cgra cdfg =
         (validate program))
 
 let execute ?(protection = Cgra_arch.Protection.none) ?golden ~mem program =
-  (* Protection off keeps the plain fetch path and energy model, so
-     unprotected results are bit-identical to a protection-free build. *)
-  let protect =
-    if Cgra_arch.Protection.is_none protection then None
-    else
-      Some
-        { Sim.profile = protection;
-          upsets = [];
-          scrub_interval = Cgra_arch.Protection.default_scrub_interval }
-  in
+  (* Protection off keeps the plain fetch path and energy model. *)
+  let protect = Sim.protect_of protection in
   match (Sim.run ?protect program ~mem, golden) with
   | exception Sim.Sim_error e -> Error (Crashed e)
   | _, Some g when mem <> g -> Error Wrong_output

@@ -178,6 +178,29 @@ let uses_of_node b i =
    | Jump _ | Return -> ());
   !count
 
+(* An item is emitted once no remaining item still reads the symbol it
+   writes; a self-assignment [s := s] constrains nothing. *)
+let order_live_outs items =
+  let other_reader_of s (s_written, operand) =
+    match operand with
+    | Sym s' -> s' = s && s_written <> s
+    | Node _ | Imm _ -> false
+  in
+  let rec go acc remaining =
+    match remaining with
+    | [] -> Some (List.rev acc)
+    | _ -> (
+      let ready, blocked =
+        List.partition
+          (fun (s, _) -> not (List.exists (other_reader_of s) remaining))
+          remaining
+      in
+      match ready with
+      | [] -> None
+      | _ -> go (List.rev_append ready acc) blocked)
+  in
+  go [] items
+
 let pp_operand syms fmt = function
   | Node i -> Format.fprintf fmt "n%d" i
   | Sym s -> Format.fprintf fmt "%s" syms.(s)

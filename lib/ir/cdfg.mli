@@ -74,5 +74,14 @@ val uses_of_node : block -> int -> int
 (** Fan-out of a node: uses by later nodes, by [live_out] and by the
     terminator condition. *)
 
+val order_live_outs : (sym * operand) list -> (sym * operand) list option
+(** A block's live-out assignments in an order where every item that
+    reads symbol [s]'s old value comes before the item writing [s]
+    (read-before-write on [s]'s one register).  The order is built in
+    rounds, each taking, in list order, every remaining item whose
+    symbol no other remaining item reads.  [None] when the reads form a
+    cycle (a swap), which has no such order; the frontend never emits
+    one. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable listing of the whole CDFG. *)

@@ -119,6 +119,10 @@ type protect = {
 module P = Cgra_arch.Protection
 module Ecc = Cgra_asm.Ecc
 
+let protect_of profile =
+  if P.is_none profile then None
+  else Some { profile; upsets = []; scrub_interval = P.default_scrub_interval }
+
 (* Marks a stale entry of a protected run's decode cache.  [Isa.decode]
    never yields a zero-length pnop, and entries are compared physically. *)
 let absent = Isa.Ipnop 0

@@ -125,6 +125,12 @@ type protect = {
     The scrubber additionally sweeps all protected words every
     [scrub_interval] cycles in the background. *)
 
+val protect_of : Cgra_arch.Protection.profile -> protect option
+(** The protection a run under [profile] gets: no upsets and the
+    {!Cgra_arch.Protection.default_scrub_interval}, or [None] when every
+    tile is unprotected, so that the run keeps the plain fetch path and
+    its results are bit-identical to a protection-free build. *)
+
 val run :
   ?mem_ports:int ->
   ?max_blocks:int ->

@@ -231,19 +231,8 @@ let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
 
 let run_campaign ?jobs ?protect ?(cm_only = false) ~seed ~trials ~key
     ~fresh_mem (program : Asm.program) =
-  (* An all-Unprotected profile is the same campaign as no profile at all;
-     normalise so the unprotected path stays the pre-existing one. *)
-  let protect =
-    match protect with
-    | Some p when not (Cgra_arch.Protection.is_none p) ->
-      Some
-        {
-          Sim.profile = p;
-          upsets = [];
-          scrub_interval = Cgra_arch.Protection.default_scrub_interval;
-        }
-    | Some _ | None -> None
-  in
+  (* An all-Unprotected profile is the same campaign as no profile at all. *)
+  let protect = Option.bind protect Sim.protect_of in
   let golden = fresh_mem () in
   let baseline = Sim.run ?protect program ~mem:golden in
   (* Corrupted control flow must terminate quickly: anything running past a

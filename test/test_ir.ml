@@ -201,6 +201,32 @@ let test_uses_of_node () =
   (* node 3 (i+1) is used by the compare and the live-out *)
   Alcotest.(check int) "i+1 fanout" 2 (Cdfg.uses_of_node body 3)
 
+(* A live-out item that reads symbol s's old value goes before the item
+   writing s; a self-assignment constrains nothing; a swap has no order. *)
+let test_order_live_outs () =
+  let order = Cdfg.order_live_outs in
+  let items = Alcotest.(option (list (pair int string))) in
+  let show =
+    Option.map
+      (List.map (fun (s, op) ->
+           ( s,
+             match op with
+             | Cdfg.Sym s' -> Printf.sprintf "s%d" s'
+             | Cdfg.Node n -> Printf.sprintf "n%d" n
+             | Cdfg.Imm k -> Printf.sprintf "#%d" k )))
+  in
+  Alcotest.check items "reader of s1 before its writer"
+    (Some [ (0, "s1"); (2, "n4"); (1, "#3") ])
+    (show (order [ (1, Cdfg.Imm 3); (0, Cdfg.Sym 1); (2, Cdfg.Node 4) ]));
+  Alcotest.check items "a chain s0 := s1 := s2"
+    (Some [ (0, "s1"); (1, "s2"); (2, "#0") ])
+    (show
+       (order [ (2, Cdfg.Imm 0); (1, Cdfg.Sym 2); (0, Cdfg.Sym 1) ]));
+  Alcotest.check items "self-assignment" (Some [ (0, "s0"); (1, "#1") ])
+    (show (order [ (0, Cdfg.Sym 0); (1, Cdfg.Imm 1) ]));
+  Alcotest.check items "swap" None
+    (show (order [ (0, Cdfg.Sym 1); (1, Cdfg.Sym 0) ]))
+
 let test_opt_removes_dead () =
   let b = B.create "dead" in
   let x = B.fresh_sym b "x" in
@@ -372,6 +398,7 @@ let suite =
         Alcotest.test_case "validate unreachable" `Quick test_validate_unreachable;
         Alcotest.test_case "block weight Wbb" `Quick test_block_weight;
         Alcotest.test_case "node fanout" `Quick test_uses_of_node;
+        Alcotest.test_case "live-out order" `Quick test_order_live_outs;
         Alcotest.test_case "opt removes dead code" `Quick test_opt_removes_dead;
         Alcotest.test_case "opt preserves semantics" `Quick test_opt_preserves_semantics;
         Alcotest.test_case "simplify cfg" `Quick test_simplify_cfg;

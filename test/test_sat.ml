@@ -654,10 +654,11 @@ let test_typed_verdicts () =
     Alcotest.(check bool) "verdict is Dead_end" true
       (f.Flow.verdict = Cgra_core.Search.Dead_end)
 
-(* The exact backend is deterministic and reads no search knob, so the
-   retry ladder gives it one rung: reseeded retries and the degrade
-   ladder would only repeat the same solves. *)
-let test_exact_one_rung () =
+(* The exact backend's ladder has two rungs, greedy then spread, and a
+   rung that fails with a proof ends it.  dc_filter@HOM64 is proved
+   unmappable on the greedy rung, so it climbs one rung whatever
+   [retries] and [degrade] say. *)
+let test_exact_proof_ends_ladder () =
   let cgra = Config.cgra Config.HOM64 and cdfg = K.cdfg (kernel "dc_filter") in
   let exact = { FC.context_aware with FC.backend = FC.Exact } in
   let failure config =
@@ -676,12 +677,12 @@ let test_exact_one_rung () =
         f.Flow.reason)
     [ ("retries 2", exact); ("degrade", { exact with FC.degrade = true }) ]
 
-(* The cells whose greedy exact pass dead-ends on the committed context
-   and whose spread pass maps.  The second pass belongs to the one rung
-   the exact backend gets, so it reports no retry and no escalation.
-   [work] counts the conflicts of both passes (the recorded values pin
-   where the spread heuristics put their budgets and reserves), and the
-   mapping pass's own conflicts fall short of it. *)
+(* The cells whose greedy exact rung dead-ends on the committed context
+   and whose spread rung maps.  The success reports one retry and keeps
+   the greedy dead end as its escalation.  [work] counts the conflicts
+   of both rungs (the recorded values pin where the spread heuristics
+   put their budgets and reserves), and the mapping rung's own conflicts
+   fall short of it. *)
 let test_exact_spread_pass () =
   List.iter
     (fun (slug, config, work) ->
@@ -689,20 +690,58 @@ let test_exact_spread_pass () =
       match run_cell slug config FC.Exact with
       | Error f -> Alcotest.failf "%s: %s" what f.Flow.reason
       | Ok (_, stats) ->
-        Alcotest.(check int) (what ^ ": no retry") 0 stats.Flow.retries_used;
-        Alcotest.(check int) (what ^ ": no escalation") 0
-          (List.length stats.Flow.escalations);
-        Alcotest.(check int) (what ^ ": conflicts of both passes") work
+        Alcotest.(check int) (what ^ ": one retry") 1 stats.Flow.retries_used;
+        (match stats.Flow.escalations with
+         | [ e ] ->
+           Alcotest.(check int) (what ^ ": the greedy rung") 0 e.Flow.e_attempt;
+           Alcotest.(check bool) (what ^ ": with the given configuration") true
+             (e.Flow.e_config = cell_config slug config FC.Exact);
+           Alcotest.(check bool) (what ^ ": it dead-ended at a block") true
+             (e.Flow.e_at_block <> None)
+         | es ->
+           Alcotest.failf "%s: %d escalations, expected the greedy rung" what
+             (List.length es));
+        Alcotest.(check int) (what ^ ": conflicts of both rungs") work
           stats.Flow.work;
         let mapping_pass =
           List.fold_left
             (fun a bs -> a + bs.Cgra_core.Search.attempts)
             0 stats.Flow.search
         in
-        Alcotest.(check bool) (what ^ ": the greedy pass failed first") true
+        Alcotest.(check bool) (what ^ ": the greedy rung failed first") true
           (mapping_pass < work))
     [ ("fft", Config.HOM32, 115); ("fft", Config.HET1, 33);
       ("fft", Config.HET2, 161); ("sep_filter", Config.HET2, 19) ]
+
+(* A failed exact map reports its last rung, the whole ladder and the
+   work of every rung.  SepFilter on 6-word context memories dead-ends
+   on both rungs; its spread rung's budgeted solves fail and fall back
+   to the reserves alone, so the recorded [work] pins that fallback
+   too.  [retries] and [degrade] do not change an exact map. *)
+let test_exact_ladder_work () =
+  let cgra = Cgra_arch.Cgra.make ~cm_of_tile:(fun _ -> 6) ()
+  and cdfg = K.cdfg (kernel "sep_filter") in
+  let exact = { FC.context_aware with FC.backend = FC.Exact } in
+  List.iter
+    (fun (what, config) ->
+      match Flow.run ~config cgra cdfg with
+      | Ok _ -> Alcotest.failf "%s: SepFilter cannot fit 6-word CMs" what
+      | Error f ->
+        Alcotest.(check bool) (what ^ ": a dead end") true
+          (f.Flow.verdict = Cgra_core.Search.Dead_end);
+        Alcotest.(check (option int)) (what ^ ": at block 11") (Some 11)
+          f.Flow.at_block;
+        Alcotest.(check (list int)) (what ^ ": both rungs") [ 0; 1 ]
+          (List.map (fun e -> e.Flow.e_attempt) f.Flow.gave_up);
+        Alcotest.(check bool) (what ^ ": each with the given configuration")
+          true
+          (List.for_all (fun e -> e.Flow.e_config = config) f.Flow.gave_up);
+        Alcotest.(check (option string)) (what ^ ": the last rung's reason")
+          (Some f.Flow.reason)
+          (Option.map (fun e -> e.Flow.e_reason) (List.nth_opt f.Flow.gave_up 1));
+        Alcotest.(check int) (what ^ ": work of both rungs") 206 f.Flow.work)
+    [ ("retries 0", { exact with FC.retries = 0 }); ("retries 2", exact);
+      ("degrade", { exact with FC.degrade = true }) ]
 
 (* The optimality report's two sides map the same lowering: under
    [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
@@ -795,10 +834,12 @@ let suite =
           test_deadline_fired_typed;
         Alcotest.test_case "failures carry typed verdicts" `Quick
           test_typed_verdicts;
-        Alcotest.test_case "exact backend climbs one rung" `Quick
-          test_exact_one_rung;
+        Alcotest.test_case "a proof ends the exact ladder" `Quick
+          test_exact_proof_ends_ladder;
         Alcotest.test_case "spread pass maps after a greedy dead end" `Quick
           test_exact_spread_pass;
+        Alcotest.test_case "failed exact map spends every rung" `Quick
+          test_exact_ladder_work;
         Alcotest.test_case "optimality report maps one lowering" `Slow
           test_optimality_report_opt;
       ] );
