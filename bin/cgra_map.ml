@@ -275,9 +275,6 @@ let map_cmd =
       Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
       print_escalations f.Cgra_core.Flow.gave_up;
       exit 2
-    | Error (Toolchain.Unassemblable _ as e) ->
-      Printf.printf "no mapping: %s\n" (Toolchain.error_to_string e);
-      exit 2
     | Error e ->
       Printf.eprintf "map: %s\n" (Toolchain.error_to_string e);
       exit 3
@@ -383,9 +380,12 @@ let fault_cmd =
       Toolchain.map ~config:flow (Cgra_arch.Config.cgra config)
         (Cgra_kernels.Kernel_def.cdfg k)
     with
-    | Error e ->
-      Printf.printf "no mapping: %s\n" (Toolchain.error_to_string e);
+    | Error (Toolchain.Unmapped f) ->
+      Printf.printf "no mapping: %s\n" f.Cgra_core.Flow.reason;
       exit 2
+    | Error e ->
+      Printf.eprintf "fault: %s\n" (Toolchain.error_to_string e);
+      exit 3
     | Ok { Toolchain.program; _ } ->
       let module F = Cgra_verify.Fault in
       let key =

@@ -169,70 +169,59 @@ let pass ~work ~config ~routes ~deadline ~rng ?base ~spread cgra cdfg order =
    backend's spread heuristics when [spread] is set. *)
 let run_once ~work ~retries_used ~config ~routes ~deadline ~spread ?base cgra
     cdfg =
-  match Cdfg.validate cdfg with
-  | Error msg -> Error (fail ~work:!work ("invalid CDFG: " ^ msg))
-  | Ok () ->
-    if cdfg.Cdfg.sym_count > cgra.Cgra.rf_words then
+  let order = traversal_order config.Flow_config.traversal cdfg in
+  let order =
+    match base with
+    | None -> order
+    | Some (_, dirty, _) -> List.filter (fun b -> dirty.(b)) order
+  in
+  match
+    pass ~work ~config ~routes ~deadline
+      ~rng:(Rng.create config.Flow_config.seed)
+      ?base ~spread cgra cdfg order
+  with
+  | Error f -> Error f
+  | Ok (bbs_in_order, search, committed, homes) ->
+    let bbs =
+      match base with
+      | None -> Array.make (Array.length cdfg.Cdfg.blocks) None
+      | Some (m, dirty, _) ->
+        Array.mapi
+          (fun bi bm -> if dirty.(bi) then None else Some bm)
+          m.Mapping.bbs
+    in
+    List.iter
+      (fun bm -> bbs.(bm.Mapping.bb) <- Some bm)
+      bbs_in_order;
+    let bbs =
+      Array.map
+        (function
+          | Some bm -> bm
+          | None -> assert false (* every block is mapped or reused *))
+        bbs
+    in
+    (* Symbols never touched keep home -1; pin them anywhere so the
+       assembler has a slot (they are dead). *)
+    let homes = Array.map (fun h -> if h < 0 then 0 else h) homes in
+    (* After the last block [committed] holds every tile's total
+       words, so the verdict needs no recount of the mapping. *)
+    let culprits =
+      List.filter_map
+        (fun t ->
+          let cap = cgra.Cgra.tiles.(t).Cgra.cm_words in
+          if committed.(t) > cap then
+            Some (Printf.sprintf "T%02d %d/%d" t committed.(t) cap)
+          else None)
+        (List.init (Cgra.tile_count cgra) Fun.id)
+    in
+    if culprits = [] then
+      Ok
+        ( { Mapping.cdfg; cgra; bbs; homes },
+          { work = !work; retries_used; search; escalations = [] } )
+    else
       Error
         (fail ~work:!work
-           (Printf.sprintf
-              "kernel needs %d symbol-variable RF slots, tile RF has %d"
-              cdfg.Cdfg.sym_count cgra.Cgra.rf_words))
-    else begin
-      let order = traversal_order config.Flow_config.traversal cdfg in
-      let order =
-        match base with
-        | None -> order
-        | Some (_, dirty, _) -> List.filter (fun b -> dirty.(b)) order
-      in
-      match
-        pass ~work ~config ~routes ~deadline
-          ~rng:(Rng.create config.Flow_config.seed)
-          ?base ~spread cgra cdfg order
-      with
-      | Error f -> Error f
-      | Ok (bbs_in_order, search, committed, homes) ->
-        let bbs =
-          match base with
-          | None -> Array.make (Array.length cdfg.Cdfg.blocks) None
-          | Some (m, dirty, _) ->
-            Array.mapi
-              (fun bi bm -> if dirty.(bi) then None else Some bm)
-              m.Mapping.bbs
-        in
-        List.iter
-          (fun bm -> bbs.(bm.Mapping.bb) <- Some bm)
-          bbs_in_order;
-        let bbs =
-          Array.map
-            (function
-              | Some bm -> bm
-              | None -> assert false (* every block is mapped or reused *))
-            bbs
-        in
-        (* Symbols never touched keep home -1; pin them anywhere so the
-           assembler has a slot (they are dead). *)
-        let homes = Array.map (fun h -> if h < 0 then 0 else h) homes in
-        (* After the last block [committed] holds every tile's total
-           words, so the verdict needs no recount of the mapping. *)
-        let culprits =
-          List.filter_map
-            (fun t ->
-              let cap = cgra.Cgra.tiles.(t).Cgra.cm_words in
-              if committed.(t) > cap then
-                Some (Printf.sprintf "T%02d %d/%d" t committed.(t) cap)
-              else None)
-            (List.init (Cgra.tile_count cgra) Fun.id)
-        in
-        if culprits = [] then
-          Ok
-            ( { Mapping.cdfg; cgra; bbs; homes },
-              { work = !work; retries_used; search; escalations = [] } )
-        else
-          Error
-            (fail ~work:!work
-               ("context memory overflow: " ^ String.concat ", " culprits))
-    end
+           ("context memory overflow: " ^ String.concat ", " culprits))
 
 (* The one retry ladder over [run_once].  Rung k is an attempt with
    [retries_used = k].  On the beam, without [degrade] the rungs reseed
@@ -318,10 +307,23 @@ let drive_single ~work ~config ~deadline ?base cgra cdfg =
    block, plus [move_weight] per routing move), with ties to the
    beam, so a portfolio artifact is never worse than the beam's. *)
 let drive ~work ~config ~deadline ?base cgra cdfg =
-  match config.Flow_config.backend with
-  | Flow_config.Beam | Flow_config.Exact ->
+  (* The kernel's preconditions hold or fail alike on every rung and
+     both backends, so they are checked once, before any of them runs. *)
+  let precondition =
+    match Cdfg.validate cdfg with
+    | Error msg -> Some ("invalid CDFG: " ^ msg)
+    | Ok () when cdfg.Cdfg.sym_count > cgra.Cgra.rf_words ->
+      Some
+        (Printf.sprintf
+           "kernel needs %d symbol-variable RF slots, tile RF has %d"
+           cdfg.Cdfg.sym_count cgra.Cgra.rf_words)
+    | Ok () -> None
+  in
+  match (precondition, config.Flow_config.backend) with
+  | Some reason, _ -> Error (fail ~work:0 reason)
+  | None, (Flow_config.Beam | Flow_config.Exact) ->
     drive_single ~work ~config ~deadline ?base cgra cdfg
-  | Flow_config.Portfolio -> (
+  | None, Flow_config.Portfolio -> (
     let results =
       Cgra_util.Pool.map ~jobs:2
         (fun backend ->

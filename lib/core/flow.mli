@@ -51,7 +51,10 @@ type failure = {
           before giving up, over every rung of the ladder *)
   gave_up : escalation list;
       (** the full ladder trace, one entry per exhausted rung; [[]] when
-          the deadline cut the run short *)
+          the deadline cut the run short, and when the kernel failed a
+          precondition (an invalid CDFG, or more symbol variables than
+          RF slots), which {!run} checks once before any rung or
+          backend runs *)
 }
 
 type stats = {

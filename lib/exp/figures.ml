@@ -2,6 +2,7 @@ module K = Cgra_kernels.Kernel_def
 module Config = Cgra_arch.Config
 module M = Cgra_core.Mapping
 module FC = Cgra_core.Flow_config
+module Flow = Cgra_core.Flow
 module T = Cgra_util.Text_table
 
 let configs = Config.all
@@ -18,6 +19,11 @@ let () =
 
 let artifact_error artifact fmt =
   Printf.ksprintf (fun reason -> raise (Artifact_error { artifact; reason })) fmt
+
+(* A mapped harness cell's simulated cycles and energy. *)
+let cycles (_, x) = x.Toolchain.sim.Cgra_sim.Simulator.cycles
+let energy_uj (_, x) =
+  Cgra_power.Energy.(to_uj x.Toolchain.energy.total_pj)
 
 type params = {
   opt : Toolchain.opt;
@@ -55,9 +61,9 @@ let table1 (_ : params) =
 let fig2 p =
   let k = Option.get (Cgra_kernels.Kernels.by_slug "matm") in
   match Runner.run_of ~opt:p.opt k Config.HOM64 FC.Basic with
-  | Runner.Unmappable u -> artifact_error "fig2" "basic matm must map: %s" u.reason
-  | Runner.Mapped r ->
-    let usage = M.tile_usage r.Runner.mapping in
+  | Error f -> artifact_error "fig2" "basic matm must map: %s" f.Flow.reason
+  | Ok (m, _) ->
+    let usage = M.tile_usage m.Toolchain.mapping in
     let series =
       Array.to_list
         (Array.mapi
@@ -130,10 +136,10 @@ let fig5 (_ : params) =
 
 let baseline_cycles p k =
   match Runner.run_of ~opt:p.opt k Config.HOM64 FC.Basic with
-  | Runner.Mapped r -> r.Runner.cycles
-  | Runner.Unmappable u ->
+  | Ok r -> cycles r
+  | Error f ->
     artifact_error "fig6-8" "basic mapping must fit HOM64 for %s: %s" k.K.name
-      u.reason
+      f.Flow.reason
 
 let latency_figure ~title ~flow p =
   let rows =
@@ -144,8 +150,8 @@ let latency_figure ~title ~flow p =
           List.map
             (fun config ->
               match Runner.run_of ~opt:p.opt k config flow with
-              | Runner.Mapped r -> float_of_int r.Runner.cycles /. base
-              | Runner.Unmappable _ -> 0.0)
+              | Ok r -> float_of_int (cycles r) /. base
+              | Error _ -> 0.0)
             configs
         in
         (k.K.name, values))
@@ -206,11 +212,11 @@ let fig10 p =
         let cpu = (Runner.cpu_of k).Runner.cpu_sim.Cgra_cpu.Cpu_sim.cycles in
         let cell config flow =
           match Runner.run_of ~opt:p.opt k config flow with
-          | Runner.Mapped r ->
-            let norm = float_of_int r.Runner.cycles /. float_of_int cpu in
+          | Ok r ->
+            let norm = float_of_int (cycles r) /. float_of_int cpu in
             if flow = FC.Full then speedups := (1.0 /. norm) :: !speedups;
-            (string_of_int r.Runner.cycles, T.float_cell norm)
-          | Runner.Unmappable _ -> ("-", "-")
+            (string_of_int (cycles r), T.float_cell norm)
+          | Error _ -> ("-", "-")
         in
         let b, bn = cell Config.HOM64 FC.Basic in
         let h1, h1n = cell Config.HET1 FC.Full in
@@ -270,8 +276,8 @@ let table2 p =
         let cpu_uj = E.to_uj (Runner.cpu_of k).Runner.cpu_energy.E.total_pj in
         let cgra config flow =
           match Runner.run_of ~opt:p.opt k config flow with
-          | Runner.Mapped r -> Some (E.to_uj r.Runner.energy.E.total_pj)
-          | Runner.Unmappable _ -> None
+          | Ok r -> Some (energy_uj r)
+          | Error _ -> None
         in
         let basic = cgra Config.HOM64 FC.Basic in
         let het1 = cgra Config.HET1 FC.Full in
@@ -323,7 +329,6 @@ let table2 p =
    It maps both lowerings whatever [p.opt] says. *)
 let opt_report (_ : params) =
   let module P = Cgra_opt.Pipeline in
-  let module E = Cgra_power.Energy in
   (* static: pipeline on the naive lowering, per-pass statistics *)
   let static =
     List.map
@@ -361,8 +366,8 @@ let opt_report (_ : params) =
   in
   (* end-to-end: map the raw and the optimized CDFG with the basic flow *)
   let flow = FC.Basic in
-  let usage_of r =
-    let usage = M.tile_usage r.Runner.mapping in
+  let usage_of (m, _) =
+    let usage = M.tile_usage m.Toolchain.mapping in
     let total = Array.fold_left (fun a u -> a + M.usage_total u) 0 usage in
     let peak = Array.fold_left (fun a u -> max a (M.usage_total u)) 0 usage in
     (total, peak)
@@ -383,17 +388,17 @@ let opt_report (_ : params) =
               let opt = Runner.run_of ~opt:Toolchain.Optimized k config flow in
               let pair f =
                 match raw, opt with
-                | Runner.Mapped r, Runner.Mapped o ->
+                | Ok r, Ok o ->
                   let fr, fo = (f r, f o) in
                   [ fr; fo ]
-                | Runner.Mapped r, Runner.Unmappable _ -> [ f r; "-" ]
-                | Runner.Unmappable _, Runner.Mapped o -> [ "-"; f o ]
-                | Runner.Unmappable _, Runner.Unmappable _ -> [ "-"; "-" ]
+                | Ok r, Error _ -> [ f r; "-" ]
+                | Error _, Ok o -> [ "-"; f o ]
+                | Error _, Error _ -> [ "-"; "-" ]
               in
               (match raw, opt with
-               | Runner.Mapped r, Runner.Mapped o ->
+               | Ok r, Ok o ->
                  if fst (usage_of o) < fst (usage_of r) then ctx_better := true
-               | _, Runner.Mapped _ ->
+               | _, Ok _ ->
                  (* raw does not even fit: the optimizer turned an
                     unmappable kernel into a mappable one *)
                  ctx_better := true
@@ -401,10 +406,10 @@ let opt_report (_ : params) =
               [ k.K.name; Config.to_string config ]
               @ pair (fun r -> string_of_int (fst (usage_of r)))
               @ pair (fun r -> string_of_int (snd (usage_of r)))
-              @ pair (fun r -> string_of_int r.Runner.cycles)
+              @ pair (fun r -> string_of_int (cycles r))
               @ [ string_of_int (Runner.compile_work_of raw);
                   string_of_int (Runner.compile_work_of opt) ]
-              @ pair (fun r -> T.float_cell (E.to_uj r.Runner.energy.E.total_pj)))
+              @ pair (fun r -> T.float_cell (energy_uj r)))
             configs
         in
         if !ctx_better then incr ctx_wins;
@@ -445,10 +450,10 @@ let search_report p =
   List.iter
     (fun k ->
       match Runner.run_of ~opt:p.opt k config flow with
-      | Runner.Unmappable u ->
-        summary_rows := [ k.K.name; "-"; "-"; "unmappable: " ^ u.reason ]
+      | Error f ->
+        summary_rows := [ k.K.name; "-"; "-"; "unmappable: " ^ f.Flow.reason ]
                         :: !summary_rows
-      | Runner.Mapped r ->
+      | Ok ({ Toolchain.stats; _ }, _) ->
         List.iteri
           (fun i (bs : S.block_stats) ->
             block_rows :=
@@ -459,11 +464,11 @@ let search_report p =
                 num bs.S.prune_survivors; num bs.S.finalize_failures;
                 num bs.S.recomputes; num bs.S.population_peak ]
               :: !block_rows)
-          r.Runner.search;
+          stats.Flow.search;
         summary_rows :=
-          [ k.K.name; num r.Runner.compile_work;
-            num r.Runner.retries_used;
-            num (List.length r.Runner.search) ]
+          [ k.K.name; num stats.Flow.work;
+            num stats.Flow.retries_used;
+            num (List.length stats.Flow.search) ]
           :: !summary_rows)
     Runner.kernels;
   let align = [ `L; `L; `R; `R; `R; `R; `R; `R; `R; `R; `R; `R ] in
@@ -512,11 +517,11 @@ let fault_report p =
     List.map
       (fun k ->
         match Runner.run_of ~opt:p.opt k config flow with
-        | Runner.Unmappable u ->
+        | Error f ->
           [ k.K.name; "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
           @ (if protected_ then [ "-"; "-" ] else [])
-          @ [ "-"; "unmappable: " ^ u.reason ]
-        | Runner.Mapped r ->
+          @ [ "-"; "unmappable: " ^ f.Flow.reason ]
+        | Ok ({ Toolchain.program; _ }, _) ->
           let key =
             k.K.slug ^ "/" ^ Config.to_string config ^ "/"
             ^ FC.preset_label flow ^ "/fault"
@@ -525,7 +530,7 @@ let fault_report p =
             F.run_campaign ?jobs:p.jobs ~protect:prot ~seed:fault_seed
               ~trials ~key
               ~fresh_mem:(fun () -> K.fresh_mem k)
-              r.Runner.program
+              program
           in
           let by_class p =
             List.length
@@ -604,11 +609,10 @@ let protection_report p =
         List.map
           (fun config ->
             match Runner.run_of ~opt:p.opt k config flow with
-            | Runner.Unmappable _ ->
+            | Error _ ->
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
                 "-"; "-"; "-" ]
-            | Runner.Mapped r ->
-              let program = r.Runner.program in
+            | Ok ({ Toolchain.program; _ }, x) ->
               let key =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
                 ^ FC.preset_label flow ^ "/protect"
@@ -636,7 +640,7 @@ let protection_report p =
                 in
                 let pct =
                   100.0
-                  *. ((e.E.total_pj /. r.Runner.energy.E.total_pj) -. 1.0)
+                  *. ((e.E.total_pj /. x.Toolchain.energy.E.total_pj) -. 1.0)
                 in
                 ovh_totals := (lbl, pct) :: !ovh_totals;
                 Printf.sprintf "%+.1f%%" pct
@@ -731,10 +735,10 @@ let repair_report p =
         List.map
           (fun config ->
             match Runner.run_of ~opt:p.opt k config flow with
-            | Runner.Unmappable u ->
+            | Error f ->
               [ k.K.name; Config.to_string config; "-"; "-"; "-"; "-"; "-";
-                "-"; "-"; "unmappable: " ^ u.reason ]
-            | Runner.Mapped r ->
+                "-"; "-"; "unmappable: " ^ f.Flow.reason ]
+            | Ok ({ Toolchain.mapping; _ }, _) ->
               let key =
                 k.K.slug ^ "/" ^ Config.to_string config ^ "/"
                 ^ FC.preset_label flow ^ "/repair"
@@ -751,7 +755,7 @@ let repair_report p =
                   ~key ~mode
                   ~config:config_flow
                   ~fresh_mem:(fun () -> K.fresh_mem k)
-                  r.Runner.mapping
+                  mapping
               in
               timings :=
                 (k.K.name, Config.to_string config,
@@ -832,14 +836,15 @@ let repair_report p =
 
 (* Not part of the paper: the exact backend re-maps every (kernel,
    configuration) cell of the full context-aware flow and the table puts
-   its context words, cycles and energy next to the beam's.  The exact
+   its context words, cycles and energy next to the beam's.  Both sides
+   are harness cells, the exact one keyed by its backend and seeded like
+   the beam's.  The exact
    flow is move-free, so "UNSAT" always reads "under the exact encoding"
    (DESIGN.md §5g): the beam may still map the same cell with move
    chains.  Both sides map the same lowering ([p.opt]) and are
    deterministic, so the report reproduces byte-for-byte at any [--jobs]
    value.  [p.quick] shrinks the grid for CI smoke runs. *)
 let optimality_report p =
-  let module E = Cgra_power.Energy in
   let quick = p.quick in
   let kernels =
     if quick then
@@ -849,53 +854,37 @@ let optimality_report p =
     else Runner.kernels
   in
   let configs = if quick then [ Config.HOM64; Config.HOM32 ] else configs in
-  let words_of mapping =
-    Array.fold_left
-      (fun acc u -> acc + M.usage_total u)
-      0 (M.tile_usage mapping)
-  in
-  let exact_cell k config =
-    let fc =
-      { (Runner.cell_flow_config ~opt:p.opt k.K.slug config FC.Full) with
-        FC.backend = FC.Exact }
-    in
-    match Toolchain.run_kernel ~opt:p.opt ~config:fc (Config.cgra config) k with
-    | Ok (m, x) -> `Mapped (m.Toolchain.mapping, x.Toolchain.sim, x.Toolchain.energy)
-    | Error (Toolchain.Unmapped f) -> `Unmapped f.Cgra_core.Flow.verdict
-    | Error (Toolchain.Unassemblable _) -> `Unmapped Cgra_core.Search.Dead_end
-    | Error e ->
-      artifact_error "optimality_report" "exact mapping of %s on %s: %s" k.K.name
-        (Config.to_string config) (Toolchain.error_to_string e)
+  let columns = function
+    | Ok (({ Toolchain.mapping; _ }, _) as r) ->
+      [ string_of_int
+          (Array.fold_left
+             (fun acc u -> acc + M.usage_total u)
+             0 (M.tile_usage mapping));
+        string_of_int (cycles r);
+        T.float_cell (energy_uj r) ]
+    | Error _ -> [ "-"; "-"; "-" ]
   in
   let rows =
     List.concat_map
       (fun k ->
         List.map
           (fun config ->
-            let beam =
-              match Runner.run_of ~opt:p.opt k config FC.Full with
-              | Runner.Mapped r ->
-                [ string_of_int (words_of r.Runner.mapping);
-                  string_of_int r.Runner.cycles;
-                  T.float_cell (E.to_uj r.Runner.energy.E.total_pj) ]
-              | Runner.Unmappable _ -> [ "-"; "-"; "-" ]
+            let beam = Runner.run_of ~opt:p.opt k config FC.Full in
+            let exact =
+              Runner.run_of ~opt:p.opt ~backend:FC.Exact k config FC.Full
             in
-            let exact, note =
-              match exact_cell k config with
-              | `Mapped (mapping, sim, energy) ->
-                ( [ string_of_int (words_of mapping);
-                    string_of_int sim.Cgra_sim.Simulator.cycles;
-                    T.float_cell (E.to_uj energy.E.total_pj) ],
-                  "" )
-              | `Unmapped verdict ->
-                ( [ "-"; "-"; "-" ],
-                  match verdict with
-                  | Cgra_core.Search.Proved_unsat -> "UNSAT under encoding"
-                  | Cgra_core.Search.Budget_spent -> "budget exhausted"
-                  | Cgra_core.Search.Dead_end | Cgra_core.Search.Expired _ ->
-                    "no mapping" )
+            let note =
+              match exact with
+              | Ok _ -> ""
+              | Error f -> (
+                match f.Flow.verdict with
+                | Cgra_core.Search.Proved_unsat -> "UNSAT under encoding"
+                | Cgra_core.Search.Budget_spent -> "budget exhausted"
+                | Cgra_core.Search.Dead_end | Cgra_core.Search.Expired _ ->
+                  "no mapping")
             in
-            [ k.K.name; Config.to_string config ] @ beam @ exact @ [ note ])
+            [ k.K.name; Config.to_string config ] @ columns beam @ columns exact
+            @ [ note ])
           configs)
       kernels
   in

@@ -29,20 +29,8 @@ let cell_flow_config ?(opt = Toolchain.Default) slug config preset =
   in
   { fc with FC.seed = Rng.seed_of ~base:fc.FC.seed key }
 
-type run = {
-  mapping : Cgra_core.Mapping.t;
-  program : Cgra_asm.Assemble.program;
-  sim : Cgra_sim.Simulator.result;
-  cycles : int;
-  energy : Cgra_power.Energy.breakdown;
-  compile_work : int;
-  retries_used : int;
-  search : Cgra_core.Search.block_stats list;
-}
-
 type cell =
-  | Mapped of run
-  | Unmappable of { reason : string; compile_work : int }
+  (Toolchain.mapped * Toolchain.executed, Cgra_core.Flow.failure) result
 
 (* ---- thread-safe memoisation ---------------------------------------- *)
 
@@ -162,27 +150,21 @@ module Memo = struct
 end
 
 let cache :
-    (string * Cgra_arch.Config.name * FC.preset * Toolchain.opt, cell) Memo.t =
+    ( string * Cgra_arch.Config.name * FC.preset * Toolchain.opt * FC.backend,
+      cell )
+    Memo.t =
   Memo.create 64
 
-let run_of ?(opt = Toolchain.Default) k config preset =
-  Memo.get cache (k.K.slug, config, preset, opt) (fun () ->
-      let fc = cell_flow_config ~opt k.K.slug config preset in
+let run_of ?(opt = Toolchain.Default) ?backend k config preset =
+  let fc = cell_flow_config ~opt k.K.slug config preset in
+  let fc =
+    { fc with FC.backend = Option.value backend ~default:fc.FC.backend }
+  in
+  Memo.get cache (k.K.slug, config, preset, opt, fc.FC.backend) (fun () ->
       let cgra = Cgra_arch.Config.cgra config in
       match Toolchain.run_kernel ~opt ~config:fc cgra k with
-      | Ok ({ mapping; stats; program; opt_report = _ }, { sim; energy }) ->
-        Mapped
-          { mapping; program; sim; cycles = sim.Cgra_sim.Simulator.cycles; energy;
-            compile_work = stats.Cgra_core.Flow.work;
-            retries_used = stats.Cgra_core.Flow.retries_used;
-            search = stats.Cgra_core.Flow.search }
-      | Error (Toolchain.Unmapped f as e) ->
-        Unmappable
-          { reason = Toolchain.error_to_string e;
-            compile_work = f.Cgra_core.Flow.work }
-      | Error (Toolchain.Unassemblable { work; _ } as e) ->
-        (* register-file pressure the search does not model *)
-        Unmappable { reason = Toolchain.error_to_string e; compile_work = work }
+      | Ok _ as cell -> cell
+      | Error (Toolchain.Unmapped f) -> Error f
       | Error error ->
         raise
           (Failed
@@ -208,9 +190,9 @@ let cpu_of k =
           (Failed { kernel = k.K.name; target = "cpu"; error = Toolchain.Wrong_output });
       { cpu_sim; cpu_energy = Cgra_power.Energy.cpu cpu_sim })
 
-let compile_work_of = function
-  | Mapped r -> r.compile_work
-  | Unmappable u -> u.compile_work
+let compile_work_of : cell -> int = function
+  | Ok (m, _) -> m.Toolchain.stats.work
+  | Error f -> f.work
 
 let kernels = Cgra_kernels.Kernels.all
 

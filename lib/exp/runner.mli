@@ -75,28 +75,16 @@ val cell_flow_config :
     non-[Default] [opt] adds its {!Toolchain.opt_label} to the key.
     Exposed so tests can reproduce a single cell outside the cache. *)
 
-type run = {
-  mapping : Cgra_core.Mapping.t;
-  program : Cgra_asm.Assemble.program;  (** validated *)
-  sim : Cgra_sim.Simulator.result;
-  cycles : int;
-  energy : Cgra_power.Energy.breakdown;
-  compile_work : int;
-      (** deterministic search effort (binding attempts), identical on
-          every host *)
-  retries_used : int;
-      (** re-seeded flow retries consumed before the mapping succeeded *)
-  search : Cgra_core.Search.block_stats list;
-      (** per-block search telemetry of the successful attempt, traversal
-          order; deterministic except for the [wall_seconds] field *)
-}
-
 type cell =
-  | Mapped of run
-  | Unmappable of { reason : string; compile_work : int }
+  (Toolchain.mapped * Toolchain.executed, Cgra_core.Flow.failure) result
+(** A cell's one outcome: {!Toolchain.run_kernel}'s records — the
+    validated program, its flow stats (deterministic [work]), the
+    simulation and the energy — or the failure of the map: no mapping
+    from the flow, or none the assembler accepts. *)
 
 val run_of :
   ?opt:Toolchain.opt ->
+  ?backend:Cgra_core.Flow_config.backend ->
   Cgra_kernels.Kernel_def.t ->
   Cgra_arch.Config.name ->
   Cgra_core.Flow_config.preset ->
@@ -104,10 +92,13 @@ val run_of :
 (** Memoized; safe to call concurrently.  [opt] (default [Default])
     selects the kernel's lowering; [Raw] and [Optimized] cells carry
     their mode in the cache key and in the RNG cell key, so they coexist
-    with (and never perturb) the [Default] cells.  Every cell goes through
+    with (and never perturb) the [Default] cells.  [backend] (default
+    the preset's) picks the mapper; the cache key holds it, and the seed
+    stays the preset cell's split, so an [Exact] cell runs with the beam
+    cell's configuration but for its backend.  Every cell goes through
     {!Toolchain.run_kernel}: mapped, validated, simulated against the
-    golden model and priced.  No mapping (or an unassemblable one) is
-    [Unmappable]; any later stage failing raises {!Failed}. *)
+    golden model and priced.  A failed map is [Error]; any later stage
+    failing raises {!Failed}. *)
 
 type cpu_run = {
   cpu_sim : Cgra_cpu.Cpu_sim.result;
@@ -118,6 +109,9 @@ val cpu_of : Cgra_kernels.Kernel_def.t -> cpu_run
 (** Memoized; also checked against the golden model. *)
 
 val compile_work_of : cell -> int
+(** The cell's deterministic compile effort: [stats.work] of a mapped
+    cell, [failure.work] of a failed one. *)
+
 val kernels : Cgra_kernels.Kernel_def.t list
 
 val warm : ?jobs:int -> ?opt:Toolchain.opt -> unit -> unit

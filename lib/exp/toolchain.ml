@@ -31,7 +31,6 @@ let compile opt source = Cgra_lang.Compile.compile ~raw:(raw_lowering opt) sourc
 type error =
   | Unmapped of Flow.failure
   | Unoptimizable of string
-  | Unassemblable of { reason : string; work : int }
   | Invalid of Validator.violation list
   | Crashed of Sim.error
   | Wrong_output
@@ -39,7 +38,6 @@ type error =
 let error_to_string = function
   | Unmapped f -> f.Flow.reason
   | Unoptimizable msg -> "optimize: differential verification failed: " ^ msg
-  | Unassemblable { reason; _ } -> "assembly: " ^ reason
   | Invalid vs ->
     "validate: " ^ String.concat "; " (List.map Validator.to_string vs)
   | Crashed e -> "simulate: " ^ Sim.error_to_string e
@@ -73,7 +71,13 @@ let map ?deadline ~config cgra cdfg =
   | Ok (mapping, stats) -> (
     match Cgra_asm.Assemble.assemble mapping with
     | exception Cgra_asm.Assemble.Assembly_error reason ->
-      Error (Unassemblable { reason; work = stats.Flow.work })
+      (* Register-file pressure the search does not model: a dead end
+         the flow's ladder never saw, so it names no rung. *)
+      Error
+        (Unmapped
+           { Flow.verdict = Cgra_core.Search.Dead_end;
+             reason = "assembly: " ^ reason; at_block = None;
+             work = stats.Flow.work; gave_up = [] })
     | program ->
       Result.map
         (fun () -> { mapping; stats; program; opt_report = None })

@@ -48,14 +48,14 @@ val compile :
 (** Why a run stopped, one constructor per stage. *)
 type error =
   | Unmapped of Cgra_core.Flow.failure
-      (** map: the flow found no mapping, or its deadline fired
-          ([failure.verdict] is [Expired]) *)
+      (** map: the flow found no mapping, its deadline fired
+          ([failure.verdict] is [Expired]), or the assembler rejected
+          the mapping it found — register-file pressure the search does
+          not model, a [Dead_end] whose reason starts ["assembly: "],
+          with the flow's [work], no block and an empty [gave_up] *)
   | Unoptimizable of string
       (** optimize: the [cgra_opt] pipeline failed differential
           verification *)
-  | Unassemblable of { reason : string; work : int }
-      (** assemble: register-file pressure the search does not model;
-          [work] is the flow's binding attempts *)
   | Invalid of Cgra_verify.Validator.violation list
       (** validate: the independent validator rejected the program *)
   | Crashed of Cgra_sim.Simulator.error  (** simulate *)
@@ -64,9 +64,9 @@ type error =
           model *)
 
 val error_to_string : error -> string
-(** One line.  [Unmapped] renders as the flow's reason and
-    [Unassemblable] as ["assembly: <reason>"], the unmappable reasons the
-    harness reports; the other stages are prefixed with their name. *)
+(** One line.  [Unmapped] renders as its failure's reason, the
+    unmappable reason the harness and the daemon report; the other
+    stages are prefixed with their name. *)
 
 type mapped = {
   mapping : Cgra_core.Mapping.t;
@@ -88,7 +88,8 @@ val map :
   Cgra_ir.Cdfg.t ->
   (mapped, error) result
 (** Map the CDFG as given onto [cgra] (degraded by [config.faults]),
-    assemble, validate.  [deadline] bounds the flow. *)
+    assemble, validate.  [deadline] bounds the flow.  A failure of the
+    flow or of the assembler is [Unmapped]. *)
 
 val validate : Cgra_asm.Assemble.program -> (unit, error) result
 (** The validate stage on its own: [Error (Invalid _)] on any violation. *)

@@ -60,12 +60,14 @@ type env = {
 
 (* Mutable per-block lowering state.  [vars] maps scalars assigned in this
    block to their current operand; [vn] is the local value-numbering table
-   for pure operations. *)
+   for pure operations.  [vn] and [loads] are hash tables, searched for
+   every emitted node; a key is added only after a failed lookup, so each
+   holds one entry per key. *)
 type bctx = {
   handle : B.block_handle;
   mutable vars : (string * Cdfg.operand) list;
-  mutable vn : ((Opcode.t * Cdfg.operand list) * Cdfg.operand) list;
-  mutable loads : ((string * int * Cdfg.operand) * Cdfg.operand) list;
+  vn : (Opcode.t * Cdfg.operand list, Cdfg.operand) Hashtbl.t;
+  loads : (string * int * Cdfg.operand, Cdfg.operand) Hashtbl.t;
       (** (array, store-epoch, address) -> loaded value: loads are reused
           only while no store to the same array intervenes (arrays are
           disjoint regions by language semantics) *)
@@ -76,8 +78,8 @@ type bctx = {
 }
 
 let new_block env name =
-  { handle = B.add_block env.builder name; vars = []; vn = []; loads = [];
-    epochs = []; mem_order = [] }
+  { handle = B.add_block env.builder name; vars = []; vn = Hashtbl.create 16;
+    loads = Hashtbl.create 16; epochs = []; mem_order = [] }
 
 let epoch_of bctx arr =
   match List.assoc_opt arr bctx.epochs with Some e -> e | None -> 0
@@ -91,11 +93,11 @@ let emit ?mem_dep env bctx opcode operands =
     && match opcode with Opcode.Load | Opcode.Store -> false | _ -> true
   in
   let key = (opcode, operands) in
-  match if pure then List.assoc_opt key bctx.vn else None with
+  match if pure then Hashtbl.find_opt bctx.vn key else None with
   | Some op -> op
   | None ->
     let op = B.add_node ?mem_dep env.builder bctx.handle opcode operands in
-    if pure then bctx.vn <- (key, op) :: bctx.vn;
+    if pure then Hashtbl.add bctx.vn key op;
     op
 
 let mem_state bctx arr =
@@ -166,11 +168,11 @@ let rec lower_expr env bctx = function
     if env.naive then emit_load env bctx a addr
     else
       let key = (a, epoch_of bctx a, addr) in
-      (match List.assoc_opt key bctx.loads with
+      (match Hashtbl.find_opt bctx.loads key with
        | Some v -> v
        | None ->
          let v = emit_load env bctx a addr in
-         bctx.loads <- (key, v) :: bctx.loads;
+         Hashtbl.add bctx.loads key v;
          v)
   | Ast.Bin (op, a, b) ->
     let x = lower_expr env bctx a in

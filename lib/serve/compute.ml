@@ -46,7 +46,7 @@ let run ?deadline (spec : Key.spec) =
         { Cgra_core.Flow.verdict = Cgra_core.Search.Expired { where }; _ }) ->
     (* Not a verdict about the kernel — the caller must not memoise it. *)
     Ok (Timed_out { where })
-  | Error ((Toolchain.Unmapped _ | Toolchain.Unassemblable _) as e) ->
-    Ok (Unmappable { reason = Toolchain.error_to_string e })
+  | Error (Toolchain.Unmapped f) ->
+    Ok (Unmappable { reason = f.Cgra_core.Flow.reason })
   | Error e ->
     Error (Toolchain.error_to_string e ^ " — tool bug, refusing to cache")

@@ -219,14 +219,28 @@ let test_crf_overflow () =
   B.set_terminator b blk Cdfg.Return;
   let cdfg = B.finish b in
   let cgra = Cgra_arch.Cgra.make ~rows:1 ~cols:1 ~lsu_rows:1 ~cm_of_tile:(fun _ -> 64) () in
-  match Flow.run cgra cdfg with
-  | Error _ -> () (* also acceptable: the mapper itself refuses *)
-  | Ok (m, _) ->
-    Alcotest.(check bool) "CRF overflow reported" true
-      (try
-         ignore (Asm.assemble m);
-         false
-       with Asm.Assembly_error _ -> true)
+  (match Flow.run cgra cdfg with
+   | Error _ -> () (* also acceptable: the mapper itself refuses *)
+   | Ok (m, _) ->
+     Alcotest.(check bool) "CRF overflow reported" true
+       (try
+          ignore (Asm.assemble m);
+          false
+        with Asm.Assembly_error _ -> true));
+  (* The tool chain reports it as a failed map: a dead end after the
+     flow's work, outside its ladder. *)
+  match Cgra_exp.Toolchain.map ~config:FC.default cgra cdfg with
+  | Error (Cgra_exp.Toolchain.Unmapped f) ->
+    Alcotest.(check bool) "a dead end" true
+      (f.Flow.verdict = Cgra_core.Search.Dead_end);
+    Alcotest.(check string) "the assembler's reason"
+      "assembly: constant register file overflow on tile 0" f.Flow.reason;
+    Alcotest.(check (option int)) "no block" None f.Flow.at_block;
+    Alcotest.(check int) "the flow's work" 41 f.Flow.work;
+    Alcotest.(check int) "no rung" 0 (List.length f.Flow.gave_up)
+  | Error e ->
+    Alcotest.fail ("not a failed map: " ^ Cgra_exp.Toolchain.error_to_string e)
+  | Ok _ -> Alcotest.fail "a 1x1 array cannot hold 40 constants"
 
 let suite =
   [ ( "asm+sim",

@@ -2,6 +2,8 @@
    tool-chain (frontend -> mapper -> assembler -> simulator -> energy). *)
 
 module R = Cgra_exp.Runner
+module Toolchain = Cgra_exp.Toolchain
+module Flow = Cgra_core.Flow
 module FC = Cgra_core.Flow_config
 module Config = Cgra_arch.Config
 module M = Cgra_core.Mapping
@@ -11,9 +13,9 @@ let kernel slug = Option.get (Cgra_kernels.Kernels.by_slug slug)
 
 let mapped_exn slug config flow =
   match R.run_of (kernel slug) config flow with
-  | R.Mapped r -> r
-  | R.Unmappable u ->
-    Alcotest.fail (Printf.sprintf "%s should map: %s" slug u.reason)
+  | Ok r -> r
+  | Error f ->
+    Alcotest.fail (Printf.sprintf "%s should map: %s" slug f.Flow.reason)
 
 let test_basic_fits_hom64 () =
   (* the premise of Section IV-B: the basic mapping fits HOM64 for the
@@ -21,8 +23,8 @@ let test_basic_fits_hom64 () =
   List.iter
     (fun k ->
       match R.run_of k Config.HOM64 FC.Basic with
-      | R.Mapped _ -> ()
-      | R.Unmappable u -> Alcotest.fail (k.Cgra_kernels.Kernel_def.name ^ ": " ^ u.reason))
+      | Ok _ -> ()
+      | Error f -> Alcotest.fail (k.Cgra_kernels.Kernel_def.name ^ ": " ^ f.Flow.reason))
     R.kernels
 
 let test_big_kernels_overflow_hom32_basic () =
@@ -31,8 +33,8 @@ let test_big_kernels_overflow_hom32_basic () =
   List.iter
     (fun slug ->
       match R.run_of (kernel slug) Config.HOM32 FC.Basic with
-      | R.Unmappable _ -> ()
-      | R.Mapped _ -> Alcotest.fail (slug ^ " should overflow HOM32"))
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (slug ^ " should overflow HOM32"))
     [ "matm"; "non_sep_filter"; "fft" ]
 
 let test_aware_maps_het () =
@@ -44,11 +46,11 @@ let test_aware_maps_het () =
       List.iter
         (fun config ->
           match R.run_of k config FC.Full with
-          | R.Mapped _ -> ()
-          | R.Unmappable u ->
+          | Ok _ -> ()
+          | Error f ->
             Alcotest.fail
               (Printf.sprintf "%s on %s: %s" k.Cgra_kernels.Kernel_def.name
-                 (Config.to_string config) u.reason))
+                 (Config.to_string config) f.Flow.reason))
         [ Config.HET1; Config.HET2 ])
     R.kernels
 
@@ -57,16 +59,16 @@ let test_basic_fails_het_for_big_kernels () =
   List.iter
     (fun slug ->
       match R.run_of (kernel slug) Config.HET2 FC.Basic with
-      | R.Unmappable _ -> ()
-      | R.Mapped _ -> Alcotest.fail (slug ^ " basic should fail HET2"))
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (slug ^ " basic should fail HET2"))
     [ "matm"; "non_sep_filter" ]
 
 let test_acmap_weaker_than_ecmap () =
   (* Fig 6 vs Fig 7: ACMAP alone finds no solution for the non-separable
      filter on the heterogeneous configurations; adding ECMAP does *)
   (match R.run_of (kernel "non_sep_filter") Config.HET1 FC.With_acmap with
-   | R.Unmappable _ -> ()
-   | R.Mapped _ -> Alcotest.fail "ACMAP alone should fail NonSep on HET1");
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "ACMAP alone should fail NonSep on HET1");
   ignore (mapped_exn "non_sep_filter" Config.HET1 FC.With_ecmap)
 
 let test_aware_energy_gain () =
@@ -74,8 +76,8 @@ let test_aware_energy_gain () =
   List.iter
     (fun k ->
       match R.run_of k Config.HOM64 FC.Basic, R.run_of k Config.HET2 FC.Full with
-      | R.Mapped b, R.Mapped h ->
-        let gain = b.R.energy.E.total_pj /. h.R.energy.E.total_pj in
+      | Ok (_, b), Ok (_, h) ->
+        let gain = b.Toolchain.energy.E.total_pj /. h.Toolchain.energy.E.total_pj in
         Alcotest.(check bool)
           (Printf.sprintf "%s gains energy (%.2fx)" k.Cgra_kernels.Kernel_def.name gain)
           true (gain > 1.0)
@@ -88,12 +90,13 @@ let test_cgra_beats_cpu () =
     (fun k ->
       let cpu = R.cpu_of k in
       match R.run_of k Config.HET2 FC.Full with
-      | R.Mapped r ->
+      | Ok (_, x) ->
         Alcotest.(check bool) (k.Cgra_kernels.Kernel_def.name ^ " faster") true
-          (r.R.cycles < cpu.R.cpu_sim.Cgra_cpu.Cpu_sim.cycles);
+          (x.Toolchain.sim.Cgra_sim.Simulator.cycles
+           < cpu.R.cpu_sim.Cgra_cpu.Cpu_sim.cycles);
         Alcotest.(check bool) (k.Cgra_kernels.Kernel_def.name ^ " greener") true
-          (r.R.energy.E.total_pj < cpu.R.cpu_energy.E.total_pj /. 2.0)
-      | R.Unmappable u -> Alcotest.fail u.reason)
+          (x.Toolchain.energy.E.total_pj < cpu.R.cpu_energy.E.total_pj /. 2.0)
+      | Error f -> Alcotest.fail f.Flow.reason)
     R.kernels
 
 let test_aware_uses_less_context () =
@@ -102,11 +105,11 @@ let test_aware_uses_less_context () =
   List.iter
     (fun k ->
       match R.run_of k Config.HET2 FC.Full with
-      | R.Mapped r ->
-        let usage = M.tile_usage r.R.mapping in
+      | Ok (m, _) ->
+        let usage = M.tile_usage m.Toolchain.mapping in
         let total = Array.fold_left (fun a u -> a + M.usage_total u) 0 usage in
         Alcotest.(check bool) "within half the HOM64 budget" true (total <= 512)
-      | R.Unmappable u -> Alcotest.fail u.reason)
+      | Error f -> Alcotest.fail f.Flow.reason)
     R.kernels
 
 let test_fig5_reductions () =

@@ -3,6 +3,7 @@
 
 module Pool = Cgra_util.Pool
 module Runner = Cgra_exp.Runner
+module Toolchain = Cgra_exp.Toolchain
 module FC = Cgra_core.Flow_config
 
 (* ---- Pool.map -------------------------------------------------------- *)
@@ -226,15 +227,16 @@ let test_jobs_invariant () =
   in
   let signature (k, flow) =
     match Runner.run_of k Cgra_arch.Config.HET2 flow with
-    | Runner.Mapped r ->
+    | Ok (m, x) ->
       Printf.sprintf "%s/%s: %d cycles, %d moves, %d work"
         k.Cgra_kernels.Kernel_def.slug (FC.preset_label flow)
-        r.Runner.cycles
-        (Cgra_core.Mapping.total_moves r.Runner.mapping)
-        r.Runner.compile_work
-    | Runner.Unmappable { reason; _ } ->
+        x.Toolchain.sim.Cgra_sim.Simulator.cycles
+        (Cgra_core.Mapping.total_moves m.Toolchain.mapping)
+        m.Toolchain.stats.Cgra_core.Flow.work
+    | Error f ->
       Printf.sprintf "%s/%s: unmappable (%s)"
-        k.Cgra_kernels.Kernel_def.slug (FC.preset_label flow) reason
+        k.Cgra_kernels.Kernel_def.slug (FC.preset_label flow)
+        f.Cgra_core.Flow.reason
   in
   Runner.clear_caches ();
   let seq = Pool.map ~jobs:1 signature sub_grid in
@@ -283,10 +285,10 @@ let test_cell_reproducible_in_isolation () =
     | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
   in
   match Runner.run_of k config FC.Basic with
-  | Runner.Unmappable { reason; _ } -> Alcotest.fail reason
-  | Runner.Mapped r ->
+  | Error f -> Alcotest.fail f.Cgra_core.Flow.reason
+  | Ok (m, _) ->
     Alcotest.(check int) "cached cell equals direct run" direct
-      (Cgra_core.Mapping.total_moves r.Runner.mapping)
+      (Cgra_core.Mapping.total_moves m.Toolchain.mapping)
 
 let suite =
   [ ( "parallel",

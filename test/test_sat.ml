@@ -743,6 +743,27 @@ let test_exact_ladder_work () =
     [ ("retries 0", { exact with FC.retries = 0 }); ("retries 2", exact);
       ("degrade", { exact with FC.degrade = true }) ]
 
+(* A kernel that fails the flow's preconditions fails before any rung
+   or backend runs: SepFilter's three symbol variables on two RF slots
+   give the plain reason, no ladder trace and no work, on the beam (with
+   its two retries or escalating), the exact backend and the portfolio. *)
+let test_preconditions_checked_once () =
+  let cgra = Cgra_arch.Cgra.make ~rf_words:2 ~cm_of_tile:(fun _ -> 64) ()
+  and cdfg = K.cdfg (kernel "sep_filter") in
+  let aware = FC.context_aware in
+  List.iter
+    (fun (what, config) ->
+      match Flow.run ~config cgra cdfg with
+      | Ok _ -> Alcotest.failf "%s: three symbols cannot fit two RF slots" what
+      | Error f ->
+        Alcotest.(check string) (what ^ ": the plain reason")
+          "kernel needs 3 symbol-variable RF slots, tile RF has 2" f.Flow.reason;
+        Alcotest.(check int) (what ^ ": no rung") 0 (List.length f.Flow.gave_up);
+        Alcotest.(check int) (what ^ ": no work") 0 f.Flow.work)
+    [ ("beam", aware); ("exact", { aware with FC.backend = FC.Exact });
+      ("portfolio", { aware with FC.backend = FC.Portfolio });
+      ("degrade", { aware with FC.degrade = true }) ]
+
 (* The optimality report's two sides map the same lowering: under
    [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
    harness cell, and its exact columns are the exact backend run on the
@@ -766,8 +787,10 @@ let test_optimality_report_opt () =
   in
   let beam =
     match R.run_of ~opt k config FC.Full with
-    | R.Mapped r -> columns (words_of r.R.mapping) r.R.cycles r.R.energy
-    | R.Unmappable u -> Alcotest.failf "beam FFT@HOM64: %s" u.reason
+    | Ok (m, x) ->
+      columns (words_of m.Toolchain.mapping)
+        x.Toolchain.sim.Cgra_sim.Simulator.cycles x.Toolchain.energy
+    | Error f -> Alcotest.failf "beam FFT@HOM64: %s" f.Flow.reason
   in
   let exact =
     let fc =
@@ -840,6 +863,8 @@ let suite =
           test_exact_spread_pass;
         Alcotest.test_case "failed exact map spends every rung" `Quick
           test_exact_ladder_work;
+        Alcotest.test_case "flow preconditions are checked once" `Quick
+          test_preconditions_checked_once;
         Alcotest.test_case "optimality report maps one lowering" `Slow
           test_optimality_report_opt;
       ] );

@@ -417,13 +417,14 @@ let test_runner_cell_equals_compute () =
       in
       let what = slug ^ "/" ^ FC.preset_label preset in
       match (Runner.run_of k config preset, Compute.run spec) with
-      | Runner.Mapped r, Ok (Compute.Artifact { bytes; _ }) ->
+      | Ok (m, x), Ok (Compute.Artifact { bytes; _ }) ->
         Alcotest.(check string) what
           (Serve.Artifact.render ~key_digest:(Key.digest spec) ~spec
-             r.Runner.program r.Runner.sim r.Runner.energy)
+             m.Cgra_exp.Toolchain.program x.Cgra_exp.Toolchain.sim
+             x.Cgra_exp.Toolchain.energy)
           bytes
-      | Runner.Unmappable u, Ok (Compute.Unmappable { reason }) ->
-        Alcotest.(check string) (what ^ " reason") u.reason reason
+      | Error f, Ok (Compute.Unmappable { reason }) ->
+        Alcotest.(check string) (what ^ " reason") f.Cgra_core.Flow.reason reason
       | _ -> Alcotest.fail (what ^ ": harness and daemon disagree"))
     FC.presets
     [ "fir"; "dc_filter"; "convolution"; "sep_filter" ]
