@@ -801,19 +801,8 @@ let params =
   let faults =
     Arg.(value & opt positive d.repair_faults
          & info [ "faults" ] ~docv:"N"
-             ~doc:"Random permanent faults each repair_report trial injects.")
-  in
-  let mode =
-    Arg.(value
-         & opt (enum [ ("full", Cgra_verify.Repair.Full);
-                       ("incremental", Cgra_verify.Repair.Incremental) ])
-             d.repair_mode
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"The repair_report remap strategy: $(b,full) re-searches \
-                   the whole kernel on every repair; $(b,incremental) \
-                   reuses every block the diagnosed faults do not touch and \
-                   re-searches only the dirty ones.  Per-cell campaign \
-                   wall-clock goes to stderr.")
+             ~doc:"Random permanent faults each repair_report trial \
+                   injects.  Per-cell campaign wall-clock goes to stderr.")
   in
   let protect =
     Arg.(value & opt protection d.protection
@@ -842,13 +831,13 @@ let params =
                    less runs sequentially).  Artifact output is \
                    byte-identical at any $(docv).")
   in
-  let make opt trials repair_faults repair_mode protection quick jobs =
+  let make opt trials repair_faults protection quick jobs =
     { Figures.opt = (if opt then Cgra_exp.Toolchain.Optimized else d.opt);
       fault_trials = Option.value trials ~default:d.fault_trials;
       repair_trials = Option.value trials ~default:d.repair_trials;
-      repair_faults; repair_mode; protection; quick; jobs }
+      repair_faults; protection; quick; jobs }
   in
-  Term.(const make $ opt $ trials $ faults $ mode $ protect $ quick $ jobs)
+  Term.(const make $ opt $ trials $ faults $ protect $ quick $ jobs)
 
 let () =
   let man =

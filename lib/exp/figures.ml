@@ -30,7 +30,6 @@ type params = {
   fault_trials : int;
   repair_trials : int;
   repair_faults : int;
-  repair_mode : Cgra_verify.Repair.mode;
   protection : Cgra_arch.Protection.profile;
   quick : bool;
   jobs : int option;
@@ -42,7 +41,6 @@ let default =
     fault_trials = 120;
     repair_trials = 30;
     repair_faults = 2;
-    repair_mode = Cgra_verify.Repair.Full;
     protection = Cgra_arch.Protection.none;
     quick = false;
     jobs = None;
@@ -716,12 +714,7 @@ let repair_seed = 11
 let repair_report p =
   let module R = Cgra_verify.Repair in
   let flow = FC.Full in
-  let trials = p.repair_trials
-  and faults = p.repair_faults
-  and mode = p.repair_mode in
-  let mode_label =
-    match mode with R.Full -> "full" | R.Incremental -> "incremental"
-  in
+  let trials = p.repair_trials and faults = p.repair_faults in
   let num = string_of_int in
   let pct a b = Printf.sprintf "%.1f%%" (100.0 *. float_of_int a /. float_of_int (max 1 b)) in
   let example = ref None in
@@ -752,8 +745,7 @@ let repair_report p =
               let t0 = Cgra_util.Clock.now () in
               let c =
                 R.run_campaign ?jobs:p.jobs ~seed:repair_seed ~trials ~faults
-                  ~key ~mode
-                  ~config:config_flow
+                  ~key ~config:config_flow
                   ~fresh_mem:(fun () -> K.fresh_mem k)
                   mapping
               in
@@ -798,15 +790,13 @@ let repair_report p =
         !timings
     in
     prerr_string
-      (Printf.sprintf
-         "repair_report campaign wall-clock (%s mode, host-dependent):\n"
-         mode_label
+      ("repair_report campaign wall-clock (host-dependent):\n"
       ^ T.render_aligned ~align:[ `L; `L; `R ]
           ~header:[ "Kernel"; "Config"; "seconds" ]
           ~rows:trows)
   end;
   Printf.sprintf
-    "Repair report: permanent-fault survivability, %s flow, %s remap\n\
+    "Repair report: permanent-fault survivability, %s flow\n\
      %d trials per cell, %d random permanent fault(s) per trial, seed %d.\n\
      Each trial degrades the array under the pristine mapping; violated\n\
      invariants are detected (validator), diagnosed back to a fault map \
@@ -817,10 +807,10 @@ let repair_report p =
      true degraded array and golden-equal in simulation; survive%% = \
      both.\n\
      inc = repaired trials whose final remap re-searched only the dirty\n\
-     blocks (always 0 in full mode).\n\
+     blocks.\n\
      Overheads are means over repaired trials vs the pristine mapping.\n\
      Deterministic at any --jobs value.\n"
-    (FC.preset_label flow) mode_label trials faults repair_seed
+    (FC.preset_label flow) trials faults repair_seed
   ^ T.render_aligned
       ~align:[ `L; `L; `R; `R; `R; `R; `R; `R; `R; `R ]
       ~header:

@@ -16,7 +16,6 @@ type params = {
   repair_trials : int;  (** trials per cell of {!repair_report}; positive *)
   repair_faults : int;
       (** random permanent faults per {!repair_report} trial; positive *)
-  repair_mode : Cgra_verify.Repair.mode;  (** {!repair_report}'s remap *)
   protection : Cgra_arch.Protection.profile;
       (** context-memory protection of the {!fault_report} campaigns *)
   quick : bool;  (** shrink the {!optimality_report} grid *)
@@ -29,8 +28,8 @@ type params = {
 
 val default : params
 (** The bench driver's defaults: [Default] lowering, 120 fault trials, 30
-    repair trials of 2 faults, [Full] remaps, no protection, the full
-    optimality grid, the default pool width. *)
+    repair trials of 2 faults, no protection, the full optimality grid,
+    the default pool width. *)
 
 val table1 : params -> string
 (** Table I — the four context-memory configurations. *)
@@ -116,9 +115,9 @@ val repair_report : params -> string
 (** Not in the paper: permanent-fault survivability table over the
     [Cgra_verify.Repair] detect → diagnose → remap loop, per kernel and
     Table-I configuration under the full context-aware flow
-    ([repair_trials] trials of [repair_faults] faults, remapped in
-    [repair_mode]) — counts of unaffected / repaired (with the
-    incremental-remap subset in the [inc] column) / gave-up trials, the
+    ([repair_trials] trials of [repair_faults] faults) — counts of
+    unaffected / repaired (with the [inc] column counting repairs that
+    re-searched only the dirty blocks) / gave-up trials, the
     survivability fraction, and the mean cycle/energy overhead of the
     repaired mappings vs the pristine ones, plus one example repair
     trace.  Deterministic at any [--jobs] value; per-cell campaign

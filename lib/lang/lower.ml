@@ -49,6 +49,7 @@ type env = {
   mutable name_counter : int;
       (* per-kernel block-name counter: naming must not depend on what else
          this process compiled before (or concurrently, with [--jobs]) *)
+  mutable steps : int;  (* lowered so far, see [step] *)
   naive : bool;
       (* [true] disables every inline optimization (value numbering,
          algebraic folds, load reuse) and emits one node per source
@@ -76,6 +77,20 @@ type bctx = {
       (** per array: last store node and loads issued since — sources of
           the ordering-only [mem_dep] edges *)
 }
+
+(* Statements, unroll iterations and expression nodes one kernel may
+   lower.  The lowering is linear in them, but an unroll count multiplies
+   a short source, so this bounds what any kernel source costs to compile
+   (a [cgra_mapd] client sends its own).  A 20,000-step unroll of
+   [s = s + x[k]] takes about 120,000. *)
+let max_steps = 150_000
+
+let step env =
+  env.steps <- env.steps + 1;
+  if env.steps > max_steps then
+    err "kernel lowers to more than %d steps (statements, unroll iterations \
+         and expression nodes)"
+      max_steps
 
 let new_block env name =
   { handle = B.add_block env.builder name; vars = []; vn = Hashtbl.create 16;
@@ -151,7 +166,9 @@ let fold2 env bctx opcode a b =
      | (Opcode.Shl | Opcode.Shrl | Opcode.Shra), v, Cdfg.Imm 0 -> v
      | _, _, _ -> emit env bctx opcode [ a; b ])
 
-let rec lower_expr env bctx = function
+let rec lower_expr env bctx e =
+  step env;
+  match e with
   | Ast.Int n -> Cdfg.Imm n
   | Ast.Var v -> (
     match List.assoc_opt v env.consts with
@@ -227,6 +244,7 @@ let rec lower_stmts env bctx stmts =
   match stmts with
   | [] -> bctx
   | stmt :: rest -> (
+    step env;
     match stmt with
     | Ast.Assign (v, e) ->
       assign env bctx v (lower_expr env bctx e);
@@ -243,6 +261,7 @@ let rec lower_stmts env bctx stmts =
       let saved = env.consts in
       let bctx = ref bctx in
       for k = lo to hi - 1 do
+        step env;
         env.consts <- (v, k) :: saved;
         bctx := lower_stmts env !bctx body
       done;
@@ -287,7 +306,7 @@ let lower ?(naive = false) (k : Ast.kernel) =
   let builder = B.create k.Ast.name in
   let env =
     { builder; syms = Hashtbl.create 8; arrays = Hashtbl.create 8; consts = [];
-      name_counter = 0; naive }
+      name_counter = 0; steps = 0; naive }
   in
   let declare = function
     | Ast.Dvar names ->

@@ -16,7 +16,10 @@ exception Lower_error of string
 val lower : ?naive:bool -> Ast.kernel -> Cgra_ir.Cdfg.t
 (** Raises {!Lower_error} on semantic errors (undeclared identifiers,
     assignment to constants, non-constant [unroll] bounds, unknown
-    intrinsics).
+    intrinsics) and on a kernel that lowers to more than 150,000 steps:
+    statements, unroll iterations and expression nodes, each unrolled
+    copy counted.  The cap bounds the compile cost of any source; a
+    20,000-step unroll of one short statement takes about 120,000.
 
     [naive] (default false) switches all inline optimization off — no
     value numbering, no algebraic folds, no load reuse — emitting one

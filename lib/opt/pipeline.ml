@@ -76,7 +76,10 @@ let check_pass ~kernel ~pass verify goldens c' =
           end))
     goldens
 
-let run ?(passes = Passes.all) ?verify ?(max_rounds = 8) c0 =
+(* Full sweeps before the pipeline stops short of a fixpoint. *)
+let max_rounds = 8
+
+let run ?(passes = Passes.all) ?verify c0 =
   (match Cdfg.validate c0 with
    | Ok () -> ()
    | Error e -> invalid_arg ("Pipeline.run: invalid input CDFG: " ^ e));

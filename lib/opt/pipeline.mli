@@ -51,14 +51,13 @@ type report = {
 val run :
   ?passes:Passes.pass list ->
   ?verify:verifier ->
-  ?max_rounds:int ->
   Cgra_ir.Cdfg.t ->
   Cgra_ir.Cdfg.t * report
 (** Applies [passes] (default {!Passes.all}) repeatedly until a full sweep
-    changes nothing, bounded by [max_rounds] (default 8), verifying after
-    each pass against [verify] (default {!default_verifier}).  The input
-    CDFG must be valid ([Invalid_argument] otherwise — callers such as
-    [Flow.run] validate first and surface their own error). *)
+    changes nothing, at most 8 sweeps, verifying after each pass against
+    [verify] (default {!default_verifier}).  The input CDFG must be valid
+    ([Invalid_argument] otherwise — callers such as [Flow.run] validate
+    first and surface their own error). *)
 
 val render_report : report -> string
 (** Per-pass statistics as an ASCII table plus a node-count summary

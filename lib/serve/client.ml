@@ -103,24 +103,22 @@ let map_local ?deadline_ms spec =
     Ok (Artifact { bytes; digest; source = Local })
 
 (* Capped exponential backoff with keyed jitter.  The jitter stream is
-   seeded from (retry_seed, key digest), so a fleet of clients hammering
+   seeded from the key digest, so a fleet of clients hammering
    an overloaded daemon for different keys desynchronises — while any
    single run's delays are reproducible, in keeping with the repo-wide
    determinism discipline (nothing consults [Random] or the wall
    clock). *)
-let backoff_delays ~retry_seed ~spec ~retries =
+let backoff_delays ~spec ~retries =
   let rng =
-    Cgra_util.Rng.create
-      (Cgra_util.Rng.seed_of ~base:retry_seed (Key.digest spec))
+    Cgra_util.Rng.create (Cgra_util.Rng.seed_of ~base:0 (Key.digest spec))
   in
   List.init retries (fun k ->
       let base = min 2.0 (0.05 *. float_of_int (1 lsl min k 5)) in
       let jitter = 0.5 +. (float_of_int (Cgra_util.Rng.int rng 1000) /. 1000.0) in
       base *. jitter)
 
-let map ?(fallback = true) ?deadline_ms ?(retries = 0) ?(retry_seed = 0) ep
-    spec =
-  let delays = backoff_delays ~retry_seed ~spec ~retries in
+let map ?(fallback = true) ?deadline_ms ?(retries = 0) ep spec =
+  let delays = backoff_delays ~spec ~retries in
   let attempt_once () =
     match connect ep with
     | Error e -> `Unreachable e

@@ -54,7 +54,6 @@ val map :
   ?fallback:bool ->
   ?deadline_ms:int ->
   ?retries:int ->
-  ?retry_seed:int ->
   endpoint ->
   Key.spec ->
   (map_result, map_error) result
@@ -64,8 +63,8 @@ val map :
 
     [retries] (default 0) extra attempts are made before giving up or
     falling back, with capped exponential backoff (50 ms base, 2 s cap)
-    and jitter keyed on [(retry_seed, Key.digest spec)] — deterministic
-    per run, decorrelated across keys.  Retried: connection failures,
+    and jitter keyed on [Key.digest spec] — deterministic per run,
+    decorrelated across keys.  Retried: connection failures,
     mid-frame hangups, and [Overloaded_r] shedding.  {e Not} retried:
     [Timed_out_r] (the same deadline buys the same give-up) and daemon
     rejections ([Error_r]), which are returned as [Error] without

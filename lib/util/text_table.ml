@@ -61,7 +61,8 @@ let bar ~scale ~width v =
     let n = max 1 (min width n) in
     String.make n '#'
 
-let bar_chart ~title ?(width = 50) series =
+let bar_chart ~title series =
+  let width = 50 in
   let vmax = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 series in
   let scale = if vmax <= 0.0 then 0.0 else float_of_int width /. vmax in
   let label_w =
@@ -73,7 +74,8 @@ let bar_chart ~title ?(width = 50) series =
   in
   String.concat "\n" ((title ^ ":") :: List.map line series) ^ "\n"
 
-let grouped_chart ~title ~group_labels ?(width = 40) rows =
+let grouped_chart ~title ~group_labels rows =
+  let width = 40 in
   let vmax =
     List.fold_left
       (fun acc (_, vs) -> List.fold_left Float.max acc vs)

@@ -18,10 +18,9 @@ val render_aligned :
     [align] stay left-aligned, so [~align:[]] is exactly {!render} —
     existing artifacts keep their historical layout. *)
 
-val bar_chart :
-  title:string -> ?width:int -> (string * float) list -> string
+val bar_chart : title:string -> (string * float) list -> string
 (** [bar_chart ~title series] renders one horizontal ASCII bar per labelled
-    value, scaled so the largest value spans [width] (default 50) columns.
+    value, scaled so the largest value spans 50 columns.
     Negative values are clamped to zero; a zero-valued entry renders as an
     explicit [(none)] marker, matching the paper's "no mapping found"
     bars. *)
@@ -29,13 +28,12 @@ val bar_chart :
 val grouped_chart :
   title:string ->
   group_labels:string list ->
-  ?width:int ->
   (string * float list) list ->
   string
 (** [grouped_chart ~title ~group_labels rows] renders, for each row
     [(label, values)], one bar per value tagged with the corresponding
-    group label — the shape of the paper's per-kernel, per-configuration
-    figures. *)
+    group label, scaled so the largest value spans 40 columns — the shape
+    of the paper's per-kernel, per-configuration figures. *)
 
 val float_cell : float -> string
 (** Compact fixed-point formatting used across reports ("1.43", "0.007"). *)

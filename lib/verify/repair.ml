@@ -9,8 +9,6 @@ module Cgra = Cgra_arch.Cgra
 module Rng = Cgra_util.Rng
 module Pool = Cgra_util.Pool
 
-type mode = Full | Incremental
-
 type remap_kind = Full_remap | Partial of { dirty : int; total : int }
 
 type status =
@@ -136,35 +134,31 @@ let dirty_blocks (m : M.t) faults =
 (* Diagnosis rounds before a repair gives up as non-converging. *)
 let max_rounds = 4
 
-let repair ?(mode = Full) ~config ~injected ~fresh_mem ~golden
-    (pristine_m : M.t) =
+let repair ~config ~injected ~fresh_mem ~golden (pristine_m : M.t) =
   let pristine = pristine_m.M.cgra in
   let truth = Cgra.degrade pristine injected in
   let detected = detect ~truth pristine_m in
   if detected = [] then { injected; detected; diagnosed = []; status = Unaffected }
   else
-    (* One remap attempt on the accumulated fault map.  Incremental mode
-       re-searches only the dirty blocks with the survivors' placements
-       pre-committed, falling back to a full remap when every block is
-       dirty or the partial search dead-ends. *)
+    (* One remap attempt on the accumulated fault map: re-search only the
+       dirty blocks with the survivors' placements pre-committed, falling
+       back to a full remap when every block is dirty or the partial
+       search dead-ends. *)
     let remap cfg faults' =
       let full () =
         (Flow.run ~config:cfg pristine pristine_m.M.cdfg, Full_remap)
       in
-      match mode with
-      | Full -> full ()
-      | Incremental -> (
-        let dirty, kept = dirty_blocks pristine_m faults' in
-        let ndirty = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty in
-        let total = Array.length dirty in
-        if ndirty >= total then full ()
-        else
-          match
-            Flow.run_partial ~config:cfg ~base:pristine_m ~dirty ~homes:kept
-              pristine
-          with
-          | Ok _ as ok -> (ok, Partial { dirty = ndirty; total })
-          | Error _ -> full ())
+      let dirty, kept = dirty_blocks pristine_m faults' in
+      let ndirty = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dirty in
+      let total = Array.length dirty in
+      if ndirty >= total then full ()
+      else
+        match
+          Flow.run_partial ~config:cfg ~base:pristine_m ~dirty ~homes:kept
+            pristine
+        with
+        | Ok _ as ok -> (ok, Partial { dirty = ndirty; total })
+        | Error _ -> full ()
     in
     let rec go round faults vs =
       let faults' = normalize_faults (faults @ diagnose ~pristine vs) in
@@ -227,8 +221,6 @@ let repair ?(mode = Full) ~config ~injected ~fresh_mem ~golden
 let status_to_string = function
   | Unaffected -> "unaffected"
   | Repaired { rounds; escalations; cycles; remap; _ } ->
-      (* Full-remap wording is byte-identical to the pre-incremental tool,
-         so full-mode reports stay stable artifacts. *)
       Printf.sprintf "remapped (%d diagnosis round%s, %d escalation%s, %d cycles%s)"
         rounds
         (if rounds = 1 then "" else "s")
@@ -314,8 +306,8 @@ let summarize ~pristine_cycles ~pristine_energy_pj runs =
       mean_cycle_overhead = covh /. float_of_int s.repaired;
       mean_energy_overhead = eovh /. float_of_int s.repaired }
 
-let run_campaign ?jobs ?(mode = Full) ~seed ~trials ~faults ~key ~config
-    ~fresh_mem (pristine_m : M.t) =
+let run_campaign ?jobs ~seed ~trials ~faults ~key ~config ~fresh_mem
+    (pristine_m : M.t) =
   let pristine = pristine_m.M.cgra in
   let program = Asm.assemble pristine_m in
   let golden = fresh_mem () in
@@ -334,9 +326,7 @@ let run_campaign ?jobs ?(mode = Full) ~seed ~trials ~faults ~key ~config
           Rng.seed_of ~base:config.Flow_config.seed
             (key ^ "#remap#" ^ string_of_int index) }
     in
-    { index;
-      trace =
-        repair ~mode ~config ~injected ~fresh_mem ~golden pristine_m }
+    { index; trace = repair ~config ~injected ~fresh_mem ~golden pristine_m }
   in
   let runs = Pool.map ?jobs run_trial (List.init trials Fun.id) in
   {

@@ -13,28 +13,22 @@
     - [Non_neighbour_read] between pristine-adjacent tiles → [Dead_link];
     - [Lsu_required] → [No_lsu].
 
-    The mapper then {e remaps} on [Cgra.degrade pristine diagnosed]
-    through the ordinary flow (the graceful-degradation ladder included
-    when [config.degrade] is set).  Diagnosis may under-approximate —
+    The mapper then {e remaps} on [Cgra.degrade pristine diagnosed],
+    re-searching only the blocks the diagnosed faults touch (the
+    graceful-degradation ladder included when [config.degrade] is
+    set).  Diagnosis may under-approximate —
     faults on resources the pristine mapping never used are invisible —
     so the loop iterates detect → diagnose → remap, accumulating faults,
     until the remap is violation-free on the true array (then confirmed
     against the golden memory image in the simulator) or a bounded number
     of rounds is exhausted. *)
 
-type mode =
-  | Full         (** every remap re-searches the whole kernel (PR-5 loop) *)
-  | Incremental
-      (** remaps reuse every block whose placement does not touch the
-          diagnosed faults ({!dirty_blocks}) and re-search only the dirty
-          ones via {!Cgra_core.Flow.run_partial}, falling back to a full
-          remap when the dirty set is everything or the partial search
-          fails *)
-
 type remap_kind =
-  | Full_remap  (** whole-kernel search (always the case in [Full] mode) *)
+  | Full_remap
+      (** whole-kernel search: every block was dirty, or the partial
+          search failed *)
   | Partial of { dirty : int; total : int }
-      (** incremental remap that re-searched [dirty] of [total] blocks *)
+      (** re-searched [dirty] of [total] blocks, the rest reused verbatim *)
 
 type status =
   | Unaffected
@@ -84,7 +78,6 @@ val dirty_blocks :
     block touches any faulted tile. *)
 
 val repair :
-  ?mode:mode ->
   config:Cgra_core.Flow_config.t ->
   injected:Cgra_arch.Cgra.fault list ->
   fresh_mem:(unit -> int array) ->
@@ -94,9 +87,11 @@ val repair :
 (** Run the full loop for one injected fault map against the pristine
     mapping.  [golden] is the fault-free memory image the repaired
     program must reproduce; diagnosis runs at most 4 rounds before the
-    trial gives up; [mode] (default [Full]) selects whole-kernel or
-    incremental remaps — both must converge to a golden-PASS repair,
-    incremental just spends less search on it. *)
+    trial gives up.  Each remap reuses every block whose placement does
+    not touch the diagnosed faults ({!dirty_blocks}) and re-searches only
+    the dirty ones via {!Cgra_core.Flow.run_partial}; it re-searches the
+    whole kernel ({!Full_remap}) when every block is dirty or the partial
+    search fails. *)
 
 val trace_to_string : trace -> string
 (** Four-line rendering: injected / detected / diagnosed / result. *)
@@ -108,8 +103,8 @@ type summary = {
   unaffected : int;
   repaired : int;
   partial_repairs : int;
-      (** repaired trials whose final remap was {!Partial} — always 0 in
-          [Full] mode *)
+      (** repaired trials whose final remap was {!Partial}; the rest of
+          [repaired] fell back to a {!Full_remap} *)
   gave_up : int;
   mean_cycle_overhead : float;
       (** mean of (repaired - pristine) / pristine cycles over the
@@ -126,7 +121,6 @@ type campaign = {
 
 val run_campaign :
   ?jobs:int ->
-  ?mode:mode ->
   seed:int ->
   trials:int ->
   faults:int ->
@@ -140,4 +134,4 @@ val run_campaign :
     ({!Fault.sample_fault_map}).  Trial [i] draws from the keyed split
     [Rng.seed_of ~base:seed (key ^ "#" ^ i)] and remaps with a seed split
     from [config.seed] the same way, so the campaign is byte-identical at
-    any [jobs] value — in either [mode]. *)
+    any [jobs] value. *)

@@ -353,6 +353,41 @@ let test_compute_bad_request () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "nonsense source should be a typed request error"
 
+(* The lowering caps its steps, so a short source with a huge unroll
+   count is a typed request error, answered at once in both lowerings,
+   rather than a worker busy for as long as the count makes it.  Each
+   unroll iteration counts, even with an empty body; the third source
+   unrolls 30,000 times, well under the cap, but each copy of its one
+   statement lowers 19 expression nodes. *)
+let test_compute_caps_inline_unroll () =
+  let big body n =
+    Printf.sprintf
+      "kernel big { arr x @ 0; arr y @ 512; var s; s = 0; \
+       unroll k = 0 to %d { %s } y[0] = s; }"
+      n body
+  in
+  List.iter
+    (fun (source, opt) ->
+      let spec =
+        { Key.kernel = Key.Inline { source; mem_words = 1024 };
+          config = Cgra_arch.Config.HET2; knobs = []; opt; faults = [] }
+      in
+      let t0 = Cgra_util.Clock.now () in
+      (match
+         Compute.run ~deadline:(Cgra_util.Deadline.after_ms 100) spec
+       with
+       | Error e ->
+         Alcotest.(check bool) ("semantic error: " ^ e) true
+           (String.starts_with ~prefix:"kernel source: semantic error: " e)
+       | Ok _ -> Alcotest.fail "a huge unroll should be a request error");
+      Alcotest.(check bool) "answered within 1 s" true
+        (Cgra_util.Clock.elapsed_s t0 < 1.0))
+    (List.concat_map
+       (fun source -> [ (source, Key.Default); (source, Key.Optimized) ])
+       [ big "s = s + x[k];" 1_000_000_000;
+         big "" 1_000_000_000;
+         big "s = s + x[k] + x[k + 1] + x[k + 2] + x[k + 3];" 30_000 ])
+
 (* A faulted request is priced on the array it was mapped onto — the
    degraded one, as [cgra_map map --emit] prices it — so the daemon and
    the local path store the same bytes under the same key. *)
@@ -862,6 +897,8 @@ let suite =
           test_runner_cell_equals_compute;
         Alcotest.test_case "compute rejects bad requests" `Quick
           test_compute_bad_request;
+        Alcotest.test_case "compute caps an inline unroll" `Quick
+          test_compute_caps_inline_unroll;
         Alcotest.test_case "known answers: artifact digests" `Slow
           test_known_answers;
         Alcotest.test_case "protocol request round-trips" `Quick

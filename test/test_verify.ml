@@ -497,16 +497,11 @@ let test_repair_unaffected () =
   Alcotest.(check bool) "trace renders" true
     (contains_sub ~sub:"unaffected" (R.trace_to_string tr))
 
-(* ---- incremental remap: equivalence with the full mode ---------------- *)
+(* ---- the remap re-searches only the dirty blocks --------------------- *)
 
-let run_repair_mode ~mode ~injected (k, m) =
-  R.repair ~mode ~config:repair_config ~injected
-    ~fresh_mem:(fun () -> K.fresh_mem k)
-    ~golden:(K.run_golden k) m
-
-(* The single-fault maps the full-mode round-trip tests above repair,
-   rebuilt from the pristine mapping. *)
-let equivalence_faults m =
+(* The single-fault maps the round-trip tests above repair, rebuilt from
+   the pristine mapping. *)
+let partial_faults m =
   let dead = [ Cgra.Dead_tile { tile = fst (busiest_tile m) } ] in
   let lsu =
     match lsu_tile m with
@@ -522,29 +517,22 @@ let equivalence_faults m =
   in
   (dead :: lsu) @ link
 
-let test_repair_incremental_equivalence () =
+let test_repair_partial_reuses_clean_blocks () =
   let (_, m) as base = Lazy.force base_aware in
   let partials = ref 0 in
   List.iter
     (fun injected ->
-      let tr_full = run_repair_mode ~mode:R.Full ~injected base in
-      let tr_inc = run_repair_mode ~mode:R.Incremental ~injected base in
-      (* both modes golden-PASS on every cell: [Repaired] means the
-         remapped program reproduced the golden memory image, and
-         [assert_repaired] re-checks the invariants on the true array *)
-      assert_repaired "full" m tr_full;
-      assert_repaired "incremental" m tr_inc;
-      (match tr_full.R.status with
-       | R.Repaired { remap; _ } ->
-         Alcotest.(check bool) "full mode never reports partial" true
-           (remap = R.Full_remap)
-       | _ -> ());
-      match tr_inc.R.status with
+      let tr = run_repair ~injected base in
+      (* [Repaired] means the remapped program reproduced the golden
+         memory image, and [assert_repaired] re-checks the invariants on
+         the true array *)
+      assert_repaired "partial" m tr;
+      match tr.R.status with
       | R.Repaired { mapping; remap = R.Partial { dirty; total }; _ } ->
         incr partials;
         Alcotest.(check bool) "partial re-searched a strict subset" true
           (dirty < total);
-        let dirty_flags, kept = R.dirty_blocks m tr_inc.R.diagnosed in
+        let dirty_flags, kept = R.dirty_blocks m tr.R.diagnosed in
         (* surviving blocks are reused verbatim... *)
         Array.iteri
           (fun bi d ->
@@ -563,8 +551,39 @@ let test_repair_incremental_equivalence () =
                 h mapping.M.homes.(s))
           kept
       | _ -> ())
-    (equivalence_faults m);
+    (partial_faults m);
   Alcotest.(check bool) "at least one repair was partial" true (!partials > 0)
+
+(* Every bundled kernel ends in an empty return block, which no fault
+   dirties; in this one every block reads or writes [s] or [i], so
+   killing both symbols' home tiles dirties them all and the remap must
+   search the whole kernel. *)
+let test_repair_all_dirty_full_remap () =
+  let cdfg =
+    Cgra_lang.Compile.compile_exn
+      "kernel acc { arr x @ 0; arr y @ 8; var i, s; s = 0; i = 0; \
+       while (i < 4) { s = s + x[i]; i = i + 1; } y[0] = s; }"
+  in
+  let fresh_mem () = Array.init 16 (fun a -> if a < 8 then a + 3 else 0) in
+  let golden = fresh_mem () in
+  ignore (Cgra_ir.Interp.run cdfg ~mem:golden);
+  let m =
+    match Flow.run ~config:FC.context_aware (Config.cgra Config.HET2) cdfg with
+    | Ok (m, _) -> m
+    | Error f -> Alcotest.fail f.Flow.reason
+  in
+  let injected =
+    List.sort_uniq compare (Array.to_list m.M.homes)
+    |> List.map (fun tile -> Cgra.Dead_tile { tile })
+  in
+  let tr = R.repair ~config:repair_config ~injected ~fresh_mem ~golden m in
+  Alcotest.(check bool) "every block dirty" true
+    (Array.for_all Fun.id (fst (R.dirty_blocks m tr.R.diagnosed)));
+  assert_repaired "all dirty" m tr;
+  match tr.R.status with
+  | R.Repaired { remap; _ } ->
+    Alcotest.(check bool) "full remap" true (remap = R.Full_remap)
+  | _ -> ()
 
 (* Soundness of the dirty-set rule, with the touched-tile computation
    re-derived here rather than through [Fault.tiles]: no surviving block
@@ -622,9 +641,9 @@ let prop_dirty_set_sound =
       in
       survivors_clean && kept_consistent)
 
-let repair_campaign ?mode ~jobs ~seed () =
+let repair_campaign ~jobs ~seed () =
   let k, m = Lazy.force base_aware in
-  R.run_campaign ?mode ~jobs ~seed ~trials:5 ~faults:1 ~key:"test/fir/repair"
+  R.run_campaign ~jobs ~seed ~trials:5 ~faults:1 ~key:"test/fir/repair"
     ~config:repair_config
     ~fresh_mem:(fun () -> K.fresh_mem k)
     m
@@ -636,28 +655,12 @@ let test_repair_campaign_deterministic () =
   let s = c1.R.summary in
   Alcotest.(check int) "classes sum to trials" s.R.trials
     (s.R.unaffected + s.R.repaired + s.R.gave_up);
+  Alcotest.(check bool) "partial repairs are a subset of repairs" true
+    (s.R.partial_repairs <= s.R.repaired);
   List.iteri
     (fun i (t : R.trial) -> Alcotest.(check int) "index order" i t.R.index)
     c1.R.runs;
   Alcotest.(check bool) "pristine baseline recorded" true (c1.R.pristine_cycles > 0)
-
-let test_repair_campaign_incremental_deterministic () =
-  let c1 = repair_campaign ~mode:R.Incremental ~jobs:1 ~seed:7 () in
-  let c2 = repair_campaign ~mode:R.Incremental ~jobs:2 ~seed:7 () in
-  Alcotest.(check bool) "jobs 1 = jobs 2" true (c1 = c2);
-  let s = c1.R.summary in
-  Alcotest.(check bool) "partial repairs are a subset of repairs" true
-    (s.R.partial_repairs <= s.R.repaired);
-  (* the injected fault maps are drawn before the mode branches, so both
-     modes face identical trials *)
-  let full = repair_campaign ~jobs:1 ~seed:7 () in
-  Alcotest.(check int) "full mode counts no partials" 0
-    full.R.summary.R.partial_repairs;
-  List.iter2
-    (fun (a : R.trial) (b : R.trial) ->
-      Alcotest.(check bool) "same injected faults per trial" true
-        (a.R.trace.R.injected = b.R.trace.R.injected))
-    c1.R.runs full.R.runs
 
 (* ---- the pipeline validates every program ----------------------------- *)
 
@@ -775,13 +778,13 @@ let suite =
           test_repair_no_lsu;
         Alcotest.test_case "repair: unused fault is unaffected" `Quick
           test_repair_unaffected;
-        Alcotest.test_case "repair: incremental = full on golden-PASS cells"
-          `Quick test_repair_incremental_equivalence;
+        Alcotest.test_case "repair: partial remap reuses clean blocks" `Quick
+          test_repair_partial_reuses_clean_blocks;
+        Alcotest.test_case "repair: all blocks dirty remaps in full" `Quick
+          test_repair_all_dirty_full_remap;
         QCheck_alcotest.to_alcotest prop_dirty_set_sound;
         Alcotest.test_case "repair campaign: jobs-independent" `Quick
           test_repair_campaign_deterministic;
-        Alcotest.test_case "repair campaign: incremental jobs-independent"
-          `Quick test_repair_campaign_incremental_deterministic;
         Alcotest.test_case "toolchain: clean run validates" `Quick
           test_toolchain_validates_clean_run;
         Alcotest.test_case "flow: degrade is a no-op when mappable" `Quick
