@@ -272,8 +272,8 @@ let build_ctx cdfg bi =
    is enumerated in a fixed order (items ascending, tiles ascending,
    cycles ascending), so variable numbering — and with it the solver
    trace and the model — is deterministic. *)
-let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
-  let solver = S.create () in
+let attempt ~solver ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
+  S.reset solver;
   let nt = Cgra.tile_count cgra in
   (* Future-write reserves (spread pass only; [future] is all
      zeros otherwise): every remaining block that writes symbol [s]
@@ -306,18 +306,18 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
   let ub i = h - 1 - db.(i) in
   (* Clause emitters over possibly-constant literals.  Literal order
      inside a clause is free (the solver sorts); the order of clauses
-     and of [new_var] calls is what fixes the instance. *)
+     and of [new_var] calls is what fixes the instance.  Two- and
+     three-literal clauses, most of the instance, build no list. *)
   let imp x l =
     (* x -> l *)
     if l = ff then S.add_clause solver [ -x ]
-    else if l <> tt then S.add_clause solver [ -x; l ]
+    else if l <> tt then S.add_clause2 solver (-x) l
   in
   let imp2 x a b =
     (* x -> a \/ b, for [a] and [b] never [tt] *)
-    S.add_clause solver
-      (if a = ff then if b = ff then [ -x ] else [ -x; b ]
-       else if b = ff then [ -x; a ]
-       else [ -x; a; b ])
+    if a = ff then imp x b
+    else if b = ff then S.add_clause2 solver (-x) a
+    else S.add_clause3 solver (-x) a b
   in
   (* [lit t] for each of [tiles] that is not [ff], consed onto [acc];
      for literal functions that never return [tt]. *)
@@ -490,8 +490,8 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
             let xc = xl j t (c - 1) in
             (* yc <-> prev \/ x(j,t,c-1) *)
             imp2 yc prev xc;
-            if prev <> ff then S.add_clause solver [ -prev; yc ];
-            if xc <> ff then S.add_clause solver [ -xc; yc ]
+            if prev <> ff then S.add_clause2 solver (-prev) yc;
+            if xc <> ff then S.add_clause2 solver (-xc) yc
           done)
         dom.(j)
     end
@@ -516,11 +516,11 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
         let prev = if c = 1 then ff else z.((i * h) + c - 1) in
         let row = lits_over (fun t -> xl i t (c - 1)) [] dom.(i) in
         S.add_clause solver (-zc :: (if prev = ff then row else prev :: row));
-        if prev <> ff then S.add_clause solver [ -prev; zc ];
+        if prev <> ff then S.add_clause2 solver (-prev) zc;
         List.iter
           (fun t ->
             let v = xl i t (c - 1) in
-            if v <> ff then S.add_clause solver [ -v; zc ])
+            if v <> ff then S.add_clause2 solver (-v) zc)
           dom.(i)
       done
     end
@@ -601,7 +601,7 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
             for_each_x r (fun _ c v ->
                 let zv = zl w c in
                 if zv = tt then S.add_clause solver [ -v ]
-                else if zv <> ff then S.add_clause solver [ -v; -zv ]))
+                else if zv <> ff then S.add_clause2 solver (-v) (-zv)))
         !readers)
     writers;
   (* Occupancy exclusivity, busy/after/pnop-start chains and the exact
@@ -625,21 +625,21 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
         done;
         Cnf.at_most_one solver !occupants;
         S.add_clause solver (-b :: !occupants);
-        List.iter (fun v -> S.add_clause solver [ -v; b ]) !occupants;
+        List.iter (fun v -> S.add_clause2 solver (-v) b) !occupants;
         let a = after.((t * h) + c) in
         let nxt = if c = h - 1 then ff else after.((t * h) + c + 1) in
         imp2 a b nxt;
-        S.add_clause solver [ -b; a ];
-        if nxt <> ff then S.add_clause solver [ -nxt; a ];
+        S.add_clause2 solver (-b) a;
+        if nxt <> ff then S.add_clause2 solver (-nxt) a;
         let p = ps.((t * h) + c) in
-        S.add_clause solver [ -p; -b ];
-        S.add_clause solver [ -p; a ];
+        S.add_clause2 solver (-p) (-b);
+        S.add_clause2 solver (-p) a;
         if c > 0 then begin
           let pb = busy.((t * h) + c - 1) in
-          S.add_clause solver [ -p; pb ];
+          S.add_clause2 solver (-p) pb;
           S.add_clause solver [ b; -a; -pb; p ]
         end
-        else S.add_clause solver [ b; -a; p ]
+        else S.add_clause3 solver b (-a) p
       done;
       (* busy and ps are disjoint per cycle, so at most [h] words can
          accrue: tiles with cap >= h cannot overflow.  A spread budget
@@ -729,10 +729,26 @@ let attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h =
    next length (larger instances are usually easier to satisfy) but
    taints any terminal UNSAT — a proof needs every length refuted for
    real.  During refinement [Unknown] conservatively keeps the best
-   known model. *)
+   known model.
+
+   A probe no longer than an earlier one resets and reuses the solver of
+   the longest so far, whose storage holds it: refinement probes pay for
+   their search, not for a solver's set-up.  A longer probe takes a
+   fresh solver instead, so the storage of a smaller instance is never
+   held while a larger one is built; holding it (one solver for every
+   probe of a block) raised the benchmark's peak RSS by about 10 %. *)
 let solve_block ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline =
   let conflicts = ref 0 in
   let solves = ref 0 in
+  let longest = ref None in
+  let solver_for h =
+    match !longest with
+    | Some (solver, h_max) when h <= h_max -> solver
+    | Some _ | None ->
+      let solver = S.create () in
+      longest := Some (solver, h);
+      solver
+  in
   let attempt h =
     (* Probe boundary: checked before building the next CNF instance,
        so an expired deadline costs at most one solver tail (≤ 256
@@ -742,7 +758,10 @@ let solve_block ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline =
         (Search.Timed_out
            { at_block = ctx.bi; where = "exact probe " ^ ctx.blk.Cdfg.name });
     incr solves;
-    let r, c = attempt ~cgra ~committed ~budget ~future ~homes ~ctx ~deadline h in
+    let r, c =
+      attempt ~solver:(solver_for h) ~cgra ~committed ~budget ~future ~homes
+        ~ctx ~deadline h
+    in
     conflicts := !conflicts + c;
     r
   in

@@ -56,13 +56,22 @@ let validate program =
   match Validator.check program with [] -> Ok () | vs -> Error (Invalid vs)
 
 (* An invalid CDFG skips the pipeline and reaches [Flow.run] as it is,
-   which reports it as an ordinary mapping failure. *)
-let optimize opt ~verify cdfg =
+   which reports it as an ordinary mapping failure.  A deadline that
+   fires between two passes is the flow's kind of timeout, before any
+   block or work. *)
+let optimize ?deadline opt ~verify cdfg =
   match opt with
   | Optimized when Cgra_ir.Cdfg.validate cdfg = Ok () -> (
-    match Pipeline.run ~verify:(verify ()) cdfg with
+    match Pipeline.run ?deadline ~verify:(verify ()) cdfg with
     | cdfg, report -> Ok (cdfg, Some report)
-    | exception Pipeline.Verification_failed msg -> Error (Unoptimizable msg))
+    | exception Pipeline.Verification_failed msg -> Error (Unoptimizable msg)
+    | exception Pipeline.Expired pass ->
+      let where = "cgra_opt " ^ pass in
+      Error
+        (Unmapped
+           { Flow.verdict = Cgra_core.Search.Expired { where };
+             reason = Printf.sprintf "timed out (%s)" where; at_block = None;
+             work = 0; gave_up = [] }))
   | Default | Raw | Optimized -> Ok (cdfg, None)
 
 let map ?deadline ~config cgra cdfg =
@@ -104,7 +113,7 @@ let run ?deadline ?golden ?(opt = Default) ~config ~mem cgra cdfg =
     | Some _ -> Pipeline.verifier_of_mems [ Array.copy mem ]
     | None -> Pipeline.default_verifier ()
   in
-  let* cdfg, opt_report = optimize opt ~verify cdfg in
+  let* cdfg, opt_report = optimize ?deadline opt ~verify cdfg in
   let* m = map ?deadline ~config cgra cdfg in
   let m = { m with opt_report } in
   Result.map

@@ -48,8 +48,11 @@ val compile :
 (** Why a run stopped, one constructor per stage. *)
 type error =
   | Unmapped of Cgra_core.Flow.failure
-      (** map: the flow found no mapping, its deadline fired
-          ([failure.verdict] is [Expired]), or the assembler rejected
+      (** map: the flow found no mapping, the deadline fired in the
+          flow or between two [cgra_opt] passes ([failure.verdict] is
+          [Expired]; from the pipeline its [where] is
+          ["cgra_opt <pass>"], with no block and no work), or the
+          assembler rejected
           the mapping it found — register-file pressure the search does
           not model, a [Dead_end] whose reason starts ["assembly: "],
           with the flow's [work], no block and an empty [gave_up] *)
@@ -120,7 +123,9 @@ val run :
     [cgra_opt] pipeline runs over it first, differentially verified on
     [mem] when [golden] is given (a kernel with known inputs), else on
     {!Cgra_opt.Pipeline.default_verifier}.  A CDFG that fails
-    {!Cgra_ir.Cdfg.validate} skips the pipeline and fails in the flow. *)
+    {!Cgra_ir.Cdfg.validate} skips the pipeline and fails in the flow.
+    [deadline] bounds the pipeline and the flow, polled before each pass
+    application and at the flow's own boundaries. *)
 
 val run_kernel :
   ?deadline:Cgra_util.Deadline.t ->

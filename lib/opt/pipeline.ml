@@ -19,6 +19,7 @@ let default_verifier () =
   verifier_of_mems [ Array.make words 0; random 0x0def; random 0xbeef ]
 
 exception Verification_failed of string
+exception Expired of string
 
 type pass_stat = { pass : string; removed : int; rewritten : int }
 
@@ -79,7 +80,8 @@ let check_pass ~kernel ~pass verify goldens c' =
 (* Full sweeps before the pipeline stops short of a fixpoint. *)
 let max_rounds = 8
 
-let run ?(passes = Passes.all) ?verify c0 =
+let run ?(passes = Passes.all) ?verify ?(deadline = Cgra_util.Deadline.never) c0
+    =
   (match Cdfg.validate c0 with
    | Ok () -> ()
    | Error e -> invalid_arg ("Pipeline.run: invalid input CDFG: " ^ e));
@@ -100,6 +102,7 @@ let run ?(passes = Passes.all) ?verify c0 =
   let sweep c =
     List.fold_left
       (fun (c, changed) (p : Passes.pass) ->
+        if Cgra_util.Deadline.expired deadline then raise (Expired p.Passes.name);
         let c', d = p.Passes.transform c in
         check_pass ~kernel ~pass:p.Passes.name verify goldens c';
         record p d;

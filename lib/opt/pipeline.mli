@@ -37,6 +37,10 @@ exception Verification_failed of string
 (** A pass changed observable behaviour or broke a structural invariant.
     The message names the kernel, the pass and the divergence. *)
 
+exception Expired of string
+(** The deadline given to {!run} fired; the message names the pass whose
+    application it stopped. *)
+
 type pass_stat = { pass : string; removed : int; rewritten : int }
 
 type report = {
@@ -51,11 +55,16 @@ type report = {
 val run :
   ?passes:Passes.pass list ->
   ?verify:verifier ->
+  ?deadline:Cgra_util.Deadline.t ->
   Cgra_ir.Cdfg.t ->
   Cgra_ir.Cdfg.t * report
 (** Applies [passes] (default {!Passes.all}) repeatedly until a full sweep
     changes nothing, at most 8 sweeps, verifying after each pass against
-    [verify] (default {!default_verifier}).  The input CDFG must be valid
+    [verify] (default {!default_verifier}).  [deadline] (default
+    {!Cgra_util.Deadline.never}) is polled before each pass application:
+    once it has fired, [run] raises {!Expired}, so it overruns the
+    deadline by at most one verified application.  A deadline that
+    never fires changes nothing.  The input CDFG must be valid
     ([Invalid_argument] otherwise — callers such as [Flow.run] validate
     first and surface their own error). *)
 

@@ -18,21 +18,21 @@ let at_most_k solver lits k =
     done;
     let reg i j = first + (i * k) + j in
     let rec rows i = function
-      | [ x ] -> Solver.add_clause solver [ -x; -reg (i - 1) (k - 1) ]
+      | [ x ] -> Solver.add_clause2 solver (-x) (-reg (i - 1) (k - 1))
       | x :: rest ->
-        Solver.add_clause solver [ -x; reg i 0 ];
-        Solver.add_clause solver [ -reg (i - 1) 0; reg i 0 ];
+        Solver.add_clause2 solver (-x) (reg i 0);
+        Solver.add_clause2 solver (-reg (i - 1) 0) (reg i 0);
         for j = 1 to k - 1 do
-          Solver.add_clause solver [ -x; -reg (i - 1) (j - 1); reg i j ];
-          Solver.add_clause solver [ -reg (i - 1) j; reg i j ]
+          Solver.add_clause3 solver (-x) (-reg (i - 1) (j - 1)) (reg i j);
+          Solver.add_clause2 solver (-reg (i - 1) j) (reg i j)
         done;
-        Solver.add_clause solver [ -x; -reg (i - 1) (k - 1) ];
+        Solver.add_clause2 solver (-x) (-reg (i - 1) (k - 1));
         rows (i + 1) rest
       | [] -> ()
     in
     match lits with
     | x0 :: rest ->
-      Solver.add_clause solver [ -x0; reg 0 0 ];
+      Solver.add_clause2 solver (-x0) (reg 0 0);
       for j = 1 to k - 1 do
         Solver.add_clause solver [ -reg 0 j ]
       done;

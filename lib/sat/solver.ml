@@ -8,24 +8,54 @@
    positive literal and [2*v + 1] for the negation, so negation is
    [lxor 1] and the variable is [lsr 1].
 
-   Storage is built for instances that are encoded once, then solved.
-   Every clause of two or more literals lives in one flat arena
-   of ints: a header word ([length lsl 2], plus the learnt and deleted
-   bits), then the literals.  A clause reference is the offset of its
-   header, so clauses, watch lists and reasons hold plain ints.
-   [add_clause] writes a clause straight to the arena tail and
-   normalises it there (sorted ascending, duplicates removed,
-   tautologies dropped); [new_var] only counts.  The first [solve]
-   sizes every per-variable array once and builds the watch lists from
-   the arena in clause order, exactly as attaching each clause on
-   arrival would have.  From then on the clause set is closed:
+   Storage is built for a run of instances on one solver, each encoded
+   once, then solved; [reset] forgets an instance and keeps every array
+   for the next.  Every clause of two or more literals lives in one
+   flat arena of ints: a header word ([length lsl 2], plus the learnt
+   and deleted bits), then the literals.  A clause reference is the
+   offset of its header, so clauses, watch lists and reasons hold plain
+   ints.  The watch lists share one flat array too, a segment per
+   literal.  [add_clause] (and [add_clause2]/[add_clause3], which build
+   no list) writes a clause straight to the arena tail and normalises it
+   there (sorted ascending, duplicates removed, tautologies dropped);
+   [new_var] only counts.  The first [solve] clears every per-variable
+   array over the prefix the instance uses (growing it only past the
+   largest instance so far) and builds the watch lists from the arena
+   in clause order, exactly as attaching each clause on arrival would
+   have.  From then on the clause set is closed until [reset]:
    [new_var] and [add_clause] raise, since [solve] keeps a [Sat] trail
-   and could not honour a clause that arrives after it. *)
+   and could not honour a clause that arrives after it.
+
+   Decisions take the unassigned variable of highest activity, the
+   lowest index among equals.  A short solve bumps few variables, so
+   the heap holds only those with nonzero activity, and a cursor walks
+   the never-bumped ones in index order: any heap variable outranks
+   any cursor variable, and among zero activities the lowest index
+   wins.  That picks what a heap of every variable would pop as long
+   as bumps alone change activities, since a bump sifts its variable
+   up and keeps both heaps ordered.  An activity rescale does not sift:
+   rounding can make two activities equal, and from the fourth rescale
+   on it zeroes them, after which the full heap may pop a variable its
+   layout holds above a lower index.  A conflict bumps a variable at
+   most once, by [var_inc = (1/0.95)^(k-1)] at the k-th, so after k
+   conflicts no activity exceeds 19 * ((1/0.95)^k - 1) and no rescale
+   comes before conflict 4,432 of an instance.  Its solves therefore
+   switch before that, at conflict [cursor_conflicts + 1]: the solve
+   starts over on the problem clauses in plain mode — every variable in
+   the heap, popped as before the cursor existed — replaying the
+   instance's earlier [solve] calls, so its trajectory is the plain one
+   from the first call on. *)
 
 type outcome = Sat | Unsat | Unknown
 
 let learnt_bit = 1
 let deleted_bit = 2
+
+(* Conflicts a solve analyses in cursor mode before it starts over in
+   plain mode: above the light probes of the exact backend (the
+   benchmark's largest spends 226), below the first possible rescale
+   (4,432), and low enough that a 20,000-conflict probe redoes little. *)
+let cursor_conflicts = 1024
 
 type t = {
   mutable nvars : int;
@@ -33,16 +63,23 @@ type t = {
   mutable ok : bool;
   (* Clause arena: [arena.(cr)] is the header of the clause at [cr], its
      literals follow.  Learnt clauses are appended after the problem
-     clauses. *)
+     clauses, which end at [problem_end]. *)
   mutable arena : int array;
   mutable arena_n : int;
   mutable n_clauses : int;
+  mutable problem_end : int;
+  mutable n_problem : int;
   mutable units : int array; (* problem unit clauses, internal lits *)
   mutable units_n : int;
-  (* Everything below is sized by the first [solve]. *)
-  (* [watches.(l)] lists clause references in which internal literal
-     [l] is one of the two watched literals (positions 0 and 1). *)
-  mutable watches : int array array;
+  (* Everything below is sized by the first [solve] of an instance. *)
+  (* The clause references in which internal literal [l] is one of the
+     two watched literals (positions 0 and 1) are
+     [wl.(w_start.(l)) .. wl.(w_start.(l) + watch_n.(l) - 1)], in a
+     segment of [w_cap.(l)] words; [wl] is free from [w_top] on. *)
+  mutable wl : int array;
+  mutable w_top : int;
+  mutable w_start : int array;
+  mutable w_cap : int array;
   mutable watch_n : int array;
   (* Per-variable state, indexed 1..nvars. *)
   mutable values : int array; (* 0 unassigned / 1 true / -1 false *)
@@ -51,10 +88,18 @@ type t = {
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase *)
   mutable seen : bool array;
-  (* Binary max-heap of unassigned candidate variables. *)
+  (* Binary max-heap of decision candidates: in plain mode every
+     variable, in cursor mode those with nonzero activity. *)
   mutable heap : int array;
   mutable heap_n : int;
   mutable heap_pos : int array; (* -1 when not in heap *)
+  mutable plain : bool;
+  (* Cursor mode: no unassigned zero-activity variable lies below it. *)
+  mutable cursor : int;
+  (* Conflicts spent by each earlier [solve] of this instance that
+     returned [Unknown], latest first: what a switch to plain mode
+     replays. *)
+  mutable unknowns : int list;
   (* Assignment trail (internal literals) and decision-level marks. *)
   mutable trail : int array;
   mutable trail_n : int;
@@ -77,9 +122,14 @@ let create () =
     arena = Array.make 1024 0;
     arena_n = 0;
     n_clauses = 0;
+    problem_end = 0;
+    n_problem = 0;
     units = Array.make 16 0;
     units_n = 0;
-    watches = [||];
+    wl = [||];
+    w_top = 0;
+    w_start = [||];
+    w_cap = [||];
     watch_n = [||];
     values = [||];
     levels = [||];
@@ -90,6 +140,9 @@ let create () =
     heap = [||];
     heap_n = 0;
     heap_pos = [||];
+    plain = false;
+    cursor = 1;
+    unknowns = [];
     trail = [||];
     trail_n = 0;
     trail_lim = [||];
@@ -102,6 +155,18 @@ let create () =
     conflicts = 0;
     has_model = false;
   }
+
+let reset s =
+  s.nvars <- 0;
+  s.started <- false;
+  s.ok <- true;
+  s.arena_n <- 0;
+  s.n_clauses <- 0;
+  s.units_n <- 0;
+  s.plain <- false;
+  s.unknowns <- [];
+  s.conflicts <- 0;
+  s.has_model <- false
 
 let nvars s = s.nvars
 let stats_conflicts s = s.conflicts
@@ -184,41 +249,74 @@ let rec push_lits s base k = function
     s.arena.(base + k) <- il;
     push_lits s base (k + 1) rest
 
+(* The one normalisation every clause goes through: the [n] internal
+   literals written from [base] on (the header slot is [base - 1]) are
+   sorted and de-duplicated in place; a tautology is dropped, the empty
+   clause makes the instance unsatisfiable, a unit joins [units], and
+   anything longer is committed to the arena. *)
+let commit s base n =
+  let a = s.arena in
+  sort_range a base (base + n);
+  (* Drop duplicates in place; a sorted clause holding [2v] and
+     [2v + 1] has them adjacent and is a tautology. *)
+  let m = ref 0 and tauto = ref false in
+  for k = 0 to n - 1 do
+    let l = a.(base + k) in
+    if !m = 0 || a.(base + !m - 1) <> l then begin
+      if !m > 0 && a.(base + !m - 1) = l lxor 1 then tauto := true;
+      a.(base + !m) <- l;
+      incr m
+    end
+  done;
+  if not !tauto then
+    match !m with
+    | 0 -> s.ok <- false
+    | 1 ->
+      if s.units_n = Array.length s.units then begin
+        let u = Array.make (2 * s.units_n) 0 in
+        Array.blit s.units 0 u 0 s.units_n;
+        s.units <- u
+      end;
+      s.units.(s.units_n) <- a.(base);
+      s.units_n <- s.units_n + 1
+    | m ->
+      a.(base - 1) <- m lsl 2;
+      s.arena_n <- base + m;
+      s.n_clauses <- s.n_clauses + 1
+
 let add_clause s ext =
   if s.started then closed "add_clause";
   if not s.ok then List.iter (fun l -> ignore (internal_lit s.nvars l)) ext
   else begin
     (* The header slot is [arena_n]; the literals follow it. *)
     let base = s.arena_n + 1 in
-    let n = push_lits s base 0 ext in
-    let a = s.arena in
-    sort_range a base (base + n);
-    (* Drop duplicates in place; a sorted clause holding [2v] and
-       [2v + 1] has them adjacent and is a tautology. *)
-    let m = ref 0 and tauto = ref false in
-    for k = 0 to n - 1 do
-      let l = a.(base + k) in
-      if !m = 0 || a.(base + !m - 1) <> l then begin
-        if !m > 0 && a.(base + !m - 1) = l lxor 1 then tauto := true;
-        a.(base + !m) <- l;
-        incr m
-      end
-    done;
-    if not !tauto then
-      match !m with
-      | 0 -> s.ok <- false
-      | 1 ->
-        if s.units_n = Array.length s.units then begin
-          let u = Array.make (2 * s.units_n) 0 in
-          Array.blit s.units 0 u 0 s.units_n;
-          s.units <- u
-        end;
-        s.units.(s.units_n) <- a.(base);
-        s.units_n <- s.units_n + 1
-      | m ->
-        a.(base - 1) <- m lsl 2;
-        s.arena_n <- base + m;
-        s.n_clauses <- s.n_clauses + 1
+    commit s base (push_lits s base 0 ext)
+  end
+
+let add_clause2 s x y =
+  if s.started then closed "add_clause2";
+  let x = internal_lit s.nvars x in
+  let y = internal_lit s.nvars y in
+  if s.ok then begin
+    reserve s 3;
+    let base = s.arena_n + 1 in
+    s.arena.(base) <- x;
+    s.arena.(base + 1) <- y;
+    commit s base 2
+  end
+
+let add_clause3 s x y z =
+  if s.started then closed "add_clause3";
+  let x = internal_lit s.nvars x in
+  let y = internal_lit s.nvars y in
+  let z = internal_lit s.nvars z in
+  if s.ok then begin
+    reserve s 4;
+    let base = s.arena_n + 1 in
+    s.arena.(base) <- x;
+    s.arena.(base + 1) <- y;
+    s.arena.(base + 2) <- z;
+    commit s base 3
   end
 
 (* -- heap (max by activity, ties to the lowest index) -------------- *)
@@ -275,6 +373,9 @@ let heap_pop s =
 
 (* -- activities ---------------------------------------------------- *)
 
+(* Only assigned variables are bumped (conflict analysis reads the
+   trail), so a bump never owes the cursor's variables a heap slot:
+   [backtrack] gives one to a bumped variable when it unassigns it. *)
 let var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then begin
@@ -312,62 +413,170 @@ let backtrack s level =
       s.polarity.(v) <- s.values.(v) = 1;
       s.values.(v) <- 0;
       s.reasons.(v) <- -1;
-      heap_insert s v
+      if s.plain || s.activity.(v) > 0.0 then heap_insert s v
+      else if v < s.cursor then s.cursor <- v
     done;
     s.qhead <- s.trail_n;
     s.lim_n <- level
   end
 
+(* The next decision variable, or 0 when every variable is assigned.
+   Both modes drop assigned variables off the heap's top as they meet
+   them; the plain heap holds every unassigned variable, the cursor
+   mode's heap every unassigned one with nonzero activity. *)
+let pick s =
+  if s.plain then begin
+    let v = ref 0 in
+    while !v = 0 && s.heap_n > 0 do
+      let w = heap_pop s in
+      if s.values.(w) = 0 then v := w
+    done;
+    !v
+  end
+  else begin
+    while s.heap_n > 0 && s.values.(s.heap.(0)) <> 0 do
+      ignore (heap_pop s)
+    done;
+    if s.heap_n > 0 then heap_pop s
+    else begin
+      let c = ref s.cursor in
+      while !c <= s.nvars && (s.values.(!c) <> 0 || s.activity.(!c) > 0.0) do
+        incr c
+      done;
+      s.cursor <- !c;
+      if !c <= s.nvars then !c else 0
+    end
+  end
+
 (* -- watches ------------------------------------------------------- *)
 
+(* Room for a segment of [need] words at [w_top]: every literal's
+   segment is copied, in literal order and at its capacity, into an
+   array twice the size they and [need] take.  This moves every
+   segment, so a caller holding a segment's start reads it again. *)
+let grow_watches s need =
+  let n_lits = (2 * s.nvars) + 2 in
+  let live = ref need in
+  for l = 0 to n_lits - 1 do
+    live := !live + s.w_cap.(l)
+  done;
+  let wl = Array.make (2 * !live) 0 in
+  let top = ref 0 in
+  for l = 0 to n_lits - 1 do
+    Array.blit s.wl s.w_start.(l) wl !top s.watch_n.(l);
+    s.w_start.(l) <- !top;
+    top := !top + s.w_cap.(l)
+  done;
+  s.wl <- wl;
+  s.w_top <- !top
+
+(* A full segment moves to [w_top] at twice its capacity (at least 4),
+   its entries in order. *)
 let watch_add s l cr =
   let n = s.watch_n.(l) in
-  let a = s.watches.(l) in
-  let a =
-    if n < Array.length a then a
-    else begin
-      let a' = Array.make (max 4 (2 * Array.length a)) 0 in
-      Array.blit a 0 a' 0 n;
-      s.watches.(l) <- a';
-      a'
-    end
-  in
-  a.(n) <- cr;
+  if n = s.w_cap.(l) then begin
+    let cap = max 4 (2 * n) in
+    if s.w_top + cap > Array.length s.wl then grow_watches s cap;
+    Array.blit s.wl s.w_start.(l) s.wl s.w_top n;
+    s.w_start.(l) <- s.w_top;
+    s.w_cap.(l) <- cap;
+    s.w_top <- s.w_top + cap
+  end;
+  s.wl.(s.w_start.(l) + n) <- cr;
   s.watch_n.(l) <- n + 1
 
-(* One-time set-up: per-variable arrays at their final size, and every
-   problem clause watched on its literals 0 and 1 in arena order — each
-   watch list exactly the size its clauses need. *)
-let setup s =
+(* A fresh search over the problem clauses: per-variable arrays cleared
+   over the prefix the instance uses (allocated at its size only when
+   the storage is smaller), every problem clause watched on its
+   literals 0 and 1 in arena order, each literal's segment exactly the
+   size its problem clauses need, and the counters of a new solver. *)
+let init_search s =
   let n = s.nvars in
-  s.values <- Array.make (n + 1) 0;
-  s.levels <- Array.make (n + 1) 0;
-  s.reasons <- Array.make (n + 1) (-1);
-  s.activity <- Array.make (n + 1) 0.0;
-  s.polarity <- Array.make (n + 1) false;
-  s.seen <- Array.make (n + 1) false;
-  s.heap <- Array.make (n + 1) 0;
-  s.heap_pos <- Array.make (n + 1) (-1);
-  s.trail <- Array.make (n + 1) 0;
-  s.trail_lim <- Array.make (n + 1) 0;
-  s.learnt <- Array.make (n + 1) 0;
-  let a = s.arena in
-  let count = Array.make ((2 * n) + 2) 0 in
+  if Array.length s.values < n + 1 then begin
+    s.values <- Array.make (n + 1) 0;
+    s.levels <- Array.make (n + 1) 0;
+    s.reasons <- Array.make (n + 1) (-1);
+    s.activity <- Array.make (n + 1) 0.0;
+    s.polarity <- Array.make (n + 1) false;
+    s.seen <- Array.make (n + 1) false;
+    s.heap <- Array.make (n + 1) 0;
+    s.heap_pos <- Array.make (n + 1) (-1);
+    s.trail <- Array.make (n + 1) 0;
+    s.trail_lim <- Array.make (n + 1) 0;
+    s.learnt <- Array.make (n + 1) 0
+  end
+  else begin
+    Array.fill s.values 0 (n + 1) 0;
+    Array.fill s.levels 0 (n + 1) 0;
+    Array.fill s.reasons 0 (n + 1) (-1);
+    Array.fill s.activity 0 (n + 1) 0.0;
+    Array.fill s.polarity 0 (n + 1) false;
+    Array.fill s.seen 0 (n + 1) false;
+    Array.fill s.heap_pos 0 (n + 1) (-1)
+  end;
+  let n_lits = (2 * n) + 2 in
+  if Array.length s.watch_n < n_lits then begin
+    s.w_start <- Array.make n_lits 0;
+    s.w_cap <- Array.make n_lits 0;
+    s.watch_n <- Array.make n_lits 0
+  end
+  else Array.fill s.watch_n 0 n_lits 0;
+  let a = s.arena and count = s.watch_n in
   let cr = ref 0 in
-  while !cr < s.arena_n do
+  while !cr < s.problem_end do
     count.(a.(!cr + 1)) <- count.(a.(!cr + 1)) + 1;
     count.(a.(!cr + 2)) <- count.(a.(!cr + 2)) + 1;
     cr := !cr + 1 + clause_len a !cr
   done;
-  s.watches <- Array.map (fun k -> if k = 0 then [||] else Array.make k 0) count;
-  Array.fill count 0 (Array.length count) 0;
-  s.watch_n <- count;
+  let top = ref 0 in
+  for l = 0 to n_lits - 1 do
+    s.w_start.(l) <- !top;
+    s.w_cap.(l) <- count.(l);
+    top := !top + count.(l);
+    count.(l) <- 0
+  done;
+  if Array.length s.wl < !top then s.wl <- Array.make !top 0;
+  s.w_top <- !top;
   cr := 0;
-  while !cr < s.arena_n do
+  while !cr < s.problem_end do
     watch_add s a.(!cr + 1) !cr;
     watch_add s a.(!cr + 2) !cr;
     cr := !cr + 1 + clause_len a !cr
-  done
+  done;
+  s.heap_n <- 0;
+  s.cursor <- 1;
+  s.trail_n <- 0;
+  s.lim_n <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.n_learnt <- 0;
+  s.max_learnt <- 0.0;
+  s.conflicts <- 0;
+  s.has_model <- false
+
+(* One-time set-up of an instance: the clauses so far are its problem
+   clauses. *)
+let setup s =
+  s.problem_end <- s.arena_n;
+  s.n_problem <- s.n_clauses;
+  init_search s
+
+(* Back to the instance as [add_clause] left it, in plain mode.
+   Propagation only permutes literals inside a clause and [add_clause]
+   stored each one sorted, so sorting restores every problem clause;
+   the learnt clauses follow them and are cut off. *)
+let restart_plain s =
+  let a = s.arena in
+  let cr = ref 0 in
+  while !cr < s.problem_end do
+    let n = clause_len a !cr in
+    sort_range a (!cr + 1) (!cr + 1 + n);
+    cr := !cr + 1 + n
+  done;
+  s.arena_n <- s.problem_end;
+  s.n_clauses <- s.n_problem;
+  s.plain <- true;
+  init_search s
 
 (* -- propagation --------------------------------------------------- *)
 
@@ -380,11 +589,11 @@ let propagate s =
     s.qhead <- s.qhead + 1;
     (* p just became true: clauses watching [not p] need a look. *)
     let fl = p lxor 1 in
-    let ws = s.watches.(fl) in
+    let ws = ref s.wl and base = ref s.w_start.(fl) in
     let n = s.watch_n.(fl) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let cr = ws.(!i) in
+      let cr = !ws.(!base + !i) in
       incr i;
       let h = a.(cr) in
       if h land deleted_bit <> 0 then () (* deleted: drop from this list *)
@@ -396,7 +605,7 @@ let propagate s =
         end;
         if lit_value s a.(w0) = 1 then begin
           (* Satisfied by the other watch: keep watching. *)
-          ws.(!j) <- cr;
+          !ws.(!base + !j) <- cr;
           incr j
         end
         else begin
@@ -407,16 +616,21 @@ let propagate s =
           if !k < stop then begin
             a.(w1) <- a.(!k);
             a.(!k) <- fl;
-            watch_add s a.(w1) cr
+            (* The new watch is never [fl], but adding it may move
+               every segment ([watch_n.(fl)] still counts this one's
+               unread entries). *)
+            watch_add s a.(w1) cr;
+            ws := s.wl;
+            base := s.w_start.(fl)
           end
           else begin
             (* Unit or conflict: the clause stays watched here. *)
-            ws.(!j) <- cr;
+            !ws.(!base + !j) <- cr;
             incr j;
             if lit_value s a.(w0) = -1 then begin
               (* Conflict: keep the remaining watchers, stop. *)
               while !i < n do
-                ws.(!j) <- ws.(!i);
+                !ws.(!base + !j) <- !ws.(!base + !i);
                 incr j;
                 incr i
               done;
@@ -548,6 +762,102 @@ let luby i =
 
 (* -- main search --------------------------------------------------- *)
 
+(* Raised by a cursor-mode search about to analyse conflict
+   [cursor_conflicts + 1]. *)
+exception Switch
+
+(* One [solve] call on a set-up instance whose clause set is not yet
+   refuted. *)
+let search s ~conflict_budget ~deadline =
+  s.has_model <- false;
+  if s.plain then
+    for v = 1 to s.nvars do
+      if s.values.(v) = 0 then heap_insert s v
+    done;
+  (* Top-level units first. *)
+  let contradiction = ref false in
+  for i = 0 to s.units_n - 1 do
+    let l = s.units.(i) in
+    match lit_value s l with
+    | 1 -> ()
+    | -1 -> contradiction := true
+    | _ -> enqueue s l (-1)
+  done;
+  if !contradiction then begin
+    s.ok <- false;
+    Unsat
+  end
+  else if propagate s >= 0 then begin
+    s.ok <- false;
+    Unsat
+  end
+  else begin
+    let result = ref None in
+    let restart = ref 1 in
+    let spent = ref 0 in
+    s.max_learnt <- max 20_000.0 (float_of_int s.n_clauses /. 3.0);
+    while !result = None do
+      (* Restart boundary: decision level 0, safe to shrink the
+         learnt-clause database — and to give up cooperatively. *)
+      if Cgra_util.Deadline.expired deadline then result := Some Unknown
+      else if float_of_int s.n_learnt > s.max_learnt then begin
+        reduce_db s;
+        s.max_learnt <- s.max_learnt *. 1.1
+      end;
+      let limit = 64 * luby !restart in
+      incr restart;
+      let local = ref 0 in
+      let continue_ = ref true in
+      while !continue_ && !result = None do
+        let confl = propagate s in
+        if confl >= 0 then begin
+          s.conflicts <- s.conflicts + 1;
+          incr spent;
+          incr local;
+          if decision_level s = 0 then begin
+            s.ok <- false;
+            result := Some Unsat
+          end
+          else if (not s.plain) && s.conflicts > cursor_conflicts then
+            raise Switch
+          else begin
+            let learnt_n, bt_level = analyze s confl in
+            record_learnt s learnt_n bt_level;
+            var_decay s;
+            if
+              !spent >= conflict_budget
+              || (!spent land 255 = 0 && Cgra_util.Deadline.expired deadline)
+            then begin
+              backtrack s 0;
+              result := Some Unknown
+            end
+            else if !local >= limit then begin
+              backtrack s 0;
+              continue_ := false
+            end
+          end
+        end
+        else begin
+          (* Decide. *)
+          let v = pick s in
+          if v = 0 then begin
+            (* Every variable is assigned and nothing conflicts: the
+               trail is the model, and stays put until the next solve. *)
+            s.has_model <- true;
+            result := Some Sat
+          end
+          else begin
+            s.trail_lim.(s.lim_n) <- s.trail_n;
+            s.lim_n <- s.lim_n + 1;
+            let l = if s.polarity.(v) then 2 * v else (2 * v) + 1 in
+            enqueue s l (-1)
+          end
+        end
+      done
+    done;
+    match !result with Some r -> r | None -> assert false
+  end
+
 let solve ?(conflict_budget = max_int) ?(deadline = Cgra_util.Deadline.never) s
     =
   if not s.started then begin
@@ -555,97 +865,28 @@ let solve ?(conflict_budget = max_int) ?(deadline = Cgra_util.Deadline.never) s
     if s.ok then setup s
   end;
   if not s.ok then Unsat
-  else begin
-    s.has_model <- false;
-    for v = 1 to s.nvars do
-      if s.values.(v) = 0 then heap_insert s v
-    done;
-    (* Top-level units first. *)
-    let contradiction = ref false in
-    for i = 0 to s.units_n - 1 do
-      let l = s.units.(i) in
-      match lit_value s l with
-      | 1 -> ()
-      | -1 -> contradiction := true
-      | _ -> enqueue s l (-1)
-    done;
-    if !contradiction then begin
-      s.ok <- false;
-      Unsat
-    end
-    else if propagate s >= 0 then begin
-      s.ok <- false;
-      Unsat
-    end
-    else begin
-      let result = ref None in
-      let restart = ref 1 in
-      let spent = ref 0 in
-      s.max_learnt <- max 20_000.0 (float_of_int s.n_clauses /. 3.0);
-      while !result = None do
-        (* Restart boundary: decision level 0, safe to shrink the
-           learnt-clause database — and to give up cooperatively. *)
-        if Cgra_util.Deadline.expired deadline then result := Some Unknown
-        else if float_of_int s.n_learnt > s.max_learnt then begin
-          reduce_db s;
-          s.max_learnt <- s.max_learnt *. 1.1
-        end;
-        let limit = 64 * luby !restart in
-        incr restart;
-        let local = ref 0 in
-        let continue_ = ref true in
-        while !continue_ && !result = None do
-          let confl = propagate s in
-          if confl >= 0 then begin
-            s.conflicts <- s.conflicts + 1;
-            incr spent;
-            incr local;
-            if decision_level s = 0 then begin
-              s.ok <- false;
-              result := Some Unsat
-            end
-            else begin
-              let learnt_n, bt_level = analyze s confl in
-              record_learnt s learnt_n bt_level;
-              var_decay s;
-              if
-                !spent >= conflict_budget
-                || (!spent land 255 = 0 && Cgra_util.Deadline.expired deadline)
-              then begin
-                backtrack s 0;
-                result := Some Unknown
-              end
-              else if !local >= limit then begin
-                backtrack s 0;
-                continue_ := false
-              end
-            end
-          end
-          else begin
-            (* Decide. *)
-            let v = ref 0 in
-            while !v = 0 && s.heap_n > 0 do
-              let w = heap_pop s in
-              if s.values.(w) = 0 then v := w
-            done;
-            if !v = 0 then begin
-              (* Every variable is assigned and nothing conflicts: the
-                 trail is the model, and stays put until the next solve. *)
-              s.has_model <- true;
-              result := Some Sat
-            end
-            else begin
-              s.trail_lim.(s.lim_n) <- s.trail_n;
-              s.lim_n <- s.lim_n + 1;
-              let l = if s.polarity.(!v) then 2 * !v else (2 * !v) + 1 in
-              enqueue s l (-1)
-            end
-          end
-        done
-      done;
-      match !result with Some r -> r | None -> assert false
-    end
-  end
+  else
+    let before = s.conflicts in
+    match search s ~conflict_budget ~deadline with
+    | Unknown as r when not s.plain ->
+      s.unknowns <- (s.conflicts - before) :: s.unknowns;
+      r
+    | r -> r
+    | exception Switch ->
+      (* Only [Unknown] calls leave the instance open to search again.
+         Each stopped after the conflicts it spent (a stop at a restart
+         boundary leaves the state a budget stop there would), or, with
+         none spent, at the first boundary. *)
+      restart_plain s;
+      List.iter
+        (fun spent ->
+          let deadline =
+            if spent = 0 then Cgra_util.Deadline.after_ms 0
+            else Cgra_util.Deadline.never
+          in
+          ignore (search s ~conflict_budget:spent ~deadline))
+        (List.rev s.unknowns);
+      search s ~conflict_budget ~deadline
 
 let value s v =
   if not s.has_model then invalid_arg "Solver.value: no model"

@@ -14,12 +14,21 @@
     literal is a non-zero integer: [v] for the positive literal,
     [-v] for the negation — the familiar DIMACS convention.
 
-    The solver is built for an instance that is encoded once and then
+    One solver serves a run of instances, each encoded once and then
     solved: every clause goes straight into one flat arena of ints,
-    [new_var] only counts, and the first {!solve} sizes the
-    per-variable state and the watch lists once.  That first [solve]
-    also closes the clause set — {!new_var} and {!add_clause} raise
-    from then on — so set-up runs exactly once. *)
+    [new_var] only counts, and the first {!solve} of an instance sets
+    up the per-variable state and the watch lists once.  That first
+    [solve] also closes the clause set — {!new_var} and {!add_clause}
+    raise from then on — until {!reset} forgets the instance and keeps
+    the storage for the next one.
+
+    Decisions use a cursor over the variables whose activity is still
+    zero beside a heap of the bumped ones.  That follows the order a
+    heap of every variable gives only until the first activity rescale,
+    which can come no earlier than conflict 4,432; once an instance's
+    solves pass 1,024 conflicts, the solve starts over with that heap
+    instead, replaying the instance's earlier [solve] calls.  Either way the trajectory, and
+    with it every outcome, model and count below, is the heap's. *)
 
 type t
 
@@ -30,10 +39,17 @@ type outcome =
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Forget the variables and clauses, keeping the storage: the solver
+    then behaves exactly as a fresh {!create}d one (variables numbered
+    from 1 again, no learnt clauses, activities and counters back at
+    their start, the clause set open), whatever the last instance
+    was, refuted included. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its (positive) index.
     Variables are numbered consecutively from 1.  Raises
-    [Invalid_argument] once {!solve} has run. *)
+    [Invalid_argument] once {!solve} has run, until {!reset}. *)
 
 val nvars : t -> int
 
@@ -44,7 +60,14 @@ val add_clause : t -> int list -> unit
     0 or names no allocated variable raises [Invalid_argument] and adds
     nothing.  All clauses must be added before calling {!solve}; the
     solver is not incremental, and [add_clause] raises
-    [Invalid_argument] once [solve] has run. *)
+    [Invalid_argument] once [solve] has run, until {!reset}. *)
+
+val add_clause2 : t -> int -> int -> unit
+(** [add_clause2 s a b] is [add_clause s [a; b]] without the list. *)
+
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause3 s a b c] is [add_clause s [a; b; c]] without the
+    list. *)
 
 val solve :
   ?conflict_budget:int -> ?deadline:Cgra_util.Deadline.t -> t -> outcome
@@ -66,8 +89,9 @@ val value : t -> int -> bool
     if no model is available. *)
 
 val stats_conflicts : t -> int
-(** Total conflicts encountered across [solve] (deterministic; the
-    exact backend reports this as its work measure). *)
+(** Total conflicts encountered across the [solve] calls since the
+    last {!reset} (deterministic; the exact backend reports this as its
+    work measure). *)
 
 val stats_clauses : t -> int
 (** Clauses of two or more literals attached so far, problem and

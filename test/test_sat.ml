@@ -271,9 +271,10 @@ let outcome_name = function
 let ref_outcome_name = function
   | R0.Sat -> "sat" | R0.Unsat -> "unsat" | R0.Unknown -> "unknown"
 
-(* Verdict, model and counters after each of [calls], in order. *)
-let run_arena inst calls =
-  let s = S.create () in
+(* Verdict, model and counters after each of [calls], in order, on [s]
+   (by default a fresh solver), reset first. *)
+let run_arena ?(s = S.create ()) inst calls =
+  S.reset s;
   inst.build arena_ops s;
   List.map
     (fun call ->
@@ -409,9 +410,49 @@ let test_reference_pigeonhole () =
   Alcotest.(check bool) "php(9,8) under budgets" true
     (run_arena inst calls = run_reference inst calls)
 
-(* One unbudgeted random 3-CNF that learns more than the 20,000 clauses
+(* One solver, reset between instances of every size in turn, follows
+   the reference on each as a fresh solver would: a pigeonhole proof of
+   UNSAT comes second, so a reset after an UNSAT (and after a closed
+   clause set) must give [new_var] and [add_clause] back. *)
+let prop_reset_follows_reference =
+  let gen =
+    let open QCheck.Gen in
+    list_size (int_range 2 5)
+      (pair
+         (frequency [ (3, QCheck.gen arb_cnf); (1, QCheck.gen arb_3cnf) ])
+         (oneofl schedules))
+  in
+  QCheck.Test.make ~name:"a reset solver follows the reference on each instance"
+    ~count:150
+    (QCheck.make
+       ~print:(fun runs ->
+         String.concat "; "
+           (List.map
+              (fun (cs, calls) ->
+                Printf.sprintf "%d clauses, %d calls" (List.length cs)
+                  (List.length calls))
+              runs))
+       gen)
+    (fun runs ->
+      let s = S.create () in
+      let runs = List.map (fun (cs, calls) -> (cnf_instance cs, calls)) runs in
+      let runs =
+        match runs with
+        | first :: rest ->
+          first :: (pigeonhole_instance 4, [ Budget 5; Plain ]) :: rest
+        | [] -> []
+      in
+      List.for_all
+        (fun (inst, calls) -> run_arena ~s inst calls = run_reference inst calls)
+        runs)
+
+(* One random 3-CNF that learns more than the 20,000 clauses
    [max_learnt] starts at, so learnt-clause deletion runs in both
-   solvers (the reference's [max_learnt] grows only when it does). *)
+   solvers (the reference's [max_learnt] grows only when it does).  Its
+   22,064 conflicts cross four activity rescales, so each schedule takes
+   the switch to plain mode; under [Budget 200; Plain] the first call
+   stops short of it, and the second must replay that call when it
+   switches. *)
 let test_reference_reduce_db () =
   let rng = Cgra_util.Rng.create 6 in
   let n_vars = 220 in
@@ -427,8 +468,17 @@ let test_reference_reduce_db () =
   let expected = observe_reference reference [ Plain ] in
   Alcotest.(check bool) "learnt clauses were deleted" true
     (reference.R0.max_learnt > 20_000.0);
-  Alcotest.(check bool) "same trajectory as the reference" true
-    (run_arena inst [ Plain ] = expected)
+  List.iter
+    (fun calls ->
+      let expected =
+        if calls = [ Plain ] then expected else run_reference inst calls
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "same trajectory as the reference, %d calls"
+           (List.length calls))
+        true
+        (run_arena inst calls = expected))
+    [ [ Plain ]; [ Budget 200; Plain ]; [ Cancelled; Plain ] ]
 
 let raises_invalid f =
   match f () with
@@ -454,6 +504,23 @@ let test_closed_after_solve () =
     (raises_invalid (fun () -> ignore (S.new_var s)));
   Alcotest.(check bool) "(a) the solver still answers the old formula" true
     (S.solve s = S.Sat && S.value s b);
+  (* [reset] reopens it, after a Sat and after a refutation alike. *)
+  S.reset s;
+  Alcotest.(check int) "(a) reset forgets the variables" 0 (S.nvars s);
+  let a' = S.new_var s in
+  S.add_clause s [ -a' ];
+  Alcotest.(check bool) "(a) a reset solver takes a new formula" true
+    (S.solve s = S.Sat && not (S.value s a'));
+  S.reset s;
+  let a' = S.new_var s in
+  S.add_clause s [ a' ];
+  S.add_clause s [ -a' ];
+  Alcotest.(check bool) "(a) ... refutes it" true (S.solve s = S.Unsat);
+  S.reset s;
+  let a' = S.new_var s in
+  S.add_clause s [ a' ];
+  Alcotest.(check bool) "(a) ... and is open again after the refutation" true
+    (S.solve s = S.Sat && S.value s a' && S.stats_clauses s = 0);
   let s, v = fresh 2 in
   S.add_clause s [ v.(0); v.(1) ];
   S.add_clause s [ v.(0) ];
@@ -490,7 +557,34 @@ let test_add_clause_contract () =
   Alcotest.(check int) "duplicates merged into one clause" 1 (S.stats_clauses s);
   S.add_clause s [ -v.(0); -v.(0) ];
   Alcotest.(check bool) "a duplicated unit forces the literal" true
-    (S.solve s = S.Sat && (not (S.value s v.(0))) && S.value s v.(1))
+    (S.solve s = S.Sat && (not (S.value s v.(0))) && S.value s v.(1));
+  (* The list-free forms share the one normalisation. *)
+  let s, v = fresh 3 in
+  Alcotest.(check bool) "add_clause2: literal 0 raises" true
+    (raises_invalid (fun () -> S.add_clause2 s v.(0) 0));
+  Alcotest.(check bool) "add_clause3: unknown variable raises" true
+    (raises_invalid (fun () -> S.add_clause3 s v.(0) v.(1) 4));
+  Alcotest.(check int) "a raising short clause adds nothing" 0 (S.stats_clauses s);
+  S.add_clause2 s v.(1) (-v.(1));
+  S.add_clause3 s v.(0) v.(2) (-v.(0));
+  Alcotest.(check int) "short tautologies dropped" 0 (S.stats_clauses s);
+  S.add_clause3 s v.(2) v.(1) v.(2);
+  Alcotest.(check int) "a duplicate merged into a binary clause" 1
+    (S.stats_clauses s);
+  S.add_clause2 s (-v.(0)) (-v.(0));
+  S.add_clause3 s (-v.(2)) (-v.(2)) (-v.(2));
+  Alcotest.(check bool) "duplicated short units force their literals" true
+    (S.solve s = S.Sat
+    && (not (S.value s v.(0)))
+    && (not (S.value s v.(2)))
+    && S.value s v.(1));
+  Alcotest.(check bool) "add_clause2 after solve raises" true
+    (raises_invalid (fun () -> S.add_clause2 s v.(0) v.(1)));
+  let s, v = fresh 1 in
+  S.add_clause2 s v.(0) v.(0);
+  S.add_clause2 s (-v.(0)) (-v.(0));
+  Alcotest.(check bool) "two opposite short units are UNSAT" true
+    (S.solve s = S.Unsat)
 
 (* -- exact backend end-to-end -------------------------------------- *)
 
@@ -743,6 +837,73 @@ let test_exact_ladder_work () =
     [ ("retries 0", { exact with FC.retries = 0 }); ("retries 2", exact);
       ("degrade", { exact with FC.degrade = true }) ]
 
+(* The exact backend's effort on the benchmark's exact grid: the five
+   kernels on the four configurations, context-aware with [retries = 0].
+   Per cell: the verdict, [work] (conflicts over both rungs), the probes
+   of the mapping pass (the blocks' [rounds]) and the MD5 of the
+   assembled context images, recorded before the decision cursor, the
+   per-block solver and the list-free short clauses.  A speed-up of the
+   solver or the encoder keeps every row; a change of trajectory or of
+   the clause stream moves one. *)
+let exact_grid_effort =
+  [
+    "fir@HOM64 mapped work 305 probes 7 image f28cef4feb5f97b9bb83f83092b88b7e";
+    "fir@HOM32 mapped work 305 probes 7 image f28cef4feb5f97b9bb83f83092b88b7e";
+    "fir@HET1 mapped work 305 probes 7 image f28cef4feb5f97b9bb83f83092b88b7e";
+    "fir@HET2 mapped work 305 probes 7 image f28cef4feb5f97b9bb83f83092b88b7e";
+    "convolution@HOM64 mapped work 4 probes 6 image 0cb0d3464c4c09eee06e4e254013292d";
+    "convolution@HOM32 mapped work 4 probes 6 image 0cb0d3464c4c09eee06e4e254013292d";
+    "convolution@HET1 mapped work 4 probes 6 image 0cb0d3464c4c09eee06e4e254013292d";
+    "convolution@HET2 mapped work 4 probes 6 image 0cb0d3464c4c09eee06e4e254013292d";
+    "sep_filter@HOM64 mapped work 6 probes 12 image 955f770b37d692a3a190fc33a1062419";
+    "sep_filter@HOM32 mapped work 6 probes 12 image 955f770b37d692a3a190fc33a1062419";
+    "sep_filter@HET1 mapped work 6 probes 12 image 955f770b37d692a3a190fc33a1062419";
+    "sep_filter@HET2 mapped work 19 probes 12 image f74fb104cd19a7d0daffd423323ad89d";
+    "fft@HOM64 mapped work 3 probes 18 image 6232008ed70efd62f7bc2fc9ec44defe";
+    "fft@HOM32 mapped work 115 probes 16 image cffc6ec2fb064cd9eac113c8690970a4";
+    "fft@HET1 mapped work 33 probes 16 image fe8d59ec5c82267e92c503807dee572a";
+    "fft@HET2 mapped work 161 probes 15 image 43e09546a265087e7ab04d4f222ee159";
+    "dc_filter@HOM64 proved-unsat work 168";
+    "dc_filter@HOM32 proved-unsat work 168";
+    "dc_filter@HET1 proved-unsat work 168";
+    "dc_filter@HET2 proved-unsat work 168";
+  ]
+
+let effort_row slug config =
+  let fc = { FC.context_aware with FC.backend = FC.Exact; retries = 0 } in
+  let cell = Printf.sprintf "%s@%s" slug (Config.to_string config) in
+  match Flow.run ~config:fc (Config.cgra config) (K.cdfg (kernel slug)) with
+  | Error f ->
+    Printf.sprintf "%s %s work %d" cell
+      (match f.Flow.verdict with
+       | Cgra_core.Search.Proved_unsat -> "proved-unsat"
+       | Cgra_core.Search.Budget_spent -> "budget-spent"
+       | Cgra_core.Search.Dead_end -> "dead-end"
+       | Cgra_core.Search.Expired _ -> "expired")
+      f.Flow.work
+  | Ok (mapping, stats) ->
+    let program = Cgra_asm.Assemble.assemble mapping in
+    let image = Buffer.create 4096 in
+    Array.iter
+      (fun tile ->
+        Array.iter
+          (fun w -> Buffer.add_string image (Printf.sprintf "%Lx " w))
+          (Cgra_asm.Assemble.encode_tile tile);
+        Buffer.add_char image '\n')
+      program.Cgra_asm.Assemble.tiles;
+    Printf.sprintf "%s mapped work %d probes %d image %s" cell stats.Flow.work
+      (List.fold_left (fun a bs -> a + bs.Cgra_core.Search.rounds) 0 stats.Flow.search)
+      (Digest.to_hex (Digest.string (Buffer.contents image)))
+
+let test_exact_grid_effort () =
+  Alcotest.(check (list string)) "verdict, work, probes and image per cell"
+    exact_grid_effort
+    (List.concat_map
+       (fun slug ->
+         List.map (effort_row slug)
+           [ Config.HOM64; Config.HOM32; Config.HET1; Config.HET2 ])
+       [ "fir"; "convolution"; "sep_filter"; "fft"; "dc_filter" ])
+
 (* A kernel that fails the flow's preconditions fails before any rung
    or backend runs: SepFilter's three symbol variables on two RF slots
    give the plain reason, no ladder trace and no work, on the beam (with
@@ -836,6 +997,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_reference_cnf;
         QCheck_alcotest.to_alcotest prop_reference_3cnf;
         QCheck_alcotest.to_alcotest prop_reference_at_most_k;
+        QCheck_alcotest.to_alcotest prop_reset_follows_reference;
         Alcotest.test_case "reference: long clauses" `Quick
           test_reference_long_clauses;
         Alcotest.test_case "reference: pigeonhole" `Quick
@@ -865,6 +1027,8 @@ let suite =
           test_exact_ladder_work;
         Alcotest.test_case "flow preconditions are checked once" `Quick
           test_preconditions_checked_once;
+        Alcotest.test_case "exact effort on the benchmark grid" `Quick
+          test_exact_grid_effort;
         Alcotest.test_case "optimality report maps one lowering" `Slow
           test_optimality_report_opt;
       ] );

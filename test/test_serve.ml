@@ -388,6 +388,30 @@ let test_compute_caps_inline_unroll () =
          big "" 1_000_000_000;
          big "s = s + x[k] + x[k + 1] + x[k + 2] + x[k + 3];" 30_000 ])
 
+(* The [optimized] pipeline polls the request's deadline between pass
+   applications.  This inline kernel passes the lowering cap, and its
+   twelve verified pass applications took 1.37 s before the first poll
+   in the flow; a 100 ms deadline now stops it after one of them. *)
+let test_compute_deadline_bounds_cgra_opt () =
+  let source =
+    "kernel big { arr x @ 0; arr y @ 512; var s; s = 0; \
+     unroll k = 0 to 16665 { while (s < k) { s = s + 1; } } y[0] = s; }"
+  in
+  let spec =
+    { Key.kernel = Key.Inline { source; mem_words = 1024 };
+      config = Cgra_arch.Config.HET2; knobs = []; opt = Key.Optimized;
+      faults = [] }
+  in
+  let t0 = Cgra_util.Clock.now () in
+  (match Compute.run ~deadline:(Cgra_util.Deadline.after_ms 100) spec with
+   | Ok (Compute.Timed_out { where }) ->
+     Alcotest.(check bool) ("stopped in cgra_opt: " ^ where) true
+       (String.starts_with ~prefix:"cgra_opt " where)
+   | Ok _ -> Alcotest.fail "a 100 ms deadline must time out"
+   | Error e -> Alcotest.failf "request error: %s" e);
+  Alcotest.(check bool) "answered within 1 s" true
+    (Cgra_util.Clock.elapsed_s t0 < 1.0)
+
 (* A faulted request is priced on the array it was mapped onto — the
    degraded one, as [cgra_map map --emit] prices it — so the daemon and
    the local path store the same bytes under the same key. *)
@@ -899,6 +923,8 @@ let suite =
           test_compute_bad_request;
         Alcotest.test_case "compute caps an inline unroll" `Quick
           test_compute_caps_inline_unroll;
+        Alcotest.test_case "compute deadline bounds cgra_opt" `Quick
+          test_compute_deadline_bounds_cgra_opt;
         Alcotest.test_case "known answers: artifact digests" `Slow
           test_known_answers;
         Alcotest.test_case "protocol request round-trips" `Quick
