@@ -31,13 +31,21 @@ type stats = {
 
 type result = (Mapping.t * stats, failure) Stdlib.result
 
+(* An exact rung reads none of the beam's knobs: [drive_single] runs its
+   greedy pass at attempt 0 and its spread pass after. *)
 let escalation_to_string e =
   let c = e.e_config in
-  Printf.sprintf
-    "attempt %d: seed=%d beam=%d expand=%d keep_prob=%.3f slack=%.3f -> %s%s"
-    e.e_attempt c.Flow_config.seed c.Flow_config.beam_width
-    c.Flow_config.expand_per_state c.Flow_config.keep_prob
-    c.Flow_config.prune_slack e.e_reason
+  let rung =
+    match c.Flow_config.backend with
+    | Flow_config.Exact ->
+      if e.e_attempt = 0 then "exact greedy pass" else "exact spread pass"
+    | Flow_config.Beam | Flow_config.Portfolio ->
+      Printf.sprintf "seed=%d beam=%d expand=%d keep_prob=%.3f slack=%.3f"
+        c.Flow_config.seed c.Flow_config.beam_width
+        c.Flow_config.expand_per_state c.Flow_config.keep_prob
+        c.Flow_config.prune_slack
+  in
+  Printf.sprintf "attempt %d: %s -> %s%s" e.e_attempt rung e.e_reason
     (match e.e_at_block with
      | None -> ""
      | Some b -> Printf.sprintf " (at block %d)" b)

@@ -26,9 +26,11 @@ type escalation = {
     hit. *)
 
 val escalation_to_string : escalation -> string
-(** One line: the attempt, its seed and search knobs (beam width,
-    children per state, keep probability, threshold slack), the reason
-    and the block it died at. *)
+(** One line: the attempt, what it ran, the reason and the block it
+    died at.  A beam rung shows its seed and search knobs (beam width,
+    children per state, keep probability, threshold slack); an exact
+    rung, which reads none of them, names its pass ([exact greedy pass]
+    at attempt 0, [exact spread pass] after). *)
 
 type failure = {
   verdict : Search.verdict;

@@ -22,13 +22,13 @@
     raise from then on — until {!reset} forgets the instance and keeps
     the storage for the next one.
 
-    Decisions use a cursor over the variables whose activity is still
-    zero beside a heap of the bumped ones.  That follows the order a
-    heap of every variable gives only until the first activity rescale,
-    which can come no earlier than conflict 4,432; once an instance's
-    solves pass 1,024 conflicts, the solve starts over with that heap
-    instead, replaying the instance's earlier [solve] calls.  Either way the trajectory, and
-    with it every outcome, model and count below, is the heap's. *)
+    Decisions take the unassigned variable of highest activity, the
+    lowest index among equals: a heap holds the variables whose
+    activity is above zero, and a cursor walks the others in index
+    order.  An activity rescale, which can tie activities and zero
+    some, rebuilds the heap and hands the zeroed variables back to the
+    cursor, so that order holds in every solve, and with it every
+    outcome, model and count below. *)
 
 type t
 

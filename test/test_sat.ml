@@ -446,32 +446,22 @@ let prop_reset_follows_reference =
         (fun (inst, calls) -> run_arena ~s inst calls = run_reference inst calls)
         runs)
 
-(* One random 3-CNF that learns more than the 20,000 clauses
-   [max_learnt] starts at, so learnt-clause deletion runs in both
-   solvers (the reference's [max_learnt] grows only when it does).  Its
-   22,064 conflicts cross four activity rescales, so each schedule takes
-   the switch to plain mode; under [Budget 200; Plain] the first call
-   stops short of it, and the second must replay that call when it
-   switches. *)
-let test_reference_reduce_db () =
-  let rng = Cgra_util.Rng.create 6 in
-  let n_vars = 220 in
-  let clauses =
-    List.init (n_vars * 426 / 100) (fun _ ->
-        List.init 3 (fun _ ->
-            let v = 1 + Cgra_util.Rng.int rng n_vars in
-            if Cgra_util.Rng.bool rng then v else -v))
-  in
-  let inst = cnf_instance clauses in
-  let reference = R0.create () in
-  inst.build reference_ops reference;
-  let expected = observe_reference reference [ Plain ] in
-  Alcotest.(check bool) "learnt clauses were deleted" true
-    (reference.R0.max_learnt > 20_000.0);
+(* A random 3-CNF near the threshold over [n_vars] variables, numbered
+   from [base + 1]. *)
+let random_3cnf ~seed ~base n_vars =
+  let rng = Cgra_util.Rng.create seed in
+  List.init (n_vars * 426 / 100) (fun _ ->
+      List.init 3 (fun _ ->
+          let v = base + 1 + Cgra_util.Rng.int rng n_vars in
+          if Cgra_util.Rng.bool rng then v else -v))
+
+(* The long instances follow the reference under three call schedules;
+   [known] is the reference's run of one of them, already made. *)
+let follows_reference_long inst (known_calls, known) =
   List.iter
     (fun calls ->
       let expected =
-        if calls = [ Plain ] then expected else run_reference inst calls
+        if calls = known_calls then known else run_reference inst calls
       in
       Alcotest.(check bool)
         (Printf.sprintf "same trajectory as the reference, %d calls"
@@ -479,6 +469,57 @@ let test_reference_reduce_db () =
         true
         (run_arena inst calls = expected))
     [ [ Plain ]; [ Budget 200; Plain ]; [ Cancelled; Plain ] ]
+
+(* One random 3-CNF that learns more than the 20,000 clauses
+   [max_learnt] starts at, so learnt-clause deletion runs in both
+   solvers (the reference's [max_learnt] grows only when it does).  Its
+   22,064 conflicts cross four activity rescales, but every variable is
+   bumped again between them, so none is zeroed. *)
+let test_reference_reduce_db () =
+  let inst = cnf_instance (random_3cnf ~seed:6 ~base:0 220) in
+  let reference = R0.create () in
+  inst.build reference_ops reference;
+  let expected = observe_reference reference [ Plain ] in
+  Alcotest.(check bool) "learnt clauses were deleted" true
+    (reference.R0.max_learnt > 20_000.0);
+  follows_reference_long inst ([ Plain ], expected)
+
+(* Decisions after rescales have zeroed activities.  Twenty gadgets come
+   first, each a variable [s] that four clauses [s \/ +-x \/ +-y] force
+   true, leaving [x] and [y] free; then eight satisfiable 160-variable
+   3-CNFs side by side.  The gadgets' first conflicts bump [x] and [y]
+   once, and the fourth rescale zeroes them, mostly while they wait
+   unassigned below the core's decisions.  The cursor must decide them
+   again: a rescale that lost them would leave them unassigned, and the
+   model would read false where their saved phase says true. *)
+let test_reference_zeroed () =
+  let gadgets = 20 and core = 160 in
+  let gadget i =
+    let s = (3 * i) + 1 in
+    let x = s + 1 and y = s + 2 in
+    [ [ s; x; y ]; [ s; x; -y ]; [ s; -x; y ]; [ s; -x; -y ] ]
+  in
+  let clauses =
+    List.concat (List.init gadgets gadget)
+    @ List.concat
+        (List.mapi
+           (fun k seed ->
+             random_3cnf ~seed ~base:((3 * gadgets) + (core * k)) core)
+           [ 5; 19; 26; 27; 36; 37; 1; 9 ])
+  in
+  let inst = cnf_instance clauses in
+  let reference = R0.create () in
+  inst.build reference_ops reference;
+  let first = observe_reference reference [ Budget 200 ] in
+  let raised = Array.copy reference.R0.activity in
+  let expected = first @ observe_reference reference [ Plain ] in
+  Alcotest.(check bool) "the reference zeroed an activity it had raised" true
+    (Array.exists2
+       (fun before after -> before > 0.0 && after = 0.0)
+       raised reference.R0.activity);
+  Alcotest.(check bool) "the instance is satisfiable" true
+    (match expected with [ _; ("sat", Some _, _, _) ] -> true | _ -> false);
+  follows_reference_long inst ([ Budget 200; Plain ], expected)
 
 let raises_invalid f =
   match f () with
@@ -830,6 +871,14 @@ let test_exact_ladder_work () =
         Alcotest.(check bool) (what ^ ": each with the given configuration")
           true
           (List.for_all (fun e -> e.Flow.e_config = config) f.Flow.gave_up);
+        Alcotest.(check (list bool)) (what ^ ": each rung's line names its pass")
+          [ true; true ]
+          (List.map2
+             (fun e prefix ->
+               String.starts_with ~prefix (Flow.escalation_to_string e))
+             f.Flow.gave_up
+             [ "attempt 0: exact greedy pass -> ";
+               "attempt 1: exact spread pass -> " ]);
         Alcotest.(check (option string)) (what ^ ": the last rung's reason")
           (Some f.Flow.reason)
           (Option.map (fun e -> e.Flow.e_reason) (List.nth_opt f.Flow.gave_up 1));
@@ -1004,6 +1053,8 @@ let suite =
           test_reference_pigeonhole;
         Alcotest.test_case "reference: learnt-clause deletion" `Quick
           test_reference_reduce_db;
+        Alcotest.test_case "reference: zeroed activities" `Quick
+          test_reference_zeroed;
       ] );
     ( "sat.exact",
       [
