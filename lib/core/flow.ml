@@ -379,6 +379,7 @@ let drive ~work ~config ~deadline ?base cgra cdfg =
               Printf.sprintf "portfolio: both backends failed — beam: %s | exact: %s"
                 bf.reason ef.reason;
             work = !work;
+            gave_up = bf.gave_up @ ef.gave_up;
           }))
     | _ -> assert false)
 

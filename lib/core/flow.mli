@@ -52,11 +52,12 @@ type failure = {
       (** binding attempts (solver conflicts on the exact backend) spent
           before giving up, over every rung of the ladder *)
   gave_up : escalation list;
-      (** the full ladder trace, one entry per exhausted rung; [[]] when
-          the deadline cut the run short, and when the kernel failed a
-          precondition (an invalid CDFG, or more symbol variables than
-          RF slots), which {!run} checks once before any rung or
-          backend runs *)
+      (** the full ladder trace, one entry per exhausted rung (a
+          portfolio whose two sides both failed lists the beam's rungs,
+          then the exact backend's); [[]] when the deadline cut the run
+          short, and when the kernel failed a precondition (an invalid
+          CDFG, or more symbol variables than RF slots), which {!run}
+          checks once before any rung or backend runs *)
 }
 
 type stats = {

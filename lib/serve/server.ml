@@ -185,13 +185,24 @@ let handle_map t ~client spec deadline_ms =
       Atomic.incr t.misses;
       match
         Memo.get t.flights key_digest (fun () ->
-            run_on_pool t ~lane:client (fun () ->
-                match Compute.run ~deadline spec with
-                | Ok outcome -> outcome
-                | Error e -> raise (Request_error e)))
+            (* An artifact's flight is forgotten once the store holds it,
+               so a request that missed the store just before the put
+               (or waited on the flight and woke after the forget)
+               claims the key again: it reads the store, not the
+               compute. *)
+            match Store.find t.store key_digest with
+            | Store.Hit bytes -> Compute.Artifact { bytes; digest = Artifact.digest bytes }
+            | Store.Miss | Store.Evicted_corrupt _ ->
+              run_on_pool t ~lane:client (fun () ->
+                  match Compute.run ~deadline spec with
+                  | Ok outcome -> outcome
+                  | Error e -> raise (Request_error e)))
       with
       | Compute.Artifact { bytes; digest } ->
+        (* The store holds the artifact now: keeping it in the flight
+           table too would grow the heap by every artifact served. *)
         Store.put t.store key_digest bytes;
+        Memo.forget t.flights key_digest;
         add_latency t ~hit:false (elapsed_us ());
         log t "client %d: computed %s (%d bytes, %.1f ms)" client key_digest
           (String.length bytes)

@@ -54,7 +54,8 @@ type error =
   | Unexecuted_instructions of { tile : int; block : int; left : int }
   | Runaway of { max_blocks : int }
   | Uncorrectable_cm of { tile : int; word : int; block : int; cycle : int }
-  | Undecodable_cm of { tile : int; word : int; block : int; cycle : int }
+  | Undecodable_cm of
+      { tile : int; word : int; block : int; cycle : int; message : string }
 
 let error_to_string = function
   | Crf_out_of_range { tile; block; cycle; index; pool } ->
@@ -93,7 +94,7 @@ let error_to_string = function
     Printf.sprintf
       "tile %d b%d@%d: uncorrectable context-memory error at word %d" tile
       block cycle word
-  | Undecodable_cm { tile; word; block; cycle } ->
+  | Undecodable_cm { tile; word; block; cycle; message = _ } ->
     Printf.sprintf "tile %d b%d@%d: undecodable context word %d" tile block
       cycle word
 
@@ -106,44 +107,25 @@ let () =
 
 let fail e = raise (Sim_error e)
 
-type rf_fault = { at_cycle : int; fault_tile : int; fault_reg : int; xor_mask : int }
+type upset =
+  | Context_bit of { tile : int; word : int; bit : int }
+  | Crf_bit of { tile : int; index : int; bit : int }
+  | Rf_bit of { cycle : int; tile : int; reg : int; bit : int }
 
-type upset = { up_tile : int; up_word : int; up_bit : int }
-
-type protect = {
-  profile : Cgra_arch.Protection.profile;
-  upsets : upset list;
-  scrub_interval : int;
-}
+type protect = { profile : Cgra_arch.Protection.profile; scrub_interval : int }
 
 module P = Cgra_arch.Protection
 module Ecc = Cgra_asm.Ecc
 
 let protect_of profile =
   if P.is_none profile then None
-  else Some { profile; upsets = []; scrub_interval = P.default_scrub_interval }
+  else Some { profile; scrub_interval = P.default_scrub_interval }
 
-(* Marks a stale entry of a protected run's decode cache.  [Isa.decode]
-   never yields a zero-length pnop, and entries are compared physically. *)
+(* Marks a [code] entry whose stored word has changed.  [Isa.decode] never
+   yields a zero-length pnop, and entries are compared physically. *)
 let absent = Isa.Ipnop 0
 
-(* Protection-path state.  [stored] is the context image after upsets,
-   repaired in place by fetch-path correction and scrubbing; [checks] are
-   the write-time check bits from the pristine image. *)
-type pstate = {
-  kindof : P.kind array;
-  checks : int array array;
-  stored : int64 array array;
-  mutable p_detected : int;
-  mutable p_corrected : int;
-  mutable p_scrub_cycles : int;
-  p_scrub_reads : int array;
-  p_written : int array;
-  interval : int;
-  mutable next_scrub : int;
-}
-
-let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
+let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(upsets = []) ?protect
     (p : Asm.program) ~mem =
   if mem_ports < 1 then invalid_arg "Simulator.run: mem_ports must be >= 1";
   let m = p.Asm.mapping in
@@ -151,13 +133,6 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
   let cdfg = m.Cgra_core.Mapping.cdfg in
   let nt = Cgra.tile_count cgra in
   let rf_words = cgra.Cgra.rf_words in
-  List.iter
-    (fun f ->
-      if f.fault_tile < 0 || f.fault_tile >= nt then
-        invalid_arg "Simulator.run: rf_fault tile out of range";
-      if f.fault_reg < 0 || f.fault_reg >= rf_words then
-        invalid_arg "Simulator.run: rf_fault register out of range")
-    rf_faults;
   let sections t = p.Asm.tiles.(t).Asm.sections in
   (* Word offset of each section in its tile's context image, plus the
      image length at the end: section [bi] is words
@@ -169,61 +144,68 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
         Array.iteri (fun i sec -> b.(i + 1) <- b.(i) + List.length sec) secs;
         b)
   in
-  (* Protected runs fetch through the ECC decoder from a stored image that
-     upsets may have corrupted. *)
-  let prot =
-    match protect with
-    | None -> None
-    | Some pr ->
-      let kindof =
-        Array.init nt (fun t ->
-            P.for_cm pr.profile ~cm_words:(Cgra.base_cm cgra t))
-      in
-      let stored = Array.init nt (fun t -> Asm.encode_tile p.Asm.tiles.(t)) in
-      let checks =
-        Array.init nt (fun t ->
-            Array.map (Ecc.check_bits kindof.(t)) stored.(t))
-      in
-      List.iter
-        (fun u ->
-          if u.up_tile < 0 || u.up_tile >= nt then
-            invalid_arg "Simulator.run: upset tile out of range";
-          if u.up_word < 0 || u.up_word >= Array.length stored.(u.up_tile) then
-            invalid_arg "Simulator.run: upset word out of range";
-          if u.up_bit < 0 || u.up_bit > 63 then
-            invalid_arg "Simulator.run: upset bit out of range";
-          let ws = stored.(u.up_tile) in
-          ws.(u.up_word) <- Int64.logxor ws.(u.up_word) (Int64.shift_left 1L u.up_bit))
-        pr.upsets;
-      Some
-        {
-          kindof;
-          checks;
-          stored;
-          p_detected = 0;
-          p_corrected = 0;
-          p_scrub_cycles = 0;
-          p_scrub_reads = Array.make nt 0;
-          p_written = Array.map Array.length stored;
-          interval = pr.scrub_interval;
-          next_scrub =
-            (if pr.scrub_interval > 0 then pr.scrub_interval else max_int);
-        }
+  let words t = bases.(t).(Array.length (sections t)) in
+  (* Every tile is unprotected without [?protect]. *)
+  let kindof =
+    Array.init nt (fun t ->
+        match protect with
+        | None -> P.Unprotected
+        | Some pr -> P.for_cm pr.profile ~cm_words:(Cgra.base_cm cgra t))
   in
-  (* The instruction at each context word.  Unprotected runs fill it from
-     the sections once; protected runs use it as a decode cache over the
-     stored image, filled on first fetch and invalidated on every
-     write-back. *)
+  (* The stored context image, only for the tiles that need one: protected
+     tiles, whose words are checked on every fetch, and tiles a context
+     upset hits.  [checks] are the write-time check bits of the pristine
+     image. *)
+  let stored =
+    Array.init nt (fun t ->
+        if kindof.(t) <> P.Unprotected
+           || List.exists (function Context_bit u -> u.tile = t | _ -> false) upsets
+        then Asm.encode_tile p.Asm.tiles.(t)
+        else [||])
+  in
+  let checks = Array.mapi (fun t ws -> Array.map (Ecc.check_bits kindof.(t)) ws) stored in
+  (* The instruction at each context word, from the sections.  An entry is
+     [absent] once its stored word has changed, and that word is decoded
+     on its next fetch. *)
   let code =
     Array.init nt (fun t ->
-        let c = Array.make bases.(t).(Array.length (sections t)) absent in
-        if Option.is_none prot then
-          Array.iteri
-            (fun bi sec ->
-              List.iteri (fun i ins -> c.(bases.(t).(bi) + i) <- ins) sec)
-            (sections t);
+        let c = Array.make (words t) absent in
+        Array.iteri
+          (fun bi sec -> List.iteri (fun i ins -> c.(bases.(t).(bi) + i) <- ins) sec)
+          (sections t);
         c)
   in
+  (* Each tile's constant pool; an upset flips a bit of a per-run copy. *)
+  let crf = Array.map (fun tp -> tp.Asm.crf) p.Asm.tiles in
+  let in_range what v n =
+    if v < 0 || v >= n then invalid_arg ("Simulator.run: upset " ^ what ^ " out of range")
+  in
+  List.iter
+    (function
+      | Context_bit { tile; word; bit } ->
+        in_range "tile" tile nt;
+        in_range "word" word (words tile);
+        in_range "bit" bit 64;
+        stored.(tile).(word) <- Int64.logxor stored.(tile).(word) (Int64.shift_left 1L bit);
+        code.(tile).(word) <- absent
+      | Crf_bit { tile; index; bit } ->
+        in_range "tile" tile nt;
+        in_range "constant-pool index" index (Array.length crf.(tile));
+        in_range "bit" bit 32;
+        if crf.(tile) == p.Asm.tiles.(tile).Asm.crf then crf.(tile) <- Array.copy crf.(tile);
+        crf.(tile).(index) <- Opcode.wrap32 (crf.(tile).(index) lxor (1 lsl bit))
+      | Rf_bit { cycle; tile; reg; bit } ->
+        in_range "cycle" cycle max_int;
+        in_range "tile" tile nt;
+        in_range "register" reg rf_words;
+        in_range "bit" bit 32)
+    upsets;
+  let rf_upsets = List.filter (function Rf_bit _ -> true | _ -> false) upsets in
+  (* Protection counters, reported only under [?protect]. *)
+  let detected = ref 0 and corrected = ref 0 and scrub_cycles = ref 0 in
+  let scrub_reads = Array.make nt 0 in
+  let interval = match protect with Some pr -> pr.scrub_interval | None -> 0 in
+  let next_scrub = ref (if interval > 0 then interval else max_int) in
   let rf = Array.init nt (fun _ -> Array.make rf_words 0) in
   (* Per-tile activity counters, turned into [activity] records at the end. *)
   let alu_ops = Array.make nt 0 and mul_ops = Array.make nt 0 in
@@ -235,18 +217,16 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
   let cycles = ref 0 and stalls = ref 0 and blocks = ref 0 and instrs = ref 0 in
   (* Loads and stores issued in the current cycle. *)
   let cycle_mem = ref 0 in
-  (* The fault-injection hook: when the global cycle counter crosses a
-     fault's [at_cycle] (stall and transition cycles included), XOR the
-     mask into the target register.  Deterministic and order-independent:
-     faults are applied in list order once per crossing. *)
-  let rec apply_faults lo hi = function
+  (* A register upset flips its bit when the global cycle counter crosses
+     its cycle (stall and transition cycles included), once, in list
+     order. *)
+  let rec apply_rf_upsets lo hi = function
+    | Rf_bit { cycle; tile; reg; bit } :: rest ->
+      if cycle >= lo && cycle < hi then
+        rf.(tile).(reg) <- Opcode.wrap32 (rf.(tile).(reg) lxor (1 lsl bit));
+      apply_rf_upsets lo hi rest
+    | _ :: rest -> apply_rf_upsets lo hi rest
     | [] -> ()
-    | f :: rest ->
-      if f.at_cycle >= lo && f.at_cycle < hi then begin
-        let r = rf.(f.fault_tile) in
-        r.(f.fault_reg) <- Opcode.wrap32 (r.(f.fault_reg) lxor f.xor_mask)
-      end;
-      apply_faults lo hi rest
   in
   let check_reg t ~block ~cycle r =
     if r < 0 || r >= rf_words then
@@ -264,7 +244,7 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
       check_reg t ~block ~cycle r;
       rf.(t).(r)
     | Isa.Crf c ->
-      let crf = p.Asm.tiles.(t).Asm.crf in
+      let crf = crf.(t) in
       if c < 0 || c >= Array.length crf then
         fail (Crf_out_of_range { tile = t; block; cycle; index = c; pool = Array.length crf })
       else crf.(c)
@@ -361,82 +341,66 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
       write t dst v;
       if set_cond then cond := Bool.to_int (v <> 0)
   in
-  (* A stored word has been repaired: its cached decode is stale. *)
-  let write_back ps t w d =
-    ps.p_detected <- ps.p_detected + 1;
-    ps.p_corrected <- ps.p_corrected + 1;
-    ps.stored.(t).(w) <- d;
+  (* A stored word has been repaired: its decoded instruction is stale. *)
+  let write_back t w d =
+    incr detected;
+    incr corrected;
+    stored.(t).(w) <- d;
     code.(t).(w) <- absent
   in
-  (* Decode a stored word through the cache.  A word that no longer
-     decodes fails typed at fetch, never at load. *)
-  let decoded ps t w ~block ~cycle =
+  (* Check a protected word through the ECC decoder: a correction writes
+     back; an uncorrectable verdict aborts the run with a typed error (the
+     hardware's machine check). *)
+  let ecc_check k t w ~block ~cycle =
+    match Ecc.decode k ~data:stored.(t).(w) ~check:checks.(t).(w) with
+    | Ecc.Clean -> ()
+    | Ecc.Corrected d -> write_back t w d
+    | Ecc.Detected ->
+      incr detected;
+      fail (Uncorrectable_cm { tile = t; word = w; block; cycle })
+  in
+  (* Fetch one context word.  A protected tile checks it on every fetch;
+     the verdict is never cached.  A word whose stored copy has changed is
+     decoded again: a clean-but-corrupted word (an unprotected upset, a
+     parity escape) executes as whatever it now encodes, or fails typed if
+     it no longer decodes. *)
+  let fetch t w ~block ~cycle =
+    (match kindof.(t) with P.Unprotected -> () | k -> ecc_check k t w ~block ~cycle);
     let i = code.(t).(w) in
     if i != absent then i
     else
-      match Isa.decode ps.stored.(t).(w) with
+      match Isa.decode stored.(t).(w) with
       | Ok i -> code.(t).(w) <- i; i
-      | Error _ -> fail (Undecodable_cm { tile = t; word = w; block; cycle })
-  in
-  (* Fetch one context word.  Protected runs check it through the ECC
-     decoder on every fetch: corrections write back; uncorrectable
-     verdicts abort the run with a typed error (the hardware's
-     machine-check).  A clean-but-corrupted word (parity escape, even
-     flip count) decodes and executes as whatever it now encodes — or
-     fails typed if no longer decodable. *)
-  let fetch t w ~block ~cycle =
-    match prot with
-    | None -> code.(t).(w)
-    | Some ps -> (
-      match ps.kindof.(t) with
-      | P.Unprotected -> decoded ps t w ~block ~cycle
-      | k -> (
-        match Ecc.decode k ~data:ps.stored.(t).(w) ~check:ps.checks.(t).(w) with
-        | Ecc.Clean -> decoded ps t w ~block ~cycle
-        | Ecc.Corrected d ->
-          write_back ps t w d;
-          decoded ps t w ~block ~cycle
-        | Ecc.Detected ->
-          ps.p_detected <- ps.p_detected + 1;
-          fail (Uncorrectable_cm { tile = t; word = w; block; cycle })))
+      | Error message -> fail (Undecodable_cm { tile = t; word = w; block; cycle; message })
   in
   (* One scrubber pass: read every protected word, correct correctable
      errors in place, abort on detected-uncorrectable ones.  Scrub reads
      happen in the background (no execution cycles), but are counted for
      the energy model. *)
-  let scrub_pass ps ~block ~cycle =
-    Array.iteri
-      (fun t words ->
-        match ps.kindof.(t) with
-        | P.Unprotected -> ()
-        | k ->
-          Array.iteri
-            (fun w data ->
-              ps.p_scrub_reads.(t) <- ps.p_scrub_reads.(t) + 1;
-              ps.p_scrub_cycles <- ps.p_scrub_cycles + 1;
-              match Ecc.decode k ~data ~check:ps.checks.(t).(w) with
-              | Ecc.Clean -> ()
-              | Ecc.Corrected d -> write_back ps t w d
-              | Ecc.Detected ->
-                ps.p_detected <- ps.p_detected + 1;
-                fail (Uncorrectable_cm { tile = t; word = w; block; cycle }))
-            words)
-      ps.stored
+  let scrub_pass ~block ~cycle =
+    for t = 0 to nt - 1 do
+      match kindof.(t) with
+      | P.Unprotected -> ()
+      | k ->
+        for w = 0 to Array.length stored.(t) - 1 do
+          scrub_reads.(t) <- scrub_reads.(t) + 1;
+          incr scrub_cycles;
+          ecc_check k t w ~block ~cycle
+        done
+    done
   in
   let maybe_scrub ~block ~cycle =
-    match prot with
-    | None -> ()
-    | Some ps ->
-      while !cycles >= ps.next_scrub do
-        scrub_pass ps ~block ~cycle;
-        ps.next_scrub <- ps.next_scrub + ps.interval
-      done
+    while !cycles >= !next_scrub do
+      scrub_pass ~block ~cycle;
+      next_scrub := !next_scrub + interval
+    done
   in
-  (* Advance the global cycle counter, firing the RF faults it crosses. *)
+  (* Advance the global cycle counter, firing the register upsets it
+     crosses. *)
   let tick n =
     let before = !cycles in
     cycles := before + n;
-    match rf_faults with [] -> () | fs -> apply_faults before !cycles fs
+    match rf_upsets with [] -> () | us -> apply_rf_upsets before !cycles us
   in
   (* One lock-step walk of block [bi]'s sections. *)
   let run_section bi =
@@ -511,17 +475,16 @@ let run ?(mem_ports = 8) ?(max_blocks = 1_000_000) ?(rf_faults = []) ?protect
             awake_cycles = awake.(t);
           });
     ecc =
-      (match prot with
-       | None -> None
-       | Some ps ->
-         Some
-           {
-             detected = ps.p_detected;
-             corrected = ps.p_corrected;
-             scrub_cycles = ps.p_scrub_cycles;
-             scrub_reads = ps.p_scrub_reads;
-             written = ps.p_written;
-           });
+      Option.map
+        (fun _ ->
+          {
+            detected = !detected;
+            corrected = !corrected;
+            scrub_cycles = !scrub_cycles;
+            scrub_reads;
+            written = Array.init nt words;
+          })
+        protect;
   }
 
 let total_activity r =

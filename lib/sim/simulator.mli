@@ -81,9 +81,11 @@ type error =
   | Uncorrectable_cm of { tile : int; word : int; block : int; cycle : int }
       (** ECC detected an uncorrectable context-memory error (double-bit
           under SECDED, any odd flip under parity) — the machine check *)
-  | Undecodable_cm of { tile : int; word : int; block : int; cycle : int }
-      (** a context word that escaped (or lacked) protection no longer
-          decodes to any instruction *)
+  | Undecodable_cm of
+      { tile : int; word : int; block : int; cycle : int; message : string }
+      (** a fetched context word that escaped (or lacked) protection no
+          longer decodes to any instruction; [message] is
+          {!Cgra_arch.Isa.decode}'s *)
 
 val error_to_string : error -> string
 
@@ -91,34 +93,31 @@ exception Sim_error of error
 (** Also registered with [Printexc.register_printer], so an uncaught
     [Sim_error] still prints a readable message. *)
 
-type rf_fault = {
-  at_cycle : int;   (** global cycle (stalls and transitions included) *)
-  fault_tile : int;
-  fault_reg : int;
-  xor_mask : int;   (** XORed into the register when the counter crosses *)
-}
-(** A register-file bit-upset for the fault-injection campaigns: when the
-    global cycle counter crosses [at_cycle], [xor_mask] is XORed into
-    [fault_reg] of [fault_tile]. *)
-
-type upset = {
-  up_tile : int;
-  up_word : int;   (** index into the tile's context image *)
-  up_bit : int;    (** 0..63: data bits only, so injection sites are
-                       identical at every protection level *)
-}
-(** A context-memory bit-upset, applied to the stored image before
-    execution starts (a configuration-time soft error). *)
+type upset =
+  | Context_bit of { tile : int; word : int; bit : int }
+      (** flips [bit] (0..63: data bits only, so injection sites are the
+          same at every protection level) of [word] in the tile's stored
+          context image *)
+  | Crf_bit of { tile : int; index : int; bit : int }
+      (** flips [bit] (0..31) of entry [index] of the tile's constant
+          pool *)
+  | Rf_bit of { cycle : int; tile : int; reg : int; bit : int }
+      (** flips [bit] (0..31) of register [reg] when the global cycle
+          counter (stalls and transitions included) crosses [cycle] *)
+(** A single-bit upset, the fault-injection campaigns' event.  Context
+    and constant-pool upsets are configuration-time soft errors, applied
+    before execution starts to this run's copy of the image or pool (the
+    program is never mutated); a register upset strikes mid-run. *)
 
 type protect = {
   profile : Cgra_arch.Protection.profile;
-  upsets : upset list;
   scrub_interval : int;
       (** global cycles between background scrub passes; [<= 0] disables
           scrubbing ({!Cgra_arch.Protection.default_scrub_interval} is
           the conventional value) *)
 }
-(** Context-memory protection for a run.  Every fetch goes through the
+(** Context-memory protection for a run: the per-tile profile and the
+    scrub cadence.  Every fetch from a protected tile goes through the
     ECC decoder against check bits computed from the pristine image
     (encode-on-write); single-bit errors are corrected in place under
     SECDED, uncorrectable ones raise {!Sim_error} [Uncorrectable_cm].
@@ -126,15 +125,15 @@ type protect = {
     [scrub_interval] cycles in the background. *)
 
 val protect_of : Cgra_arch.Protection.profile -> protect option
-(** The protection a run under [profile] gets: no upsets and the
+(** The protection a run under [profile] gets: the
     {!Cgra_arch.Protection.default_scrub_interval}, or [None] when every
-    tile is unprotected, so that the run keeps the plain fetch path and
-    its results are bit-identical to a protection-free build. *)
+    tile is unprotected, so that the run reports no ECC counters and its
+    results are bit-identical to a protection-free build. *)
 
 val run :
   ?mem_ports:int ->
   ?max_blocks:int ->
-  ?rf_faults:rf_fault list ->
+  ?upsets:upset list ->
   ?protect:protect ->
   Cgra_asm.Assemble.program ->
   mem:int array ->
@@ -142,19 +141,22 @@ val run :
 (** [run program ~mem] executes from the entry block until [Return],
     mutating [mem].  Symbol RF slots start at zero, matching the
     reference interpreter.  Defaults: [mem_ports = 8],
-    [max_blocks = 1_000_000], [rf_faults = []], no protection.  Raises
+    [max_blocks = 1_000_000], no upsets, no protection.  Raises
     {!Sim_error} on a malformed program (missing condition, out-of-range
-    memory access, write conflict, runaway loop) and on uncorrectable or
-    undecodable context words under [?protect]; raises
-    [Invalid_argument] if [mem_ports < 1] or if an [rf_fault] or [upset]
-    names a site outside the fabric.
+    memory access, write conflict, runaway loop), on an undecodable
+    context word when it is fetched, and on an uncorrectable one under
+    [?protect]; raises [Invalid_argument] if [mem_ports < 1] or if an
+    upset names a site outside the program or the fabric (tile, context
+    word, constant-pool index, register, bit, or a negative cycle).
 
-    Both kinds of run share one lock-step loop and differ only in where
-    an instruction is fetched from.  Without [?protect] it is read from
-    the program's sections ([result.ecc = None]).  With it, every fetch
-    checks the stored word through the ECC decoder first — the verdict is
-    never cached — and the word is then decoded through a per-word cache
-    that fetch-path corrections and the scrubber invalidate when they
-    write a repaired word back. *)
+    Every run shares one lock-step loop and one fetch.  An instruction
+    is read from the program's sections until its stored word changes —
+    by a context upset or an ECC write-back — and is then decoded from
+    the stored word, once per change.  So a context upset reaches a run,
+    protected or not, only when its word is fetched.  A tile gets a
+    stored image only if it is protected or a context upset hits it: a
+    run with neither reads the sections alone.  Under [?protect], every
+    fetch from a protected tile first checks the stored word through the
+    ECC decoder; the verdict is never cached. *)
 
 val total_activity : result -> activity

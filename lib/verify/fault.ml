@@ -1,12 +1,10 @@
 module Asm = Cgra_asm.Assemble
 module Sim = Cgra_sim.Simulator
-module Isa = Cgra_arch.Isa
 module Cgra = Cgra_arch.Cgra
-module Opcode = Cgra_ir.Opcode
 module Rng = Cgra_util.Rng
 module Pool = Cgra_util.Pool
 
-type injection =
+type injection = Sim.upset =
   | Context_bit of { tile : int; word : int; bit : int }
   | Crf_bit of { tile : int; index : int; bit : int }
   | Rf_bit of { cycle : int; tile : int; reg : int; bit : int }
@@ -74,32 +72,6 @@ let summarize runs =
     }
     runs
 
-(* Rebuild one tile's program from its bit-flipped binary image.  The
-   per-section instruction counts of the original program give the section
-   boundaries back (every instruction, pnops included, is one word). *)
-let reassemble_tile (tp : Asm.tile_program) (words : int64 array) =
-  let decoded = Array.map Isa.decode words in
-  let bad = ref None in
-  Array.iter
-    (fun d -> match d with Error e when !bad = None -> bad := Some e | _ -> ())
-    decoded;
-  match !bad with
-  | Some e -> Error e
-  | None ->
-    let cursor = ref 0 in
-    let sections =
-      Array.map
-        (fun sec ->
-          List.map
-            (fun _ ->
-              let d = decoded.(!cursor) in
-              incr cursor;
-              match d with Ok i -> i | Error _ -> assert false)
-            sec)
-        tp.Asm.sections
-    in
-    Ok { tp with Asm.sections }
-
 let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
     ~ctx_sites ~crf_sites ~golden_cycles ~fresh_mem ~golden ~protect ~cm_only
     index =
@@ -136,8 +108,8 @@ let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
       let site = Rng.int rng ctx_sites in
       (* Walk the per-tile word counts to the owning tile. *)
       let tile = ref 0 and off = ref site in
-      while !off >= Array.length ctx_words.(!tile) do
-        off := !off - Array.length ctx_words.(!tile);
+      while !off >= ctx_words.(!tile) do
+        off := !off - ctx_words.(!tile);
         incr tile
       done;
       Context_bit { tile = !tile; word = !off; bit = Rng.int rng 64 }
@@ -158,74 +130,22 @@ let run_trial ~key ~seed ~max_blocks ~(program : Asm.program) ~ctx_words
           bit = Rng.int rng 32;
         }
   in
-  (* Under protection, a context upset is handed to the simulator as a
-     stored-image [upset] so the ECC fetch path sees it; unprotected
-     campaigns keep the pre-existing reassembly route.  [faulted] carries
-     the program, the RF fault list and the upset list. *)
-  let faulted, rf_faults, upsets =
-    match injection with
-    | Context_bit { tile; word; bit } when protect <> None ->
-      (Ok program, [], [ { Sim.up_tile = tile; up_word = word; up_bit = bit } ])
-    | Context_bit { tile; word; bit } ->
-      let words = Array.copy ctx_words.(tile) in
-      words.(word) <- Int64.logxor words.(word) (Int64.shift_left 1L bit);
-      (match reassemble_tile program.Asm.tiles.(tile) words with
-       | Error e -> (Error ("undecodable context word: " ^ e), [], [])
-       | Ok tp ->
-         ( Ok
-             {
-               program with
-               Asm.tiles =
-                 Array.mapi
-                   (fun i t -> if i = tile then tp else t)
-                   program.Asm.tiles;
-             },
-           [],
-           [] ))
-    | Crf_bit { tile; index; bit } ->
-      let tp = program.Asm.tiles.(tile) in
-      let crf = Array.copy tp.Asm.crf in
-      crf.(index) <- Opcode.wrap32 (crf.(index) lxor (1 lsl bit));
-      ( Ok
-          {
-            program with
-            Asm.tiles =
-              Array.mapi
-                (fun i t -> if i = tile then { tp with Asm.crf } else t)
-                program.Asm.tiles;
-          },
-        [],
-        [] )
-    | Rf_bit { cycle; tile; reg; bit } ->
-      ( Ok program,
-        [
-          {
-            Sim.at_cycle = cycle;
-            fault_tile = tile;
-            fault_reg = reg;
-            xor_mask = 1 lsl bit;
-          };
-        ],
-        [] )
-  in
+  let mem = fresh_mem () in
+  (* An unprotected run never raises [Uncorrectable_cm] and reports no ECC
+     counters, so it is never [Detected] or [Corrected]. *)
   let outcome =
-    match faulted with
-    | Error e -> Crash e
-    | Ok p -> (
-      let mem = fresh_mem () in
-      (* An unprotected run never raises [Uncorrectable_cm] and reports
-         no ECC counters, so it is never [Detected] or [Corrected]. *)
-      let protect = Option.map (fun pr -> { pr with Sim.upsets }) protect in
-      match Sim.run ~max_blocks ~rf_faults ?protect p ~mem with
-      | exception Sim.Sim_error (Sim.Runaway _) -> Hang
-      | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> Detected
-      | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
-      | r ->
-        if mem = golden then
-          match r.Sim.ecc with
-          | Some e when e.Sim.corrected > 0 -> Corrected
-          | _ -> Masked
-        else Wrong_output)
+    match Sim.run ~max_blocks ~upsets:[ injection ] ?protect program ~mem with
+    | exception Sim.Sim_error (Sim.Runaway _) -> Hang
+    | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> Detected
+    | exception Sim.Sim_error (Sim.Undecodable_cm { message; _ }) ->
+      Crash ("undecodable context word: " ^ message)
+    | exception Sim.Sim_error e -> Crash (Sim.error_to_string e)
+    | r ->
+      if mem = golden then
+        match r.Sim.ecc with
+        | Some e when e.Sim.corrected > 0 -> Corrected
+        | _ -> Masked
+      else Wrong_output
   in
   { index; injection; outcome }
 
@@ -238,8 +158,8 @@ let run_campaign ?jobs ?protect ?(cm_only = false) ~seed ~trials ~key
   (* Corrupted control flow must terminate quickly: anything running past a
      generous multiple of the fault-free block count is a hang. *)
   let max_blocks = (baseline.Sim.blocks_executed * 4) + 64 in
-  let ctx_words = Array.map Asm.encode_tile program.Asm.tiles in
-  let ctx_sites = Array.fold_left (fun a w -> a + Array.length w) 0 ctx_words in
+  let ctx_words = Asm.context_words program in
+  let ctx_sites = Array.fold_left ( + ) 0 ctx_words in
   let crf_sites =
     Array.fold_left (fun a t -> a + Array.length t.Asm.crf) 0 program.Asm.tiles
   in

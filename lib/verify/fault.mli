@@ -1,14 +1,17 @@
 (** Deterministic fault-injection campaigns.
 
-    Each trial flips one bit in the program's state — a context-memory
-    word of the binary image ({!Cgra_asm.Assemble.encode_tile}), a
+    Each trial samples one single-bit upset — a context-memory word of
+    the binary image ({!Cgra_asm.Assemble.encode_tile}), a
     constant-register-file entry, or a live register-file bit at a chosen
-    cycle — re-runs the cycle-level simulator, and classifies the result:
+    cycle — runs the cycle-level simulator with it
+    ({!Cgra_sim.Simulator.run}[ ~upsets]), which applies it, and
+    classifies the result:
 
     - {e masked}: the final data memory equals the fault-free image;
     - {e wrong-output}: simulation completed but the memory differs;
-    - {e crash}: an undecodable context word, or a typed
-      {!Cgra_sim.Simulator.Sim_error};
+    - {e crash}: a typed {!Cgra_sim.Simulator.Sim_error}; a fetched
+      context word that no longer decodes prints as
+      ["undecodable context word: "] followed by the decoder's message;
     - {e hang}: execution past 4x the fault-free block count
       ([max_blocks], surfacing as [Runaway]);
     - {e detected} (protected campaigns only): ECC flagged an
@@ -22,10 +25,12 @@
     the whole per-trial list — is byte-identical at any [jobs] value and
     across reruns with the same seed. *)
 
-type injection =
+type injection = Cgra_sim.Simulator.upset =
   | Context_bit of { tile : int; word : int; bit : int }
   | Crf_bit of { tile : int; index : int; bit : int }
   | Rf_bit of { cycle : int; tile : int; reg : int; bit : int }
+(** The simulator's upset: a campaign samples it and the simulator
+    applies it. *)
 
 type outcome =
   | Masked
@@ -79,15 +84,16 @@ val run_campaign :
     assembled program places no words on dead tiles and none beyond a
     stuck-row-reduced capacity.
 
-    With [?protect] (a non-[none] profile), trials run through the ECC
-    fetch path with the default scrub cadence: context upsets are planted
-    in the stored image instead of reassembled, uncorrectable errors
-    classify as [Detected], corrected-then-completed runs as
-    [Corrected].  Injection sampling never consults the profile, so trial
-    [i] of a given [key]/[seed] flips the same bit at every protection
-    level.  [?cm_only] restricts every trial to context-memory upsets
-    (the protection report's mode); default [false].  Omitting both
-    keeps the campaign byte-identical to the pre-existing one. *)
+    The simulator applies every upset, with or without [?protect]: a
+    context upset reaches the run only when its word is fetched, through
+    the same fetch path at every protection level.  With [?protect] (a non-[none] profile), protected tiles
+    check every fetch through the ECC decoder, with the default scrub
+    cadence: uncorrectable errors classify as [Detected],
+    corrected-then-completed runs as [Corrected].  Injection sampling
+    never consults the profile, so trial [i] of a given [key]/[seed]
+    flips the same bit at every protection level.  [?cm_only] restricts
+    every trial to context-memory upsets (the protection report's mode);
+    default [false]. *)
 
 val sample_permanent : Cgra_util.Rng.t -> Cgra_arch.Cgra.t -> Cgra_arch.Cgra.fault
 (** One random permanent fault on the (pristine) array: 20% dead tile,

@@ -265,9 +265,8 @@ let test_profile_strings () =
 
 (* ---- protected simulation -------------------------------------------- *)
 
-let protect ?(upsets = []) ?(scrub_interval = P.default_scrub_interval) profile
-    =
-  { Sim.profile; upsets; scrub_interval }
+let protect ?(scrub_interval = P.default_scrub_interval) profile =
+  { Sim.profile; scrub_interval }
 
 (* A (tile, word) that the program actually stores: the first tile with a
    nonempty context image. *)
@@ -311,9 +310,9 @@ let test_secded_corrects_upset () =
   let k, m = Lazy.force base in
   let prog = Asm.assemble m in
   let tile = some_site prog in
-  let up = { Sim.up_tile = tile; up_word = 0; up_bit = 17 } in
+  let up = Sim.Context_bit { tile; word = 0; bit = 17 } in
   let mem = K.fresh_mem k in
-  let r = Sim.run ~protect:(protect ~upsets:[ up ] P.secded) prog ~mem in
+  let r = Sim.run ~upsets:[ up ] ~protect:(protect P.secded) prog ~mem in
   Alcotest.(check bool) "functional despite the upset" true
     (mem = K.run_golden k);
   match r.Sim.ecc with
@@ -325,12 +324,12 @@ let test_parity_detects_upset () =
   let k, m = Lazy.force base in
   let prog = Asm.assemble m in
   let tile = some_site prog in
-  let up = { Sim.up_tile = tile; up_word = 0; up_bit = 3 } in
+  let up = Sim.Context_bit { tile; word = 0; bit = 3 } in
   let mem = K.fresh_mem k in
   (* scrub every cycle: the upset is reached even if the word itself is
      never fetched on the executed path *)
   match
-    Sim.run ~protect:(protect ~upsets:[ up ] ~scrub_interval:1 P.parity) prog
+    Sim.run ~upsets:[ up ] ~protect:(protect ~scrub_interval:1 P.parity) prog
       ~mem
   with
   | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> ()
@@ -342,12 +341,12 @@ let test_secded_detects_double_upset () =
   let prog = Asm.assemble m in
   let tile = some_site prog in
   let ups =
-    [ { Sim.up_tile = tile; up_word = 0; up_bit = 5 };
-      { Sim.up_tile = tile; up_word = 0; up_bit = 41 } ]
+    [ Sim.Context_bit { tile; word = 0; bit = 5 };
+      Sim.Context_bit { tile; word = 0; bit = 41 } ]
   in
   let mem = K.fresh_mem k in
   match
-    Sim.run ~protect:(protect ~upsets:ups ~scrub_interval:1 P.secded) prog ~mem
+    Sim.run ~upsets:ups ~protect:(protect ~scrub_interval:1 P.secded) prog ~mem
   with
   | exception Sim.Sim_error (Sim.Uncorrectable_cm _) -> ()
   | exception e -> Alcotest.fail ("wrong error: " ^ Printexc.to_string e)
@@ -372,10 +371,10 @@ let test_scrub_repairs_upset () =
   let k, m = Lazy.force base in
   let prog = Asm.assemble m in
   let tile = some_site prog in
-  let up = { Sim.up_tile = tile; up_word = 0; up_bit = 60 } in
+  let up = Sim.Context_bit { tile; word = 0; bit = 60 } in
   let mem = K.fresh_mem k in
   let r =
-    Sim.run ~protect:(protect ~upsets:[ up ] ~scrub_interval:1 P.secded) prog
+    Sim.run ~upsets:[ up ] ~protect:(protect ~scrub_interval:1 P.secded) prog
       ~mem
   in
   Alcotest.(check bool) "functional" true (mem = K.run_golden k);

@@ -974,6 +974,29 @@ let test_preconditions_checked_once () =
       ("portfolio", { aware with FC.backend = FC.Portfolio });
       ("degrade", { aware with FC.degrade = true }) ]
 
+(* A portfolio whose two sides both fail reports both ladders: SepFilter
+   on six context words per tile dead-ends on the beam's three rungs
+   (the configuration and its two reseeded retries), then on the exact
+   backend's greedy and spread passes, and the work counts both sides. *)
+let test_failed_portfolio_reports_both_ladders () =
+  let cgra = Cgra_arch.Cgra.make ~cm_of_tile:(fun _ -> 6) () in
+  let config = { FC.context_aware with FC.backend = FC.Portfolio } in
+  match Flow.run ~config cgra (K.cdfg (kernel "sep_filter")) with
+  | Ok _ -> Alcotest.fail "SepFilter cannot fit six words per tile"
+  | Error f ->
+    Alcotest.(check bool) "a dead end" true (f.Flow.verdict = Cgra_core.Search.Dead_end);
+    Alcotest.(check int) "work of both sides" 50_188 f.Flow.work;
+    Alcotest.(check (list (pair string int))) "the beam's rungs, then the exact side's"
+      [ ("beam", 0); ("beam", 1); ("beam", 2); ("exact", 0); ("exact", 1) ]
+      (List.map
+         (fun (e : Flow.escalation) ->
+           ( (match e.Flow.e_config.FC.backend with
+              | FC.Beam -> "beam"
+              | FC.Exact -> "exact"
+              | FC.Portfolio -> "portfolio"),
+             e.Flow.e_attempt ))
+         f.Flow.gave_up)
+
 (* The optimality report's two sides map the same lowering: under
    [opt = Optimized] the FFT@HOM64 row's beam columns are the optimized
    harness cell, and its exact columns are the exact backend run on the
@@ -1078,6 +1101,8 @@ let suite =
           test_exact_ladder_work;
         Alcotest.test_case "flow preconditions are checked once" `Quick
           test_preconditions_checked_once;
+        Alcotest.test_case "a failed portfolio reports both ladders" `Quick
+          test_failed_portfolio_reports_both_ladders;
         Alcotest.test_case "exact effort on the benchmark grid" `Quick
           test_exact_grid_effort;
         Alcotest.test_case "optimality report maps one lowering" `Slow

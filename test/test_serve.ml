@@ -824,6 +824,64 @@ let test_e2e_daemon () =
                Alcotest.(check int) "clear evicts the stored artifact" 1 evicted
              | _ -> Alcotest.fail "expected cleared")))
 
+(* The store holds every artifact the daemon computes, so the flight
+   table keeps none of them: fifty distinct inline kernels leave the live
+   heap about where it was, whatever the artifact bytes served.  (Keeping
+   them grew it by about 1.2 times those bytes.) *)
+let test_daemon_keeps_no_artifacts () =
+  let root = fresh_dir "cgra-mapd-heap" in
+  let socket_path = fresh_dir "cgra-mapd-heap" ^ ".sock" in
+  let server =
+    Serve.Server.start
+      {
+        Serve.Server.socket_path;
+        tcp_port = None;
+        store_root = Some root;
+        jobs = Some 1;
+        verbose = false;
+        deadline_ms = None;
+        queue_limit = None;
+        io_timeout_s = None;
+      }
+  in
+  let ep = Serve.Client.Unix_socket socket_path in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.request_stop server;
+      Serve.Server.wait server;
+      ignore (Store.clear (Serve.Server.store server)))
+    (fun () ->
+      let served n =
+        let source =
+          Printf.sprintf
+            "kernel k { arr x @ 0; arr y @ 8; var i; \
+             for (i = 0; i < 4; i = i + 1) { y[i] = x[i] * %d + 1; } }"
+            n
+        in
+        let spec =
+          { Key.kernel = Key.Inline { source; mem_words = 16 };
+            config = Cgra_arch.Config.HOM64; knobs = []; opt = Key.Default;
+            faults = [] }
+        in
+        match fail_on_map_error (Serve.Client.map ~fallback:false ep spec) with
+        | Serve.Client.Artifact { source = Serve.Client.Daemon { cached = false }; bytes; _ }
+          ->
+          String.length bytes
+        | _ -> Alcotest.fail "a distinct inline kernel must be computed"
+      in
+      let live_bytes () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+      in
+      ignore (served 0);
+      let before = live_bytes () in
+      let bytes = List.fold_left (fun acc n -> acc + served n) 0 (List.init 50 succ) in
+      let grown = live_bytes () - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "live heap grew %d bytes over %d artifact bytes served" grown bytes)
+        true
+        (2 * grown < bytes))
+
 (* ---- socket-path collision handling ----------------------------------- *)
 
 (* Two daemons on one socket path: the second must refuse with the
@@ -935,5 +993,7 @@ let suite =
           test_protocol_responses;
         Alcotest.test_case "daemon end-to-end over a socket" `Quick
           test_e2e_daemon;
+        Alcotest.test_case "daemon keeps no artifact in memory" `Quick
+          test_daemon_keeps_no_artifacts;
         Alcotest.test_case "socket collision: stale swept, live refused"
           `Quick test_socket_collision ] ) ]

@@ -85,9 +85,9 @@ let error =
     (fun ppf e -> Format.pp_print_string ppf (Sim.error_to_string e))
     ( = )
 
-let expect_error ?protect ?max_blocks name expected (p : Asm.program) =
+let expect_error ?upsets ?protect ?max_blocks name expected (p : Asm.program) =
   let k, _ = Lazy.force base in
-  match Sim.run ?protect ?max_blocks p ~mem:(K.fresh_mem k) with
+  match Sim.run ?upsets ?protect ?max_blocks p ~mem:(K.fresh_mem k) with
   | _ -> Alcotest.failf "%s: the run must raise %s" name (Sim.error_to_string expected)
   | exception Sim.Sim_error e -> Alcotest.check error name expected e
 
@@ -254,24 +254,162 @@ let test_bad_tile () =
       (replace p s (Isa.Iop { o with srcs }))
   | _ -> assert false
 
-let protect ?(upsets = []) ?(scrub_interval = P.default_scrub_interval) profile =
-  { Sim.profile; upsets; scrub_interval }
+let protect ?(scrub_interval = P.default_scrub_interval) profile =
+  { Sim.profile; scrub_interval }
 
-let test_undecodable_cm () =
-  (* Two flips in the opcode field escape parity and leave an opcode
-     index no instruction has: the fetch must fail typed, at the word. *)
+(* Two flips in the opcode field of the first operation's word leave an
+   opcode index no instruction has; the decoder's message for that word. *)
+let undecodable_site () =
   let _, p = Lazy.force base in
   let s = find_site ~what:"operation" p (is_op (fun _ _ -> true)) in
   let word = word_of p s in
-  let upsets =
-    List.map (fun up_bit -> { Sim.up_tile = s.tile; up_word = word; up_bit }) [ 60; 61 ]
-  in
-  expect_error ~protect:(protect ~upsets P.parity) "parity escape that no longer decodes"
-    (Sim.Undecodable_cm { tile = s.tile; word; block = s.block; cycle = s.cycle })
+  let upsets = List.map (fun bit -> Sim.Context_bit { tile = s.tile; word; bit }) [ 60; 61 ] in
+  let flipped = Int64.logxor (Isa.encode s.instr) (Int64.shift_left 3L 60) in
+  match Isa.decode flipped with
+  | Ok _ -> Alcotest.fail "the double flip must leave an undecodable word"
+  | Error message -> (p, s, word, upsets, message)
+
+let test_undecodable_cm () =
+  (* The double flip escapes parity: the fetch must fail typed, at the
+     word, with the decoder's message. *)
+  let p, s, word, upsets, message = undecodable_site () in
+  expect_error ~upsets ~protect:(protect P.parity) "parity escape that no longer decodes"
+    (Sim.Undecodable_cm { tile = s.tile; word; block = s.block; cycle = s.cycle; message })
     p;
-  expect_error ~protect:(protect ~upsets P.secded) "the same double flip under SECDED"
+  expect_error ~upsets ~protect:(protect P.secded) "the same double flip under SECDED"
     (Sim.Uncorrectable_cm { tile = s.tile; word; block = s.block; cycle = s.cycle })
     p
+
+(* ---- upsets and the fetch path ----------------------------------------- *)
+
+(* The first single-bit flip, in tile, word and bit order, that leaves a
+   word of a [block] section no longer decodable: (tile, word, bit,
+   decoder message). *)
+let undecodable_flip (p : Asm.program) ~block =
+  let found = ref None in
+  Array.iteri
+    (fun tile tp ->
+      let image = Asm.encode_tile tp in
+      let base = ref 0 in
+      Array.iteri
+        (fun bi sec ->
+          if block bi then
+            List.iteri
+              (fun i _ ->
+                let word = !base + i in
+                for bit = 0 to 63 do
+                  if !found = None then
+                    match Isa.decode (Int64.logxor image.(word) (Int64.shift_left 1L bit)) with
+                    | Error message -> found := Some (tile, word, bit, message)
+                    | Ok _ -> ()
+                done)
+              sec;
+          base := !base + List.length sec)
+        tp.Asm.sections)
+    p.Asm.tiles;
+  match !found with Some f -> f | None -> Alcotest.fail "no undecodable single flip"
+
+(* A kernel whose [then] side no input below 1000 takes; the arms store,
+   so the clean-up keeps the branch. *)
+let cold_branch =
+  lazy
+    (let cdfg =
+       Cgra_lang.Compile.compile_exn
+         {|kernel k { arr x @ 0; arr o @ 8; var i, v;
+           for (i = 0; i < 4; i = i + 1) {
+             v = x[i];
+             if (v > 1000) { o[i] = v * 7 + 3; } else { o[i] = v + 1; }
+           } }|}
+     in
+     match Cgra_core.Flow.run ~config:FC.basic (Config.cgra Config.HOM64) cdfg with
+     | Ok (m, _) -> (cdfg, Asm.assemble m)
+     | Error f -> Alcotest.fail f.Cgra_core.Flow.reason)
+
+let test_unfetched_undecodable () =
+  (* The fetch path, like the hardware, decodes a word only when it is
+     fetched: an unprotected run never crashes on a corrupted word of a
+     block it does not execute. *)
+  let cdfg, p = Lazy.force cold_branch in
+  let cold bi = String.starts_with ~prefix:"then" cdfg.Cdfg.blocks.(bi).Cdfg.name in
+  if not (Array.exists (fun (b : Cdfg.block) -> String.starts_with ~prefix:"then" b.Cdfg.name)
+            cdfg.Cdfg.blocks)
+  then Alcotest.fail "the kernel lost its cold branch";
+  let tile, word, bit, _ = undecodable_flip p ~block:cold in
+  let fresh () = Array.init 16 (fun i -> if i < 4 then i + 1 else 0) in
+  let golden = fresh () in
+  ignore (Cgra_ir.Interp.run cdfg ~mem:golden);
+  let mem = fresh () in
+  ignore (Sim.run ~upsets:[ Sim.Context_bit { tile; word; bit } ] p ~mem);
+  Alcotest.(check (array int)) "golden despite the corrupted word" golden mem
+
+let test_fetched_undecodable () =
+  (* Every block of the base program runs, so every word is fetched: an
+     undecodable flip fails the run typed, with the decoder's message, and
+     the campaigns classify it with that message. *)
+  let k, p = Lazy.force base in
+  let tile, word, bit, message = undecodable_flip p ~block:(fun _ -> true) in
+  (match Sim.run ~upsets:[ Sim.Context_bit { tile; word; bit } ] p ~mem:(K.fresh_mem k) with
+   | _ -> Alcotest.fail "an unprotected fetch of an undecodable word must raise"
+   | exception Sim.Sim_error (Sim.Undecodable_cm u) ->
+     Alcotest.(check (list int)) "tile and word" [ tile; word ] [ u.tile; u.word ];
+     Alcotest.(check string) "the decoder's message" message u.message);
+  let c =
+    F.run_campaign ~jobs:1 ~seed:11 ~trials:200 ~key:"test/fir/undecodable"
+      ~fresh_mem:(fun () -> K.fresh_mem k)
+      p
+  in
+  let images = Array.map Asm.encode_tile p.Asm.tiles in
+  let crashes =
+    List.filter_map
+      (fun (t : F.trial) ->
+        match t.F.injection with
+        | F.Context_bit { tile; word; bit } -> (
+          match Isa.decode (Int64.logxor images.(tile).(word) (Int64.shift_left 1L bit)) with
+          | Error m ->
+            Alcotest.(check string) "crash text"
+              ("crash: undecodable context word: " ^ m)
+              (F.outcome_to_string t.F.outcome);
+            Some ()
+          | Ok _ -> None)
+        | _ -> None)
+      c.F.runs
+  in
+  Alcotest.(check bool) "the campaign hits an undecodable word" true (crashes <> [])
+
+let test_upset_ranges () =
+  let k, p = Lazy.force base in
+  let cgra = p.Asm.mapping.Cgra_core.Mapping.cgra in
+  let nt = Cgra.tile_count cgra and rf_words = cgra.Cgra.rf_words in
+  let words t = (Asm.context_words p).(t) in
+  let t = Option.get (List.find_opt (fun t -> words t > 0) (List.init nt Fun.id)) in
+  let ct =
+    Option.get
+      (List.find_opt (fun t -> Array.length p.Asm.tiles.(t).Asm.crf > 0) (List.init nt Fun.id))
+  in
+  let pool = p.Asm.tiles.(ct).Asm.crf in
+  List.iter
+    (fun (what, u) ->
+      match Sim.run ~upsets:[ u ] p ~mem:(K.fresh_mem k) with
+      | _ -> Alcotest.failf "an upset with a bad %s must be rejected" what
+      | exception Invalid_argument _ -> ())
+    [ ("tile", Sim.Context_bit { tile = nt; word = 0; bit = 0 });
+      ("word", Sim.Context_bit { tile = t; word = words t; bit = 0 });
+      ("context bit", Sim.Context_bit { tile = t; word = 0; bit = 64 });
+      ("pool tile", Sim.Crf_bit { tile = -1; index = 0; bit = 0 });
+      ("pool index", Sim.Crf_bit { tile = ct; index = Array.length pool; bit = 0 });
+      ("pool bit", Sim.Crf_bit { tile = ct; index = 0; bit = 32 });
+      ("register tile", Sim.Rf_bit { cycle = 0; tile = nt; reg = 0; bit = 0 });
+      ("register", Sim.Rf_bit { cycle = 0; tile = 0; reg = rf_words; bit = 0 });
+      ("register bit", Sim.Rf_bit { cycle = 0; tile = 0; reg = 0; bit = 32 });
+      ("cycle", Sim.Rf_bit { cycle = -1; tile = 0; reg = 0; bit = 0 }) ];
+  (* An upset corrupts this run's copy, never the program. *)
+  let before = Array.copy pool in
+  (try
+     ignore
+       (Sim.run ~upsets:[ Sim.Crf_bit { tile = ct; index = 0; bit = 31 } ] p
+          ~mem:(K.fresh_mem k))
+   with Sim.Sim_error _ -> ());
+  Alcotest.(check (array int)) "constant pool untouched" before pool
 
 let test_mem_ports_range () =
   let k, p = Lazy.force base in
@@ -443,5 +581,10 @@ let suite =
         Alcotest.test_case "Bad_tile" `Quick test_bad_tile;
         Alcotest.test_case "Undecodable_cm (protected)" `Quick test_undecodable_cm;
         Alcotest.test_case "mem_ports below 1 rejected" `Quick test_mem_ports_range;
+        Alcotest.test_case "an unfetched undecodable word is harmless" `Quick
+          test_unfetched_undecodable;
+        Alcotest.test_case "a fetched undecodable word crashes" `Quick
+          test_fetched_undecodable;
+        Alcotest.test_case "upsets are range-checked" `Quick test_upset_ranges;
         Alcotest.test_case "known answers: results" `Quick test_run_digests;
         Alcotest.test_case "known answers: campaigns" `Quick test_campaign_digests ] ) ]

@@ -308,8 +308,8 @@ let test_sim_error_rendering () =
   Alcotest.(check bool) "registered printer used" true
     (contains_sub ~sub:"Sim_error" printed)
 
-let test_sim_rf_fault_masked_or_not () =
-  (* An RF fault injected after the last cycle can never change anything. *)
+let test_sim_late_rf_upset_masked () =
+  (* A register upset after the last cycle can never change anything. *)
   let k, m = Lazy.force base_basic in
   let p = Asm.assemble m in
   let mem = K.fresh_mem k in
@@ -317,9 +317,7 @@ let test_sim_rf_fault_masked_or_not () =
   let mem2 = K.fresh_mem k in
   let _ =
     Sim.run p ~mem:mem2
-      ~rf_faults:
-        [ { Sim.at_cycle = r.Sim.cycles + 100; fault_tile = 0; fault_reg = 0;
-            xor_mask = 1 } ]
+      ~upsets:[ Sim.Rf_bit { cycle = r.Sim.cycles + 100; tile = 0; reg = 0; bit = 0 } ]
   in
   Alcotest.(check bool) "late fault is masked" true (mem = mem2)
 
@@ -763,7 +761,7 @@ let suite =
         Alcotest.test_case "simulator: error rendering" `Quick
           test_sim_error_rendering;
         Alcotest.test_case "simulator: late RF fault is masked" `Quick
-          test_sim_rf_fault_masked_or_not;
+          test_sim_late_rf_upset_masked;
         Alcotest.test_case "fault campaign: jobs-independent" `Quick
           test_campaign_deterministic_across_jobs;
         Alcotest.test_case "fault campaign: counts consistent" `Quick
